@@ -1,9 +1,11 @@
 """Command-line interface.
 
-``textile <subcommand>`` wraps one pipeline stage each, plus
-``pipeline`` for the full run.  Exit codes: 0 success, 2 configuration
-or argument error, 3 missing or unreadable input file, 10 + k for a
-failure inside pipeline stage k.
+``textile <subcommand>`` runs one pipeline stage each, plus
+``pipeline`` for the full run.  A subcommand reads its inputs from its
+path flags, lets its other flags override config fields, and runs the
+stage function that ``textile pipeline`` runs.  Exit codes: 0 success,
+2 configuration or argument error, 3 missing or unreadable input file,
+10 + k for a failure inside pipeline stage k.
 """
 
 from __future__ import annotations
@@ -15,102 +17,62 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, StageError, TextileError
-from .geometry import Box
-from .meshfiles import write_obj, write_vtk
 from .pipeline import (
+    STAGE_FUNCTIONS,
     PipelineConfig,
+    RunContext,
+    grid_box,
     load_config,
     read_detection_pair,
     run_pipeline,
     stage_index,
-    stage_seed,
 )
-from .reconstruct import (
-    build_composite_mesh,
-    build_surface_mesh,
-    build_volume_mesh,
-    reconstruct_yarns,
-)
-from .segmenter import DegradeParams
-from .segmenter import degrade as degrade_detections
-from .segmenter import detect_batch, filter_transverse, read_detections, write_detections
-from .storage import dump_json, load_model, load_yarns, read_json, save_model, save_yarns
-from .synthgen import compaction_sequence, fiber_spec_for_target_vf, generate_interlock, with_fibers
-from .validate import match_and_assess_paths, vf_distribution, write_report
-from .voxelizer import (
-    RenderParams,
-    compute_dims,
-    extract_slices,
-    load_volume,
-    render_pseudo_ct,
-    save_volume,
-    slice_count,
-    voxelize,
-)
+from .segmenter import read_detections
+from .storage import load_model, load_yarns, read_json
+from .voxelizer import compute_dims, load_volume, slice_count
 
 log = logging.getLogger(__name__)
 
 
-def _config_from_args(args) -> PipelineConfig:
+def _config_from_args(args, section: str | None = None, **flags) -> PipelineConfig:
+    """The config file with ``--seed`` and the given flags overriding it.
+
+    ``flags`` are fields of the nested config ``section``, or top-level
+    fields when ``section`` is None; a flag left unset (None) keeps the
+    config's value.
+    """
     cfg = load_config(args.config) if args.config else PipelineConfig()
+    values = {k: v for k, v in flags.items() if v is not None}
+    if section is not None:
+        values = {section: dataclasses.replace(getattr(cfg, section), **values)}
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+        values["seed"] = args.seed
+    return dataclasses.replace(cfg, **values)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _run_stage(args, cfg: PipelineConfig, **inputs) -> int:
+    """Run the subcommand's stage on inputs read from its path flags."""
+    run = RunContext(cfg, args.out, **inputs)
+    print(STAGE_FUNCTIONS[args.command](run))
+    return 0
 
 
 def cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
-    out = _out_dir(args)
-    model = generate_interlock(
-        cfg.weave,
-        n_sections_warp=cfg.n_sections_warp,
-        n_sections_weft=cfg.n_sections_weft,
-        z_margin=cfg.z_margin,
-    )
-    if cfg.target_vf is not None:
-        model = with_fibers(
-            model, fiber_spec_for_target_vf(model, cfg.target_vf, cfg.fibers_per_yarn)
-        )
-    save_model(model, out / "model.json")
-    print(f"wrote {out / 'model.json'}: {len(model.yarns)} yarns, thickness {model.thickness:g}")
-    return 0
+    return _run_stage(args, _config_from_args(args))
 
 
 def cmd_compact(args) -> int:
-    model = load_model(args.model)
-    out = _out_dir(args)
-    seq = compaction_sequence(model, args.thickness, args.steps)
-    for k, m in enumerate(seq):
-        save_model(m, out / f"model_{k:02d}.json")
-    dump_json(
-        {
-            "schema": 1,
-            "kind": "compaction_schedule",
-            "thickness": [m.thickness for m in seq],
-        },
-        out / "compaction.json",
-    )
-    print(
-        f"wrote {len(seq)} models to {out}: thickness "
-        f"{seq[0].thickness:g} -> {seq[-1].thickness:g}"
-    )
-    return 0
+    cfg = _config_from_args(args, "compaction", thickness_final=args.thickness, n_steps=args.steps)
+    return _run_stage(args, cfg, model=load_model(args.model))
 
 
 def cmd_voxelize(args) -> int:
+    cfg = _config_from_args(args, voxel_size=args.voxel_size)
     model = load_model(args.model)
-    dims = compute_dims(model.bbox, args.voxel_size)
     if args.dims_only:
+        dims = compute_dims(model.bbox, cfg.voxel_size)
         n_xz = slice_count(dims, "xz")
         n_yz = slice_count(dims, "yz")
         print(
@@ -118,124 +80,52 @@ def cmd_voxelize(args) -> int:
             f"slices xz {n_xz} + yz {n_yz} = {n_xz + n_yz}"
         )
         return 0
-    out = _out_dir(args)
-    vol = voxelize(model, voxel_size=args.voxel_size)
-    raw, meta = save_volume(vol, out / "labels")
-    print(f"wrote {raw} and {meta}: dims {vol.dims}")
-    return 0
+    return _run_stage(args, cfg, model=model)
 
 
 def cmd_render(args) -> int:
     cfg = _config_from_args(args)
-    vol = load_volume(args.labels)
-    out = _out_dir(args)
-    params = dataclasses.replace(cfg.render, seed=stage_seed(cfg.seed, "render"))
-    ct = render_pseudo_ct(vol, params)
-    raw, meta = save_volume(ct, out / "pseudo_ct")
-    print(f"wrote {raw} and {meta}")
-    return 0
+    return _run_stage(args, cfg, labels=load_volume(args.labels))
 
 
 def cmd_segment(args) -> int:
     cfg = _config_from_args(args)
-    vol = load_volume(args.labels)
-    out = _out_dir(args)
-    axes = [args.axis] if args.axis else ["yz", "xz"]
-    for axis in axes:
-        ds = detect_batch(extract_slices(vol, axis), min_area=cfg.reconstruct.min_area)
-        ds = filter_transverse(ds, max_aspect=cfg.reconstruct.max_aspect)
-        p = out / f"detections_{axis}.jsonl"
-        write_detections(ds, p)
-        print(f"wrote {p}: {ds.count()} detections over {ds.n_slices} slices")
-    return 0
+    inputs = {"labels": load_volume(args.labels)}
+    if args.axis:
+        inputs["axes"] = (args.axis,)
+    return _run_stage(args, cfg, **inputs)
 
 
 def cmd_degrade(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, "degrade", dropout_rate=args.dropout, jitter_sigma=args.jitter)
     ds = read_detections(args.detections)
-    params = DegradeParams(
-        dropout_rate=args.dropout if args.dropout is not None else cfg.degrade.dropout_rate,
-        jitter_sigma=args.jitter if args.jitter is not None else cfg.degrade.jitter_sigma,
-        confidence_floor=cfg.degrade.confidence_floor,
-        seed=stage_seed(cfg.seed, f"degrade:{ds.axis}"),
-    )
-    dd = degrade_detections(ds, params)
-    out = _out_dir(args)
-    p = out / (Path(args.detections).stem + "_degraded.jsonl")
-    write_detections(dd, p)
-    print(f"wrote {p}: kept {dd.count()} of {ds.count()} detections")
-    return 0
+    return _run_stage(args, cfg, detections={Path(args.detections).stem: ds})
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
+    write_meshes = False if args.no_meshes else None
+    cfg = _config_from_args(args, "reconstruct", d_gate=args.gate, write_meshes=write_meshes)
+    stems = [Path(p).stem for p in args.detections]
+    if len(set(stems)) != len(stems):
+        raise ConfigError("detections files must have distinct names")
     labels_meta = read_json(Path(args.labels).with_suffix(".json")) if args.labels else None
     dsets = read_detection_pair(args.detections, labels_meta)
-    gate = args.gate if args.gate is not None else cfg.gate()
-    yarns, tracks = reconstruct_yarns(
-        dsets,
-        d_gate=gate,
-        min_length=cfg.reconstruct.min_length,
-        max_gap=cfg.reconstruct.max_gap,
-        min_span=cfg.reconstruct.min_span,
-        n_controls=cfg.reconstruct.n_controls,
-    )
-    out = _out_dir(args)
-    vs = dsets[0].voxel_size
-    origin = dsets[0].origin
-    save_yarns(
-        yarns,
-        out / "yarns.json",
-        voxel_size=vs,
-        origin=origin,
-        boundary_gaps=[t.boundary_gaps for t in tracks],
-    )
-    print(f"wrote {out / 'yarns.json'}: {len(yarns)} yarns")
-    if not args.no_meshes:
-        mesh_dir = out / "meshes"
-        mesh_dir.mkdir(exist_ok=True)
-        for i, y in enumerate(yarns):
-            write_obj(build_surface_mesh(y), mesh_dir / f"yarn_{i:03d}.obj")
-            write_vtk(build_volume_mesh(y, label=i + 1), mesh_dir / f"yarn_{i:03d}.vtk", title=f"yarn {i}")
-        if labels_meta is not None:
-            lo = np.array(labels_meta["origin"], dtype=float)
-            hi = lo + np.array(labels_meta["dims"]) * labels_meta["voxel_size"]
-        else:
-            pts = np.concatenate([y.centers for y in yarns])
-            lo = pts.min(axis=0) - 4 * cfg.reconstruct.composite_cell
-            hi = pts.max(axis=0) + 4 * cfg.reconstruct.composite_cell
-        comp = build_composite_mesh(
-            yarns, Box(lo=lo, hi=hi), cell_size=cfg.reconstruct.composite_cell
-        )
-        write_vtk(comp, mesh_dir / "composite.vtk", title="voxel composite")
-        print(f"wrote meshes for {len(yarns)} yarns under {mesh_dir}")
-    return 0
+    box = None
+    if labels_meta is not None:
+        box = grid_box(labels_meta["origin"], labels_meta["dims"], labels_meta["voxel_size"])
+    return _run_stage(args, cfg, detections=dict(zip(stems, dsets)), box=box)
 
 
 def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
     model = load_model(args.model)
     yarns, vs, _origin, _gaps = load_yarns(args.yarns)
-    out = _out_dir(args)
-    report = match_and_assess_paths(
-        model,
-        yarns,
-        n_samples=cfg.validate.n_samples,
-        voxel_size_um=cfg.validate.voxel_size_um * vs,
-    )
-    vf = vf_distribution(yarns, model.fibers, n_bins=cfg.validate.n_bins) if model.fibers else None
-    write_report(report, vf, out / "report.json", out / "report.txt")
-    worst = report.max_distance()
-    print(
-        f"wrote {out / 'report.json'}: {len(report.matches)} matches, "
-        f"max symmetric Hausdorff {worst:.3f} voxels"
-    )
-    return 0
+    return _run_stage(args, cfg, model=model, yarns=yarns, voxel_size=vs)
 
 
 def cmd_pipeline(args) -> int:
     cfg = _config_from_args(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     manifest = run_pipeline(cfg, out)
     print(
         f"pipeline done: {len(manifest.stages)} stages, "
@@ -253,53 +143,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        epilog = "A flag's [config field] is overridden when the flag is given."
+        p = sub.add_parser(name, help=help, epilog=epilog)
         p.add_argument("--config", "-c", help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", "-o", default=".", help="output directory")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("generate", help="create a synthetic interlock model")
-    common(p)
-    p.set_defaults(fn=cmd_generate)
+    command("generate", cmd_generate, "create a synthetic interlock model")
 
-    p = sub.add_parser("compact", help="kinematic compaction sequence")
-    common(p)
+    p = command("compact", cmd_compact, "kinematic compaction sequence")
     p.add_argument("--model", "-m", required=True, help="model JSON file")
-    p.add_argument("--thickness", type=float, required=True, help="final thickness")
-    p.add_argument("--steps", type=int, default=12, help="number of steps")
-    p.set_defaults(fn=cmd_compact)
+    p.add_argument("--thickness", type=float, help="final thickness [compaction.thickness_final]")
+    p.add_argument("--steps", type=int, help="number of steps [compaction.n_steps]")
 
-    p = sub.add_parser("voxelize", help="rasterize a model into a label volume")
-    common(p)
+    p = command("voxelize", cmd_voxelize, "rasterize a model into a label volume")
     p.add_argument("--model", "-m", required=True, help="model JSON file")
-    p.add_argument("--voxel-size", type=float, default=1.0, help="voxel edge length")
+    p.add_argument("--voxel-size", type=float, help="voxel edge length [voxel_size]")
     p.add_argument(
         "--dims-only",
         action="store_true",
         help="print grid dims and slice counts without materializing",
     )
-    p.set_defaults(fn=cmd_voxelize)
 
-    p = sub.add_parser("render", help="render a pseudo-CT gray volume from labels")
-    common(p)
+    p = command("render", cmd_render, "render a pseudo-CT gray volume from labels")
     p.add_argument("--labels", "-l", required=True, help="label volume base path")
-    p.set_defaults(fn=cmd_render)
 
-    p = sub.add_parser("segment", help="detect yarn sections per slice")
-    common(p)
+    p = command("segment", cmd_segment, "detect yarn sections per slice")
     p.add_argument("--labels", "-l", required=True, help="label volume base path")
     p.add_argument("--axis", choices=("xz", "yz"), default=None, help="one axis only")
-    p.set_defaults(fn=cmd_segment)
 
-    p = sub.add_parser("degrade", help="apply dropout and jitter to detections")
-    common(p)
+    p = command("degrade", cmd_degrade, "apply dropout and jitter to detections")
     p.add_argument("--detections", "-d", required=True, help="detections JSONL file")
-    p.add_argument("--dropout", type=float, default=None, help="dropout rate")
-    p.add_argument("--jitter", type=float, default=None, help="jitter sigma, pixels")
-    p.set_defaults(fn=cmd_degrade)
+    p.add_argument("--dropout", type=float, help="dropout rate [degrade.dropout_rate]")
+    p.add_argument("--jitter", type=float, help="jitter sigma, pixels [degrade.jitter_sigma]")
 
-    p = sub.add_parser("reconstruct", help="track, complete, fit and mesh yarns")
-    common(p)
+    p = command("reconstruct", cmd_reconstruct, "track, complete, fit and mesh yarns")
     p.add_argument(
         "--detections",
         "-d",
@@ -308,19 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more detections JSONL files",
     )
     p.add_argument("--labels", "-l", default=None, help="label volume base path (geometry)")
-    p.add_argument("--gate", type=float, default=None, help="tracking gate, pixels")
-    p.add_argument("--no-meshes", action="store_true", help="skip mesh export")
-    p.set_defaults(fn=cmd_reconstruct)
+    p.add_argument("--gate", type=float, help="tracking gate, pixels [reconstruct.d_gate]")
+    p.add_argument(
+        "--no-meshes", action="store_true", help="skip mesh export [reconstruct.write_meshes]"
+    )
 
-    p = sub.add_parser("validate", help="compare reconstructed yarns to a model")
-    common(p)
+    p = command("validate", cmd_validate, "compare reconstructed yarns to a model")
     p.add_argument("--model", "-m", required=True, help="reference model JSON")
     p.add_argument("--yarns", "-y", required=True, help="reconstructed yarns JSON")
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("pipeline", help="run all stages and write a manifest")
-    common(p)
-    p.set_defaults(fn=cmd_pipeline)
+    command("pipeline", cmd_pipeline, "run all stages and write a manifest")
 
     return parser
 
@@ -341,9 +219,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

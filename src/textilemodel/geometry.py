@@ -70,9 +70,6 @@ class Box:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
-    def expanded(self, margin: float) -> "Box":
-        return Box(self.lo - margin, self.hi + margin)
-
     @staticmethod
     def around(points, margin: float = 0.0) -> "Box":
         pts = _as_points(points)
@@ -235,15 +232,6 @@ def bspline_tangent(curve: BSplineCurve, t) -> np.ndarray:
             raise DegenerateGeometryError("curve tangent vanishes")
         out[i] = vec / norm
     return out[0] if scalar else out
-
-
-def greville_abscissae(curve: BSplineCurve) -> np.ndarray:
-    """Greville parameters of the control points, mapped to [0, 1]."""
-    p = curve.degree
-    knots = curve.knots
-    grev = np.array([knots[i + 1 : i + p + 1].mean() for i in range(curve.n_controls)])
-    u0, u1 = knots[p], knots[-p - 1]
-    return (grev - u0) / (u1 - u0)
 
 
 def _chord_params(points: np.ndarray) -> np.ndarray:
@@ -415,13 +403,6 @@ def best_fit_plane(points) -> tuple[np.ndarray, np.ndarray]:
     return centroid, normal
 
 
-def planarity_residual(points) -> float:
-    """Largest out-of-plane distance from the best-fit plane."""
-    pts = _as_points(points)
-    centroid, normal = best_fit_plane(pts)
-    return float(np.max(np.abs((pts - centroid) @ normal)))
-
-
 def _shoelace(uv: np.ndarray) -> float:
     u, v = uv[:, 0], uv[:, 1]
     return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
@@ -510,13 +491,6 @@ def section_area(section) -> float:
     return abs(_shoelace(uv))
 
 
-def polygon_perimeter(points) -> float:
-    """Perimeter of a closed ring (seam edge included)."""
-    pts = _as_points(points)
-    closed = np.vstack([pts, pts[0]])
-    return float(np.linalg.norm(np.diff(closed, axis=0), axis=1).sum())
-
-
 def canonical_indices(uv: np.ndarray) -> np.ndarray:
     """Ring reordering: start at max u (ties by max v), go counterclockwise."""
     start = max(range(len(uv)), key=lambda i: (uv[i, 0], uv[i, 1]))
@@ -556,9 +530,6 @@ class CrossSection:
         object.__setattr__(self, "contour", _freeze(ring))
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "station", float(self.station))
-
-    def plane_normal(self) -> np.ndarray:
-        return best_fit_plane(self.contour)[1]
 
     def area(self) -> float:
         return section_area(self)

@@ -1,11 +1,15 @@
-"""Pipeline configuration, stage orchestration, and the run manifest.
+"""Pipeline configuration, the stage functions, and the run manifest.
 
 Stages keep fixed indices whether or not they run: 1 generate,
 2 compact, 3 voxelize, 4 render, 5 segment, 6 degrade, 7 reconstruct,
-8 validate.  A failure inside stage k surfaces as StageError with that
-index so the CLI can exit with 10 + k.  Every stage derives its own
-RNG seed from the global seed, and the manifest with content digests
-of all artifacts is written last.
+8 validate.  Each stage is one function over a ``RunContext``: it reads
+what earlier stages passed on, writes its named artifacts and returns a
+one-line summary.  ``run_pipeline`` runs every enabled stage in order;
+each ``textile`` subcommand runs one, with the context filled from its
+input files.  In ``run_pipeline`` a failure inside stage k surfaces as
+StageError with that index so the CLI can exit with 10 + k.  Every
+stage derives its own RNG seed from the global seed, and the manifest
+with content digests of all artifacts is written last.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, StageError
+from .geometry import Box
 from .reconstruct import (
     build_composite_mesh,
     build_surface_mesh,
@@ -40,6 +45,7 @@ from .segmenter import (
 )
 from .storage import dump_json, read_json, save_model, save_yarns, sha256_file
 from .synthgen import (
+    TextileModel,
     WeaveSpec,
     compaction_sequence,
     fiber_spec_for_target_vf,
@@ -49,6 +55,7 @@ from .synthgen import (
 from .validate import match_and_assess_paths, vf_distribution, write_report
 from .voxelizer import (
     DEFAULT_VOXEL_BUDGET,
+    LabelVolume,
     RenderParams,
     extract_slices,
     render_pseudo_ct,
@@ -57,18 +64,6 @@ from .voxelizer import (
 )
 
 log = logging.getLogger(__name__)
-
-STAGES = (
-    "generate",
-    "compact",
-    "voxelize",
-    "render",
-    "segment",
-    "degrade",
-    "reconstruct",
-    "validate",
-)
-
 
 def stage_index(name: str) -> int:
     """Fixed 1-based index of a stage name."""
@@ -246,48 +241,68 @@ def verify_manifest(path) -> list:
     return bad
 
 
-class _Run:
-    """Mutable bookkeeping for one pipeline invocation."""
+@dataclass
+class RunContext:
+    """One run's output directory and what its stages pass on.
 
-    def __init__(self, config: PipelineConfig, out_dir):
-        self.config = config
-        self.out = Path(out_dir)
+    Each stage reads the fields that earlier stages filled and fills its
+    own: ``model`` (generate, compact), ``labels`` and their grid ``box``
+    (voxelize), ``detections`` keyed by file stem (segment, degrade),
+    ``yarns`` and their ``voxel_size`` (reconstruct).  A subcommand
+    fills the fields its stage reads from input files instead; ``axes``
+    limits segment to some slice axes.
+    """
+
+    config: PipelineConfig
+    out: Path
+    model: TextileModel | None = None
+    labels: LabelVolume | None = None
+    box: Box | None = None
+    detections: dict = field(default_factory=dict)
+    yarns: list | None = None
+    voxel_size: float | None = None
+    axes: tuple = ("yz", "xz")
+    stage_records: list = field(default_factory=list)
+    artifacts: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.out = Path(self.out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.stage_records = []
-        self.artifacts = []
 
-    def add_artifact(self, path) -> None:
-        self.artifacts.append(Path(path))
+    def path(self, name: str) -> Path:
+        """``out / name``, listed as an artifact of the running stage."""
+        p = self.out / name
+        self.artifacts.append(p)
+        return p
 
-    def run_stage(self, name: str, fn):
+    def run_stage(self, name: str) -> None:
         k = stage_index(name)
         t0 = time.perf_counter()
         before = len(self.artifacts)
         try:
-            result = fn()
+            summary = STAGE_FUNCTIONS[name](self)
         except Exception as exc:
             raise StageError(k, name, exc) from exc
+        seconds = round(time.perf_counter() - t0, 6)
         self.stage_records.append(
             {
                 "name": name,
                 "index": k,
-                "seconds": round(time.perf_counter() - t0, 6),
+                "seconds": seconds,
                 "artifacts": [str(p.relative_to(self.out)) for p in self.artifacts[before:]],
             }
         )
-        log.info("stage %d %s done in %.3fs", k, name, self.stage_records[-1]["seconds"])
-        return result
+        log.info("stage %d %s done in %.3fs: %s", k, name, seconds, summary)
 
     def manifest(self) -> RunManifest:
-        files = []
-        for p in sorted(set(self.artifacts)):
-            files.append(
-                {
-                    "path": str(p.relative_to(self.out)),
-                    "bytes": p.stat().st_size,
-                    "sha256": sha256_file(p),
-                }
-            )
+        files = [
+            {
+                "path": str(p.relative_to(self.out)),
+                "bytes": p.stat().st_size,
+                "sha256": sha256_file(p),
+            }
+            for p in sorted(set(self.artifacts))
+        ]
         return RunManifest(
             seed=self.config.seed,
             config=self.config.to_dict(),
@@ -295,6 +310,171 @@ class _Run:
             files=tuple(files),
             created=datetime.now(timezone.utc).isoformat(),
         )
+
+
+def grid_box(origin, dims, voxel_size: float) -> Box:
+    """Box covered by a voxel grid."""
+    lo = np.asarray(origin, dtype=float)
+    return Box(lo=lo, hi=lo + np.array(dims) * voxel_size)
+
+
+def _generate(run: RunContext) -> str:
+    cfg = run.config
+    model = generate_interlock(
+        cfg.weave,
+        n_sections_warp=cfg.n_sections_warp,
+        n_sections_weft=cfg.n_sections_weft,
+        z_margin=cfg.z_margin,
+    )
+    if cfg.target_vf is not None:
+        fibers = fiber_spec_for_target_vf(model, cfg.target_vf, cfg.fibers_per_yarn)
+        model = with_fibers(model, fibers)
+    save_model(model, run.path("model.json"))
+    run.model = model
+    return f"wrote model.json: {len(model.yarns)} yarns, thickness {model.thickness:g}"
+
+
+def _compact(run: RunContext) -> str:
+    c = run.config.compaction
+    if c.thickness_final is None:
+        raise ConfigError("compaction.thickness_final is required")
+    seq = compaction_sequence(run.model, c.thickness_final, c.n_steps)
+    for k, m in enumerate(seq):
+        save_model(m, run.path(f"model_{k:02d}.json"))
+    dump_json(
+        {
+            "schema": 1,
+            "kind": "compaction_schedule",
+            "thickness": [m.thickness for m in seq],
+        },
+        run.path("compaction.json"),
+    )
+    run.model = seq[-1]
+    return f"wrote {len(seq)} models: thickness {seq[0].thickness:g} -> {seq[-1].thickness:g}"
+
+
+def _voxelize(run: RunContext) -> str:
+    cfg = run.config
+    vol = voxelize(run.model, voxel_size=cfg.voxel_size, budget=cfg.voxel_budget)
+    run.artifacts.extend(save_volume(vol, run.out / "labels"))
+    run.labels = vol
+    run.box = grid_box(vol.origin, vol.dims, vol.voxel_size)
+    return f"wrote labels.raw and labels.json: dims {vol.dims}"
+
+
+def _render(run: RunContext) -> str:
+    cfg = run.config
+    params = dataclasses.replace(cfg.render, seed=stage_seed(cfg.seed, "render"))
+    run.artifacts.extend(save_volume(render_pseudo_ct(run.labels, params), run.out / "pseudo_ct"))
+    return "wrote pseudo_ct.raw and pseudo_ct.json"
+
+
+def _segment(run: RunContext) -> str:
+    cfg = run.config
+    run.detections = {}
+    notes = []
+    for axis in run.axes:
+        ds = detect_batch(extract_slices(run.labels, axis), min_area=cfg.reconstruct.min_area)
+        ds = filter_transverse(ds, max_aspect=cfg.reconstruct.max_aspect)
+        write_detections(ds, run.path(f"detections_{axis}.jsonl"))
+        run.detections[f"detections_{axis}"] = ds
+        notes.append(f"detections_{axis}.jsonl: {ds.count()} detections over {ds.n_slices} slices")
+    return "wrote " + "; ".join(notes)
+
+
+def _degrade(run: RunContext) -> str:
+    cfg = run.config
+    degraded = {}
+    notes = []
+    for stem, ds in run.detections.items():
+        params = DegradeParams(
+            dropout_rate=cfg.degrade.dropout_rate,
+            jitter_sigma=cfg.degrade.jitter_sigma,
+            confidence_floor=cfg.degrade.confidence_floor,
+            seed=stage_seed(cfg.seed, f"degrade:{ds.axis}"),
+        )
+        dd = degrade(ds, params)
+        write_detections(dd, run.path(f"{stem}_degraded.jsonl"))
+        degraded[f"{stem}_degraded"] = dd
+        notes.append(f"{stem}_degraded.jsonl: kept {dd.count()} of {ds.count()} detections")
+    run.detections = degraded
+    return "wrote " + "; ".join(notes)
+
+
+def _reconstruct(run: RunContext) -> str:
+    cfg = run.config
+    dsets = list(run.detections.values())
+    yarns, tracks = reconstruct_yarns(
+        dsets,
+        d_gate=cfg.gate(),
+        min_length=cfg.reconstruct.min_length,
+        max_gap=cfg.reconstruct.max_gap,
+        min_span=cfg.reconstruct.min_span,
+        n_controls=cfg.reconstruct.n_controls,
+    )
+    run.yarns = yarns
+    run.voxel_size = dsets[0].voxel_size
+    save_yarns(
+        yarns,
+        run.path("yarns.json"),
+        voxel_size=run.voxel_size,
+        origin=dsets[0].origin,
+        boundary_gaps=[t.boundary_gaps for t in tracks],
+    )
+    if not cfg.reconstruct.write_meshes:
+        return f"wrote yarns.json: {len(yarns)} yarns"
+    (run.out / "meshes").mkdir(exist_ok=True)
+    for i, y in enumerate(yarns):
+        write_obj(build_surface_mesh(y), run.path(f"meshes/yarn_{i:03d}.obj"))
+        write_vtk(
+            build_volume_mesh(y, label=i + 1),
+            run.path(f"meshes/yarn_{i:03d}.vtk"),
+            title=f"yarn {i}",
+        )
+    box = run.box
+    if box is None:
+        centers = np.concatenate([y.centers for y in yarns])
+        box = Box.around(centers, margin=4 * cfg.reconstruct.composite_cell)
+    comp = build_composite_mesh(
+        yarns,
+        box,
+        cell_size=cfg.reconstruct.composite_cell,
+        budget=cfg.voxel_budget,
+    )
+    write_vtk(comp, run.path("meshes/composite.vtk"), title="voxel composite")
+    return f"wrote yarns.json and meshes/: {len(yarns)} yarns"
+
+
+def _validate(run: RunContext) -> str:
+    cfg = run.config
+    model = run.model
+    report = match_and_assess_paths(
+        model,
+        run.yarns,
+        n_samples=cfg.validate.n_samples,
+        voxel_size_um=cfg.validate.voxel_size_um * run.voxel_size,
+    )
+    vf = None
+    if model.fibers is not None:
+        vf = vf_distribution(run.yarns, model.fibers, n_bins=cfg.validate.n_bins)
+    write_report(report, vf, run.path("report.json"), run.path("report.txt"))
+    return (
+        f"wrote report.json: {len(report.matches)} matches, "
+        f"max symmetric Hausdorff {report.max_distance():.3f} voxels"
+    )
+
+
+STAGE_FUNCTIONS = {
+    "generate": _generate,
+    "compact": _compact,
+    "voxelize": _voxelize,
+    "render": _render,
+    "segment": _segment,
+    "degrade": _degrade,
+    "reconstruct": _reconstruct,
+    "validate": _validate,
+}
+STAGES = tuple(STAGE_FUNCTIONS)  # stage k is STAGES[k - 1]
 
 
 def run_pipeline(config: PipelineConfig, out_dir) -> RunManifest:
@@ -305,164 +485,13 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunManifest:
     reconstructed yarns, meshes under meshes/, and the validation
     report.  Returns the manifest (also written as manifest.json).
     """
-    cfg = config
-    run = _Run(cfg, out_dir)
-    out = run.out
-
-    def do_generate():
-        model = generate_interlock(
-            cfg.weave,
-            n_sections_warp=cfg.n_sections_warp,
-            n_sections_weft=cfg.n_sections_weft,
-            z_margin=cfg.z_margin,
-        )
-        if cfg.target_vf is not None:
-            fibers = fiber_spec_for_target_vf(model, cfg.target_vf, cfg.fibers_per_yarn)
-            model = with_fibers(model, fibers)
-        save_model(model, out / "model.json")
-        run.add_artifact(out / "model.json")
-        return model
-
-    model = run.run_stage("generate", do_generate)
-
-    if cfg.compaction.enabled:
-
-        def do_compact():
-            if cfg.compaction.thickness_final is None:
-                raise ConfigError("compaction.thickness_final is required")
-            seq = compaction_sequence(
-                model, cfg.compaction.thickness_final, cfg.compaction.n_steps
-            )
-            for k, m in enumerate(seq):
-                p = out / f"model_{k:02d}.json"
-                save_model(m, p)
-                run.add_artifact(p)
-            dump_json(
-                {
-                    "schema": 1,
-                    "kind": "compaction_schedule",
-                    "thickness": [m.thickness for m in seq],
-                },
-                out / "compaction.json",
-            )
-            run.add_artifact(out / "compaction.json")
-            return seq[-1]
-
-        model = run.run_stage("compact", do_compact)
-
-    def do_voxelize():
-        vol = voxelize(model, voxel_size=cfg.voxel_size, budget=cfg.voxel_budget)
-        for p in save_volume(vol, out / "labels"):
-            run.add_artifact(p)
-        return vol
-
-    labels = run.run_stage("voxelize", do_voxelize)
-
-    def do_render():
-        params = dataclasses.replace(cfg.render, seed=stage_seed(cfg.seed, "render"))
-        ct = render_pseudo_ct(labels, params)
-        for p in save_volume(ct, out / "pseudo_ct"):
-            run.add_artifact(p)
-        return ct
-
-    run.run_stage("render", do_render)
-
-    def do_segment():
-        dsets = {}
-        for axis in ("yz", "xz"):
-            ds = detect_batch(extract_slices(labels, axis), min_area=cfg.reconstruct.min_area)
-            ds = filter_transverse(ds, max_aspect=cfg.reconstruct.max_aspect)
-            p = out / f"detections_{axis}.jsonl"
-            write_detections(ds, p)
-            run.add_artifact(p)
-            dsets[axis] = ds
-        return dsets
-
-    dsets = run.run_stage("segment", do_segment)
-
-    if cfg.degrade.enabled:
-
-        def do_degrade():
-            degraded = {}
-            for axis, ds in dsets.items():
-                params = DegradeParams(
-                    dropout_rate=cfg.degrade.dropout_rate,
-                    jitter_sigma=cfg.degrade.jitter_sigma,
-                    confidence_floor=cfg.degrade.confidence_floor,
-                    seed=stage_seed(cfg.seed, f"degrade:{axis}"),
-                )
-                dd = degrade(ds, params)
-                p = out / f"detections_{axis}_degraded.jsonl"
-                write_detections(dd, p)
-                run.add_artifact(p)
-                degraded[axis] = dd
-            return degraded
-
-        dsets = run.run_stage("degrade", do_degrade)
-
-    def do_reconstruct():
-        yarns, tracks = reconstruct_yarns(
-            dsets.values(),
-            d_gate=cfg.gate(),
-            min_length=cfg.reconstruct.min_length,
-            max_gap=cfg.reconstruct.max_gap,
-            min_span=cfg.reconstruct.min_span,
-            n_controls=cfg.reconstruct.n_controls,
-        )
-        save_yarns(
-            yarns,
-            out / "yarns.json",
-            voxel_size=labels.voxel_size,
-            origin=labels.origin,
-            boundary_gaps=[t.boundary_gaps for t in tracks],
-        )
-        run.add_artifact(out / "yarns.json")
-        if cfg.reconstruct.write_meshes:
-            mesh_dir = out / "meshes"
-            mesh_dir.mkdir(exist_ok=True)
-            for i, y in enumerate(yarns):
-                sp = mesh_dir / f"yarn_{i:03d}.obj"
-                write_obj(build_surface_mesh(y), sp)
-                run.add_artifact(sp)
-                vp = mesh_dir / f"yarn_{i:03d}.vtk"
-                write_vtk(build_volume_mesh(y, label=i + 1), vp, title=f"yarn {i}")
-                run.add_artifact(vp)
-            from .geometry import Box
-
-            lo = labels.origin
-            hi = lo + np.array(labels.dims) * labels.voxel_size
-            comp = build_composite_mesh(
-                yarns,
-                Box(lo=lo, hi=hi),
-                cell_size=cfg.reconstruct.composite_cell,
-                budget=cfg.voxel_budget,
-            )
-            cp = mesh_dir / "composite.vtk"
-            write_vtk(comp, cp, title="voxel composite")
-            run.add_artifact(cp)
-        return yarns
-
-    yarns = run.run_stage("reconstruct", do_reconstruct)
-
-    def do_validate():
-        report = match_and_assess_paths(
-            model,
-            yarns,
-            n_samples=cfg.validate.n_samples,
-            voxel_size_um=cfg.validate.voxel_size_um * cfg.voxel_size,
-        )
-        vf = None
-        if model.fibers is not None:
-            vf = vf_distribution(yarns, model.fibers, n_bins=cfg.validate.n_bins)
-        write_report(report, vf, out / "report.json", out / "report.txt")
-        run.add_artifact(out / "report.json")
-        run.add_artifact(out / "report.txt")
-        return report
-
-    run.run_stage("validate", do_validate)
-
+    run = RunContext(config, out_dir)
+    enabled = {"compact": config.compaction.enabled, "degrade": config.degrade.enabled}
+    for name in STAGES:
+        if enabled.get(name, True):
+            run.run_stage(name)
     manifest = run.manifest()
-    dump_json(manifest.to_dict(), out / "manifest.json")
+    dump_json(manifest.to_dict(), run.out / "manifest.json")
     return manifest
 
 

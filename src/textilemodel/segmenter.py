@@ -335,9 +335,11 @@ def filter_transverse(dset: DetectionSet, max_aspect: float = 6.0) -> DetectionS
 
 def write_detections(dset: DetectionSet, path) -> Path:
     """Serialize detections as JSON lines, one record per detection."""
+    from .storage import atomic_open  # deferred: storage imports this module
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with atomic_open(path) as fh:
         for det in dset.all():
             rec = {
                 "axis": det.axis,

@@ -1,16 +1,17 @@
 """JSON persistence for textile models and reconstructed yarns.
 
-All writers go through an atomic temp-file rename so a crash never
-leaves a half-written artifact, and every file carries a ``schema``
-field for forward compatibility.
+All writers go through an atomic temp-file rename (``atomic_open``,
+which the volume, detection and report writers elsewhere use too) so a
+crash never leaves a half-written artifact, and every file carries a
+``schema`` field for forward compatibility.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -22,32 +23,32 @@ from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 SCHEMA = 1
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside ``path`` that replaces it on success.
+
+    If the ``with`` body raises, the temp file is removed and any
+    previous file at ``path`` is left as it was.  The temp file is
+    opened exclusively ("x"), so it gets the permissions of a plain
+    ``open`` under the process umask.
+    """
+    path = str(path)
+    d = os.path.dirname(path) or "."
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}.part")
+    fh = open(tmp, mode.replace("w", "x"))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def atomic_write_text(path, text: str) -> None:
-    path = str(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = str(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def sha256_file(path) -> str:

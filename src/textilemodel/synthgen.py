@@ -96,9 +96,6 @@ class WeaveSpec:
             seq, cols = self.weft_sequence, self.n_weft_columns
         return [seq[j % len(seq)] for j in range(cols)]
 
-    def yarn_count(self) -> int:
-        return sum(self.column_counts("warp")) + sum(self.column_counts("weft"))
-
 
 @dataclass(frozen=True)
 class YarnModel:

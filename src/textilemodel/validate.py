@@ -17,6 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InsufficientDataError
 from .geometry import resample_arclength
+from .storage import atomic_open
 
 # Densest possible circle packing of a plane region.
 HEX_PACKING_LIMIT = math.pi / (2.0 * math.sqrt(3.0))
@@ -266,10 +267,8 @@ def write_report(path_report: PathReport, vf_report, out_json, out_text) -> None
     if vf_report is not None:
         payload["fiber_volume_fraction"] = vf_report.to_dict()
         text += ["", "# intra-yarn fiber volume fraction", vf_report.to_text()]
-    out_json = str(out_json)
-    out_text = str(out_text)
-    with open(out_json, "w") as fh:
+    with atomic_open(out_json) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_text, "w") as fh:
+    with atomic_open(out_text) as fh:
         fh.write("\n".join(text) + "\n")

@@ -260,11 +260,6 @@ def voxelize(
     )
 
 
-def label_histogram(volume: LabelVolume) -> dict:
-    values, counts = np.unique(volume.data, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
 def extract_slices(volume, axis: str) -> SliceDataset:
     """Cut a volume into 2D slices; views, not copies."""
     data = volume.data
@@ -387,14 +382,17 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     ``base_path`` gets the extensions ``.raw`` and ``.json``.  Returns
     the two paths.
     """
+    from .storage import atomic_open, atomic_write_text  # deferred: storage imports this module
+
     base = Path(base_path)
     kind = "labels" if isinstance(volume, LabelVolume) else "gray"
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
     dtype = "<u2" if kind == "labels" else "<f4"
     raw_path.parent.mkdir(parents=True, exist_ok=True)
-    volume.data.astype(dtype).tofile(raw_path)
-    json_path.write_text(json.dumps(_sidecar(volume, kind), indent=2, sort_keys=True))
+    with atomic_open(raw_path, "wb") as fh:
+        volume.data.astype(dtype).tofile(fh)
+    atomic_write_text(json_path, json.dumps(_sidecar(volume, kind), indent=2, sort_keys=True))
     return raw_path, json_path
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,18 @@ from textilemodel.pipeline import (
     verify_manifest,
 )
 from textilemodel.reconstruct import build_surface_mesh, build_volume_mesh, reconstruct_yarns
-from textilemodel.segmenter import DetectionSet, SectionDetection
-from textilemodel.storage import load_model, load_yarns, read_json, save_model, save_yarns
+from textilemodel.segmenter import DetectionSet, SectionDetection, write_detections
+from textilemodel.storage import (
+    atomic_write_text,
+    load_model,
+    load_yarns,
+    read_json,
+    save_model,
+    save_yarns,
+)
 from textilemodel.synthgen import generate_interlock
+from textilemodel.validate import write_report
+from textilemodel.voxelizer import LabelVolume, save_volume
 
 SMALL = {
     "seed": 3,
@@ -40,6 +50,22 @@ SMALL = {
     },
     "n_sections_warp": 20,
     "n_sections_weft": 20,
+}
+
+
+# Each runs every enabled stage; the compaction case sets a voxel size
+# that the config must carry into `textile voxelize`.
+STAGEWISE_CASES = {
+    "compaction": {
+        **SMALL,
+        "voxel_size": 0.9,
+        "compaction": {"enabled": True, "thickness_final": 44.1, "n_steps": 3},
+    },
+    "degrade": {
+        **SMALL,
+        "degrade": {"enabled": True, "dropout_rate": 0.2, "jitter_sigma": 0.5},
+        "reconstruct": {"write_meshes": False},
+    },
 }
 
 
@@ -84,6 +110,13 @@ class TestConfig:
     def test_non_object_root_is_an_error(self):
         with pytest.raises(ConfigError, match="root"):
             config_from_dict([1, 2, 3])
+
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block))
+        assert cfg.seed == 11
+        assert cfg.compaction.enabled and cfg.degrade.enabled
 
     def test_load_config_reads_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -346,6 +379,74 @@ class TestYarnStorage:
             load_yarns(p)
 
 
+class _PartialData:
+    """Array stand-in whose ``tofile`` writes some bytes, then fails."""
+
+    def astype(self, dtype):
+        return self
+
+    def tofile(self, fh):
+        fh.write(b"\0" * 64)
+        raise OSError("disk full")
+
+
+class TestAtomicWrites:
+    """A writer that fails mid-write keeps the old file and leaves no temp file."""
+
+    @staticmethod
+    def check_atomic(directory, target, write_good, write_bad):
+        write_good()
+        before = target.read_bytes()
+        listing = sorted(p.name for p in directory.iterdir())
+        with pytest.raises((OSError, TypeError)):
+            write_bad()
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in directory.iterdir()) == listing
+
+    def test_files_get_the_mode_of_a_plain_open(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("x")
+        atomic_write_text(tmp_path / "atomic.txt", "x")
+        modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+        assert modes["atomic.txt"] == modes["plain.txt"]
+
+    def test_save_volume(self, tmp_path):
+        good = LabelVolume(
+            data=np.ones((2, 3, 4), dtype=np.uint16),
+            voxel_size=1.0,
+            origin=np.zeros(3),
+            label_map={1: "warp"},
+        )
+        bad = SimpleNamespace(data=_PartialData(), voxel_size=1.0, origin=np.zeros(3))
+        self.check_atomic(
+            tmp_path,
+            tmp_path / "labels.raw",
+            lambda: save_volume(good, tmp_path / "labels"),
+            lambda: save_volume(bad, tmp_path / "labels"),
+        )
+
+    def test_write_detections(self, tmp_path):
+        good = straight_dset(n_slices=3)
+        dets = [list(d) for d in good.per_slice]
+        dets[1][0] = dataclasses.replace(dets[1][0], true_label=object())  # not JSON
+        bad = dataclasses.replace(good, per_slice=dets)
+        path = tmp_path / "detections_yz.jsonl"
+        self.check_atomic(
+            tmp_path, path, lambda: write_detections(good, path), lambda: write_detections(bad, path)
+        )
+
+    def test_write_report(self, tmp_path):
+        def report(payload):
+            return SimpleNamespace(to_dict=lambda: payload, to_text=lambda: "paths")
+
+        paths = (tmp_path / "report.json", tmp_path / "report.txt")
+        self.check_atomic(
+            tmp_path,
+            paths[0],
+            lambda: write_report(report({"a": 1}), None, *paths),
+            lambda: write_report(report({"a": 1, "z": object()}), None, *paths),
+        )
+
+
 class TestMeshFiles:
     def test_obj_round_trip(self, straight_yarns, tmp_path):
         mesh = build_surface_mesh(straight_yarns[0][0])
@@ -414,34 +515,42 @@ class TestCli:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_stagewise_chain_matches_pipeline(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", sorted(STAGEWISE_CASES))
+    def test_stagewise_chain_matches_pipeline(self, case, tmp_path, capsys):
+        cfg = STAGEWISE_CASES[case]
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps(SMALL))
+        cfgp.write_text(json.dumps(cfg))
         d = tmp_path / "work"
         c = ["-c", str(cfgp), "-o", str(d)]
 
+        model = d / "model.json"
         assert main(["generate", *c]) == 0
-        assert main(["voxelize", *c, "--model", str(d / "model.json")]) == 0
+        if cfg.get("compaction", {}).get("enabled"):
+            assert main(["compact", *c, "--model", str(model)]) == 0
+            model = d / f"model_{cfg['compaction']['n_steps']:02d}.json"
+        assert main(["voxelize", *c, "--model", str(model)]) == 0
         assert main(["render", *c, "--labels", str(d / "labels")]) == 0
         assert main(["segment", *c, "--labels", str(d / "labels")]) == 0
-        assert (
-            main(
-                [
-                    "reconstruct",
-                    *c,
-                    "--detections",
-                    str(d / "detections_yz.jsonl"),
-                    str(d / "detections_xz.jsonl"),
-                    "--labels",
-                    str(d / "labels"),
-                ]
-            )
-            == 0
-        )
-        assert main(["validate", *c, "--model", str(d / "model.json"),
-                     "--yarns", str(d / "yarns.json")]) == 0
+        stems = ["detections_yz", "detections_xz"]
+        if cfg.get("degrade", {}).get("enabled"):
+            for stem in stems:
+                assert main(["degrade", *c, "--detections", str(d / f"{stem}.jsonl")]) == 0
+            stems = [f"{stem}_degraded" for stem in stems]
+        detections = [str(d / f"{stem}.jsonl") for stem in stems]
+        assert main(["reconstruct", *c, "--labels", str(d / "labels"), "-d", *detections]) == 0
+        assert main(["validate", *c, "--model", str(model), "--yarns", str(d / "yarns.json")]) == 0
+        pipe = tmp_path / "pipe"
+        assert main(["pipeline", "-c", str(cfgp), "-o", str(pipe)]) == 0
         capsys.readouterr()
 
+        def artifacts(root):
+            return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+        names = artifacts(pipe) - {"manifest.json"}
+        assert artifacts(d) == names
+        assert {f["path"] for f in read_json(pipe / "manifest.json")["files"]} == names
+        for name in sorted(names):
+            assert (d / name).read_bytes() == (pipe / name).read_bytes(), name
         rep = read_json(d / "report.json")
         assert len(rep["paths"]["matches"]) == 4
         assert rep["paths"]["unmatched_reference"] == []

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from textilemodel.errors import ConfigError, InsufficientDataError, MeshIntegrityError
-from textilemodel.geometry import bspline_eval, bspline_fit, ellipse_section
+from textilemodel.errors import (
+    ConfigError,
+    InsufficientDataError,
+    InvalidContourError,
+    MeshIntegrityError,
+)
+from textilemodel.geometry import best_fit_plane, bspline_eval, bspline_fit, ellipse_section
 from textilemodel.reconstruct import (
     QuadSurfaceMesh,
     ReconstructedYarn,
@@ -196,9 +201,32 @@ class TestLift:
         yarn = lift_and_fit(track, n_controls=5)
         ts = np.linspace(0, 1, len(yarn.sections))
         for sec in yarn.sections:
-            n = sec.plane_normal()
+            n = best_fit_plane(sec.contour)[1]
             rel = sec.contour - sec.center
             assert np.abs(rel @ n).max() < 1e-9
+
+    def test_only_contour_errors_drop_a_section(self, monkeypatch):
+        import textilemodel.reconstruct as rc
+
+        (track,) = track_yarns(make_set([lambda i: (10.0, 8.0)], 12), d_gate=5.0)
+        real = rc.CrossSection
+
+        def third_section_raises(exc):
+            calls = []
+
+            def make(**kwargs):
+                calls.append(kwargs)
+                if len(calls) == 3:
+                    raise exc
+                return real(**kwargs)
+
+            return make
+
+        monkeypatch.setattr(rc, "CrossSection", third_section_raises(InvalidContourError("fold")))
+        assert len(lift_and_fit(track).sections) == 11
+        monkeypatch.setattr(rc, "CrossSection", third_section_raises(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            lift_and_fit(track)
 
     def test_stations_are_arc_lengths(self):
         ds = make_set([lambda i: (10.0 + 2.0 * i, 8.0)], 16)

@@ -33,13 +33,11 @@ class TestWeaveSpec:
         spec = sg.WeaveSpec(11, 8, (4, 3), (5, 4), (40.0, 40.0), 7.0, 6.0, 3.0)
         assert spec.column_counts("warp") == [4, 3, 4, 3, 4, 3, 4, 3, 4, 3, 4]
         assert spec.column_counts("weft") == [5, 4, 5, 4, 5, 4, 5, 4]
-        assert spec.yarn_count() == 75
 
     def test_eight_column_variant_count(self):
         spec = sg.WeaveSpec(8, 8, (4, 3), (5, 4), (40.0, 40.0), 7.0, 6.0, 3.0)
         assert sum(spec.column_counts("warp")) == 28
         assert sum(spec.column_counts("weft")) == 36
-        assert spec.yarn_count() == 64
 
     def test_invalid_specs_raise(self):
         with pytest.raises(ConfigError):
@@ -185,7 +183,8 @@ class TestPerturb:
         pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=1)
         for yarn in pert.yarns:
             for sec in yarn.sections:
-                assert geo.planarity_residual(sec.contour) < 1e-9
+                centroid, normal = geo.best_fit_plane(sec.contour)
+                assert np.abs((sec.contour - centroid) @ normal).max() < 1e-9
                 assert np.linalg.norm(sec.contour.mean(axis=0) - sec.center) < 1e-9
 
     def test_noise_scale_reasonable(self, desk_model):
