@@ -152,32 +152,37 @@ class BSplineCurve:
         return len(self.control_points)
 
 
-def _find_span(knots: np.ndarray, degree: int, u: float) -> int:
-    # Index i with knots[i] <= u < knots[i+1]; the last span is closed.
+def _basis(knots: np.ndarray, degree: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero basis values at each parameter (The NURBS Book A2.1/A2.2).
+
+    Returns (spans, N) with N of shape (len(us), degree + 1): row i holds
+    the basis functions spans[i] - degree .. spans[i] at us[i].  The span
+    satisfies knots[span] <= u < knots[span + 1]; the last span is closed.
+    """
     hi = len(knots) - degree - 2
-    if u >= knots[hi + 1]:
-        return hi
-    return max(int(np.searchsorted(knots, u, side="right")) - 1, degree)
-
-
-def _basis_row(knots: np.ndarray, degree: int, u: float) -> tuple[int, np.ndarray]:
-    """Nonzero basis values at u: returns (span, N[0..degree])."""
-    span = _find_span(knots, degree, u)
-    n = np.zeros(degree + 1)
-    n[0] = 1.0
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
+    spans = np.clip(np.searchsorted(knots, us, side="right") - 1, degree, hi)
+    n = np.zeros((len(us), degree + 1))
+    n[:, 0] = 1.0
+    left = np.zeros_like(n)
+    right = np.zeros_like(n)
     for j in range(1, degree + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
+        left[:, j] = us - knots[spans + 1 - j]
+        right[:, j] = knots[spans + j] - us
         saved = 0.0
         for r in range(j):
-            denom = right[r + 1] + left[j - r]
-            temp = n[r] / denom
-            n[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        n[j] = saved
-    return span, n
+            temp = n[:, r] / (right[:, r + 1] + left[:, j - r])
+            n[:, r] = saved + right[:, r + 1] * temp
+            saved = left[:, j - r] * temp
+        n[:, j] = saved
+    return spans, n
+
+
+def _eval(knots: np.ndarray, degree: int, ctrl: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Points of the spline (knots, degree, ctrl) at parameters us, shape (m, 3)."""
+    spans, n = _basis(knots, degree, us)
+    local = ctrl[spans[:, None] + np.arange(-degree, 1)]
+    # matmul, not einsum: einsum sums in another order and moves the last bit.
+    return (n[:, None, :] @ local)[:, 0]
 
 
 def _map_param(curve: BSplineCurve, t) -> np.ndarray:
@@ -196,14 +201,8 @@ def bspline_eval(curve: BSplineCurve, t) -> np.ndarray:
     Returns shape (3,) for a scalar parameter and (m, 3) for an array.
     """
     us = _map_param(curve, t)
-    scalar = us.ndim == 0
-    us = np.atleast_1d(us)
-    out = np.empty((len(us), 3))
-    p = curve.degree
-    for i, u in enumerate(us):
-        span, basis = _basis_row(curve.knots, p, float(u))
-        out[i] = basis @ curve.control_points[span - p : span + 1]
-    return out[0] if scalar else out
+    out = _eval(curve.knots, curve.degree, curve.control_points, us.reshape(-1))
+    return out.reshape(us.shape + (3,))
 
 
 def bspline_tangent(curve: BSplineCurve, t) -> np.ndarray:
@@ -215,23 +214,14 @@ def bspline_tangent(curve: BSplineCurve, t) -> np.ndarray:
     if np.any(denom <= 0):
         raise DegenerateGeometryError("curve has collapsed knot spans")
     dctrl = p * (ctrl[1:] - ctrl[:-1]) / denom[:, None]
-    deriv = BSplineCurve(p - 1, dctrl, knots[1:-1]) if p > 1 else None
     us = _map_param(curve, t)
-    scalar = us.ndim == 0
-    us = np.atleast_1d(us)
-    out = np.empty((len(us), 3))
-    for i, u in enumerate(us):
-        if deriv is None:
-            span = _find_span(knots, 1, float(u))
-            vec = dctrl[span - 1]
-        else:
-            span, basis = _basis_row(deriv.knots, deriv.degree, float(u))
-            vec = basis @ dctrl[span - deriv.degree : span + 1]
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            raise DegenerateGeometryError("curve tangent vanishes")
-        out[i] = vec / norm
-    return out[0] if scalar else out
+    # The derivative is a degree p - 1 spline on the inner knots.
+    vec = _eval(knots[1:-1], p - 1, dctrl, us.reshape(-1))
+    # vecdot, not norm(axis=1): the latter moves the last bit.
+    norm = np.sqrt(np.vecdot(vec, vec))
+    if np.any(norm <= 0):
+        raise DegenerateGeometryError("curve tangent vanishes")
+    return (vec / norm[:, None]).reshape(us.shape + (3,))
 
 
 def _chord_params(points: np.ndarray) -> np.ndarray:
@@ -287,10 +277,9 @@ def bspline_fit(samples, degree: int = 3, n_controls: int | None = None) -> BSpl
     params = _chord_params(pts)
     knots = _fit_knots(params, n_controls, degree)
 
+    spans, vals = _basis(knots, degree, params)
     basis = np.zeros((len(pts), n_controls))
-    for row, u in enumerate(params):
-        span, vals = _basis_row(knots, degree, float(u))
-        basis[row, span - degree : span + 1] = vals
+    basis[np.arange(len(pts))[:, None], spans[:, None] + np.arange(-degree, 1)] = vals
 
     # Pin the end controls to the end samples and solve for the rest.
     inner = basis[:, 1:-1]

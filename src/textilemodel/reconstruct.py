@@ -337,8 +337,10 @@ def lift_and_fit(
         t = tangents[k]
         rel = ring - center
         ring_p = ring - np.outer(rel @ t, t)
-        # Detector noise can fold an edge; angular re-ordering about the
-        # center restores a simple ring without moving any keypoint.
+        # Start the ring at its largest-u point and run it counterclockwise
+        # about the tangent.  This only rotates or reverses the point order:
+        # a ring that detector noise folded stays folded, and CrossSection
+        # rejects it below.
         e1 = ring_p[0] - center
         nrm = np.linalg.norm(e1)
         if nrm < 1e-9:
@@ -439,18 +441,18 @@ def enclosed_volume(mesh: QuadSurfaceMesh) -> float:
     return float(_signed_tet_volumes(mesh.vertices[tris]).sum())
 
 
-def _alignment_offsets(rings: np.ndarray) -> np.ndarray:
-    """Cyclic index offset per ring that minimizes inter-ring twist."""
-    s, n, _ = rings.shape
-    offsets = np.zeros(s, dtype=int)
-    for k in range(1, s):
-        prev = rings[k - 1][(np.arange(n) + offsets[k - 1]) % n]
-        costs = [
-            np.linalg.norm(prev - rings[k][(np.arange(n) + o) % n], axis=1).sum()
-            for o in range(n)
-        ]
-        offsets[k] = int(np.argmin(costs))
-    return offsets
+def _aligned_rings(yarn: ReconstructedYarn) -> np.ndarray:
+    """Section rings, shape (S, n, 3), each cyclically shifted so that
+    the summed point distance to the previous aligned ring is least."""
+    rings = np.stack([s.contour for s in yarn.sections])
+    n = rings.shape[1]
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row o: shift by o
+    aligned = rings.copy()
+    for k in range(1, len(rings)):
+        candidates = rings[k][shifts]
+        costs = np.linalg.norm(aligned[k - 1] - candidates, axis=2).sum(axis=1)
+        aligned[k] = candidates[np.argmin(costs)]
+    return aligned
 
 
 def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
@@ -460,12 +462,8 @@ def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
     triangles; ring correspondence picks the cyclic offset with least
     twist so the sweep never shears.
     """
-    rings = np.stack([s.contour for s in yarn.sections])
-    s = len(rings)
-    offsets = _alignment_offsets(rings)
-    aligned = np.stack(
-        [rings[k][(np.arange(RING_N) + offsets[k]) % RING_N] for k in range(s)]
-    )
+    aligned = _aligned_rings(yarn)
+    s = len(aligned)
     centers = np.array([sec.center for sec in yarn.sections])
 
     vertices = np.vstack([aligned.reshape(-1, 3), centers[0], centers[-1]])
@@ -562,12 +560,8 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
     differ slightly (up to 8.6e-4 relative on the 16 yarns of the
     default seed-11 run).
     """
-    rings = np.stack([s.contour for s in yarn.sections])
-    s = len(rings)
-    offsets = _alignment_offsets(rings)
-    aligned = np.stack(
-        [rings[k][(np.arange(RING_N) + offsets[k]) % RING_N] for k in range(s)]
-    )
+    aligned = _aligned_rings(yarn)
+    s = len(aligned)
     centers = np.array([sec.center for sec in yarn.sections])
     vertices = np.vstack([aligned.reshape(-1, 3), centers])
     c_base = RING_N * s

@@ -18,9 +18,11 @@ from .geometry import (
     Box,
     BSplineCurve,
     CrossSection,
+    best_fit_plane,
     bspline_eval,
     bspline_fit,
     ellipse_section,
+    plane_frame,
     section_area,
 )
 
@@ -296,17 +298,17 @@ def generate_interlock(
     return TextileModel(yarns=tuple(yarns), bbox=bbox, thickness=thickness, spec=spec)
 
 
-def _scale_section(sec: CrossSection, z_mid: float, f: float, station: float) -> CrossSection:
+def _scale_section(
+    sec: CrossSection, frame: tuple, z_mid: float, f: float, station: float
+) -> CrossSection:
     """Flatten one section: center follows the global z scale, the ring
     contracts by f along its in-plane vertical axis and widens by 1/f
-    horizontally, which preserves its area exactly."""
-    from .geometry import best_fit_plane, plane_frame
-
+    horizontally, which preserves its area exactly.  ``frame`` is the
+    ``plane_frame`` of the ring's best-fit plane."""
     center = np.array(sec.center)
     new_center = center.copy()
     new_center[2] = z_mid + f * (center[2] - z_mid)
-    _, normal = best_fit_plane(sec.contour)
-    e1, e2 = plane_frame(normal)
+    e1, e2 = frame
     rel = sec.contour - center
     alpha = rel @ e1
     beta = rel @ e2
@@ -314,11 +316,11 @@ def _scale_section(sec: CrossSection, z_mid: float, f: float, station: float) ->
     return CrossSection(contour=ring, center=new_center, station=station)
 
 
-def _scale_model(model: TextileModel, thickness_k: float) -> TextileModel:
+def _scale_model(model: TextileModel, frames: list, thickness_k: float) -> TextileModel:
     z_mid = model.mid_plane_z
     f = thickness_k / model.thickness
     yarns = []
-    for yarn in model.yarns:
+    for yarn, yarn_frames in zip(model.yarns, frames):
         ctrl = np.array(yarn.path.control_points)
         ctrl[:, 2] = z_mid + f * (ctrl[:, 2] - z_mid)
         path = BSplineCurve(yarn.path.degree, ctrl, yarn.path.knots)
@@ -327,8 +329,8 @@ def _scale_model(model: TextileModel, thickness_k: float) -> TextileModel:
         centers[:, 2] = z_mid + f * (centers[:, 2] - z_mid)
         stations = _stations(centers)
         sections = tuple(
-            _scale_section(s, z_mid, f, station=st)
-            for s, st in zip(yarn.sections, stations)
+            _scale_section(s, frame, z_mid, f, station=st)
+            for s, frame, st in zip(yarn.sections, yarn_frames, stations)
         )
         yarns.append(YarnModel(yarn.yarn_id, yarn.family, path, sections))
 
@@ -364,10 +366,15 @@ def compaction_sequence(
     h0 = model.thickness
     if not (0 < thickness_final <= h0):
         raise ConfigError("target thickness must lie in (0, initial thickness]")
+    # Every step scales the input model, so its section frames are shared.
+    frames = [
+        [plane_frame(best_fit_plane(s.contour)[1]) for s in yarn.sections]
+        for yarn in model.yarns
+    ]
     out = [model]
     for k in range(1, n_steps + 1):
         hk = h0 - k * (h0 - thickness_final) / n_steps
-        out.append(_scale_model(model, hk))
+        out.append(_scale_model(model, frames, hk))
     return tuple(out)
 
 
@@ -385,8 +392,6 @@ def perturb_model(
     noise first.  Yarn paths are refit through the moved centers.  With
     both sigmas zero the input model is returned unchanged.
     """
-    from .geometry import best_fit_plane
-
     if contour_sigma < 0 or center_sigma < 0:
         raise ConfigError("noise sigmas must be non-negative")
     if contour_sigma == 0 and center_sigma == 0:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textilemodel import geometry as geo
 from textilemodel.errors import (
@@ -140,6 +142,180 @@ class TestBSpline:
             geo.bspline_fit(pts, degree=3, n_controls=5)
         with pytest.raises(InsufficientDataError):
             geo.bspline_fit(pts, degree=3, n_controls=3)
+
+
+# Scalar reference for the batched B-spline kernel: The NURBS Book A2.1
+# (span) and A2.2 (nonzero basis functions), one parameter at a time.
+def ref_find_span(knots, degree, u):
+    hi = len(knots) - degree - 2
+    if u >= knots[hi + 1]:
+        return hi
+    return max(int(np.searchsorted(knots, u, side="right")) - 1, degree)
+
+
+def ref_basis_row(knots, degree, u):
+    span = ref_find_span(knots, degree, u)
+    n = np.zeros(degree + 1)
+    n[0] = 1.0
+    left = np.zeros(degree + 1)
+    right = np.zeros(degree + 1)
+    for j in range(1, degree + 1):
+        left[j] = u - knots[span + 1 - j]
+        right[j] = knots[span + j] - u
+        saved = 0.0
+        for r in range(j):
+            denom = right[r + 1] + left[j - r]
+            temp = n[r] / denom
+            n[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        n[j] = saved
+    return span, n
+
+
+def ref_eval(curve, t):
+    us = geo._map_param(curve, t)
+    scalar = us.ndim == 0
+    us = np.atleast_1d(us)
+    out = np.empty((len(us), 3))
+    p = curve.degree
+    for i, u in enumerate(us):
+        span, basis = ref_basis_row(curve.knots, p, float(u))
+        out[i] = basis @ curve.control_points[span - p : span + 1]
+    return out[0] if scalar else out
+
+
+def ref_tangent(curve, t):
+    p, ctrl, knots = curve.degree, curve.control_points, curve.knots
+    denom = knots[p + 1 : p + len(ctrl)] - knots[1 : len(ctrl)]
+    if np.any(denom <= 0):
+        raise DegenerateGeometryError("curve has collapsed knot spans")
+    dctrl = p * (ctrl[1:] - ctrl[:-1]) / denom[:, None]
+    us = np.atleast_1d(geo._map_param(curve, t))
+    out = np.empty((len(us), 3))
+    for i, u in enumerate(us):
+        if p == 1:
+            vec = dctrl[ref_find_span(knots, 1, float(u)) - 1]
+        else:
+            span, basis = ref_basis_row(knots[1:-1], p - 1, float(u))
+            vec = basis @ dctrl[span - p + 1 : span + 1]
+        norm = np.linalg.norm(vec)
+        if norm <= 0:
+            raise DegenerateGeometryError("curve tangent vanishes")
+        out[i] = vec / norm
+    return out
+
+
+def ref_fit_controls(pts, degree, n_controls):
+    params = geo._chord_params(pts)
+    knots = geo._fit_knots(params, n_controls, degree)
+    basis = np.zeros((len(pts), n_controls))
+    for row, u in enumerate(params):
+        span, vals = ref_basis_row(knots, degree, float(u))
+        basis[row, span - degree : span + 1] = vals
+    rhs = pts - np.outer(basis[:, 0], pts[0]) - np.outer(basis[:, -1], pts[-1])
+    if n_controls == 2:
+        return np.vstack([pts[0], pts[-1]])
+    sol = np.linalg.lstsq(basis[:, 1:-1], rhs, rcond=None)[0]
+    return np.vstack([pts[0], sol, pts[-1]])
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except DegenerateGeometryError as err:
+        return type(err)
+
+
+def same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b)
+
+
+ONE_ULP_PAST_1 = float(np.nextafter(1.0, 2.0))
+
+
+@st.composite
+def clamped_curves(draw):
+    """Random clamped curve of degree 1-3; interior knots may repeat, and
+    the knot domain is [0, 1] or a random interval."""
+    degree = draw(st.integers(1, 3))
+    n_ctrl = draw(st.integers(degree + 1, degree + 8))
+    inner = st.floats(1e-6, 1.0 - 1e-6)
+    interior = sorted(draw(st.lists(inner, min_size=n_ctrl - degree - 1, max_size=n_ctrl - degree - 1)))
+    lo = draw(st.just(0.0) | st.floats(-50.0, 50.0))
+    width = draw(st.just(1.0) | st.floats(0.01, 100.0))
+    knots = lo + width * np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+    ctrl = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n_ctrl, 3)) * 10.0
+    return geo.BSplineCurve(degree, ctrl, knots)
+
+
+@st.composite
+def curve_params(draw, curve):
+    """Curve parameters in [0, 1]: both ends, 1 + 1 ulp (clipped), the
+    interior knots mapped back to [0, 1], and random values."""
+    p = curve.degree
+    u0, u1 = curve.knots[p], curve.knots[-p - 1]
+    at_knots = (curve.knots[p + 1 : -p - 1] - u0) / (u1 - u0)
+    rand = draw(st.lists(st.floats(0.0, 1.0), max_size=30))
+    return np.concatenate([[0.0, 1.0, ONE_ULP_PAST_1], at_knots, rand])
+
+
+class TestBSplineKernelMatchesScalarReference:
+    """The batched kernel must reproduce the scalar A2.1/A2.2 code bit for
+    bit: every yarn artifact is hashed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_basis(self, data):
+        curve = data.draw(clamped_curves())
+        p, knots = curve.degree, curve.knots
+        us = np.concatenate(
+            [knots, [np.nextafter(knots[0], -np.inf), np.nextafter(knots[-1], np.inf)],
+             knots[0] + (knots[-1] - knots[0]) * data.draw(curve_params(curve))]
+        )
+        spans, n = geo._basis(knots, p, us)
+        for i, u in enumerate(us):
+            ref_span, ref_n = ref_basis_row(knots, p, float(u))
+            assert spans[i] == ref_span
+            assert np.array_equal(n[i], ref_n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_eval(self, data):
+        curve = data.draw(clamped_curves())
+        ts = data.draw(curve_params(curve))
+        assert np.array_equal(geo.bspline_eval(curve, ts), ref_eval(curve, ts))
+        for t in ts[:4]:
+            point = geo.bspline_eval(curve, float(t))
+            assert point.shape == (3,)
+            assert np.array_equal(point, ref_eval(curve, float(t)))
+        assert geo.bspline_eval(curve, np.empty(0)).shape == (0, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tangent(self, data):
+        curve = data.draw(clamped_curves())
+        ts = data.draw(curve_params(curve))
+        new = outcome(geo.bspline_tangent, curve, ts)
+        assert same_outcome(new, outcome(ref_tangent, curve, ts))
+        if not isinstance(new, type):
+            assert np.array_equal(geo.bspline_tangent(curve, ts[1]), new[1])
+            assert geo.bspline_tangent(curve, np.empty(0)).shape == (0, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        degree=st.integers(1, 3),
+        extra=st.integers(0, 8),
+        surplus=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_controls(self, degree, extra, surplus, seed):
+        n_ctrl = degree + 1 + extra
+        pts = np.cumsum(np.random.default_rng(seed).normal(size=(n_ctrl + surplus, 3)), axis=0)
+        curve = geo.bspline_fit(pts, degree, n_ctrl)
+        assert np.array_equal(curve.control_points, ref_fit_controls(pts, degree, n_ctrl))
 
 
 class TestResample:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textilemodel.errors import (
     ConfigError,
@@ -11,12 +13,18 @@ from textilemodel.errors import (
     InvalidContourError,
     MeshIntegrityError,
 )
-from textilemodel.geometry import best_fit_plane, bspline_eval, bspline_fit, ellipse_section
+from textilemodel.geometry import (
+    best_fit_plane,
+    bspline_eval,
+    bspline_fit,
+    ellipse_section,
+    plane_frame,
+)
 from textilemodel.reconstruct import (
     QuadSurfaceMesh,
     ReconstructedYarn,
     YarnTrack,
-    _alignment_offsets,
+    _aligned_rings,
     build_composite_mesh,
     build_surface_mesh,
     build_volume_mesh,
@@ -301,22 +309,31 @@ def reversed_rings(yarn):
     )
 
 
-def curved_yarn(n_secs=12, radius=20.0, sweep=0.8):
+def curved_yarn(n_secs=12, radius=20.0, sweep=0.8, axes=None, rolls=None, twists=None):
     """Yarn bent along a circular arc, with varying ellipse axes and each
     ring cyclically rolled, so side quads are non-planar and the ring
-    alignment has work to do."""
+    alignment has work to do.  ``axes`` (a, b) and ``rolls`` per section
+    override the defaults; ``twists`` turns each major axis by an angle
+    within its section plane."""
     secs = []
     for k, th in enumerate(np.linspace(0.0, sweep, n_secs)):
+        a, b = axes[k] if axes else (2.0 + 0.4 * math.sin(k), 1.0 + 0.3 * math.cos(1.7 * k))
+        normal = np.array([-math.sin(th), math.cos(th), 0.0])
+        orientation = None
+        if twists:
+            e1, e2 = plane_frame(normal)
+            orientation = math.cos(twists[k]) * e1 + math.sin(twists[k]) * e2
         sec = ellipse_section(
             center=(radius * math.cos(th), radius * math.sin(th), 0.3 * k),
-            normal=(-math.sin(th), math.cos(th), 0.0),
-            a=2.0 + 0.4 * math.sin(k),
-            b=1.0 + 0.3 * math.cos(1.7 * k),
+            normal=normal,
+            a=a,
+            b=b,
+            orientation=orientation,
             station=radius * th,
         )
         secs.append(
             type(sec)(
-                contour=np.roll(sec.contour, (3 * k) % 10, axis=0),
+                contour=np.roll(sec.contour, rolls[k] if rolls else (3 * k) % 10, axis=0),
                 center=sec.center,
                 station=sec.station,
             )
@@ -326,6 +343,22 @@ def curved_yarn(n_secs=12, radius=20.0, sweep=0.8):
         family="warp", axis="yz", path=bspline_fit(centers, degree=3, n_controls=4),
         sections=tuple(secs), completed_flags=(False,) * n_secs,
     )
+
+
+# Per-ring scalar reference for _aligned_rings: each cyclic offset
+# scored in its own pass against the previous aligned ring.
+def ref_aligned_rings(yarn):
+    rings = np.stack([s.contour for s in yarn.sections])
+    s, n, _ = rings.shape
+    offsets = np.zeros(s, dtype=int)
+    for k in range(1, s):
+        prev = rings[k - 1][(np.arange(n) + offsets[k - 1]) % n]
+        costs = [
+            np.linalg.norm(prev - rings[k][(np.arange(n) + o) % n], axis=1).sum()
+            for o in range(n)
+        ]
+        offsets[k] = int(np.argmin(costs))
+    return np.stack([rings[k][(np.arange(n) + offsets[k]) % n] for k in range(s)])
 
 
 # Per-face scalar reference for the vectorised mesh kernels: one signed
@@ -404,11 +437,34 @@ class TestSurfaceMesh:
             + yarn.sections[2:],
             completed_flags=yarn.completed_flags,
         )
-        offs = _alignment_offsets(np.stack([s.contour for s in rolled.sections]))
-        assert offs[1] % 10 == 3  # undoes np.roll(+3)
+        aligned = _aligned_rings(rolled)
+        # undoes np.roll(+3)
+        assert np.array_equal(aligned[1], np.roll(rolled.sections[1].contour, -3, axis=0))
         v0 = enclosed_volume(build_surface_mesh(yarn))
         v1 = enclosed_volume(build_surface_mesh(rolled))
         assert v1 == pytest.approx(v0, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_secs=st.integers(4, 10),
+        radius=st.floats(8.0, 40.0),
+        sweep=st.floats(0.05, 1.2),
+    )
+    def test_aligned_rings_match_scalar_reference(self, data, n_secs, radius, sweep):
+        # Circles (ratio 1) make near-ties between offsets.
+        b = st.floats(0.5, 3.0)
+        ratio = st.just(1.0) | st.floats(1.0, 3.0)
+        pairs = data.draw(st.lists(st.tuples(b, ratio), min_size=n_secs, max_size=n_secs))
+        axes = [(bk * rk, bk) for bk, rk in pairs]
+        rolls = data.draw(st.lists(st.integers(0, 9), min_size=n_secs, max_size=n_secs))
+        # Twisted ellipses make close calls between neighbouring offsets,
+        # where other twist measures (squared distance, say) pick others.
+        # Uniform angles: hypothesis favours round ones, which rarely tie.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        twists = list(rng.uniform(0.0, 2 * math.pi, n_secs))
+        yarn = curved_yarn(n_secs, radius, sweep, axes=axes, rolls=rolls, twists=twists)
+        assert np.array_equal(_aligned_rings(yarn), ref_aligned_rings(yarn))
 
     def test_vectorised_kernels_match_scalar_reference(self):
         yarn = curved_yarn()
