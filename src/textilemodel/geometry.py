@@ -397,28 +397,6 @@ def _shoelace(uv: np.ndarray) -> float:
     return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _segments_cross(p, q, r, s) -> bool:
-    # Proper or touching intersection of segments pq and rs.
-    d1 = _cross2(q - p, r - p)
-    d2 = _cross2(q - p, s - p)
-    d3 = _cross2(s - r, p - r)
-    d4 = _cross2(s - r, q - r)
-    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and (
-        (d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0
-    ):
-        if d1 == 0 and d2 == 0:  # collinear: check 1D overlap
-            axis = int(np.argmax(np.abs(q - p)))
-            lo1, hi1 = sorted((p[axis], q[axis]))
-            lo2, hi2 = sorted((r[axis], s[axis]))
-            return hi1 > lo2 and hi2 > lo1
-        return True
-    return False
-
-
 @lru_cache(maxsize=8)
 def _nonadjacent_edge_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     ii, jj = np.triu_indices(m, k=2)
@@ -446,11 +424,13 @@ def ring_is_simple(uv: np.ndarray) -> bool:
     )
     if not straddle.any():
         return True
-    # collinear candidates need the 1D overlap refinement
-    for k in np.flatnonzero(straddle):
-        if _segments_cross(p[k], q[k], r[k], s[k]):
-            return False
-    return True
+    # A collinear pair crosses only where it overlaps along the first
+    # segment's dominant axis.
+    collinear = (d1 == 0) & (d2 == 0)
+    axis = np.argmax(np.abs(q - p), axis=1)[:, None]
+    pa, qa, ra, sa = (np.take_along_axis(x, axis, axis=1)[:, 0] for x in (p, q, r, s))
+    overlap = (np.maximum(pa, qa) > np.minimum(ra, sa)) & (np.maximum(ra, sa) > np.minimum(pa, qa))
+    return not np.any(straddle & (~collinear | overlap))
 
 
 def project_ring(points, centroid=None, normal=None) -> np.ndarray:
@@ -471,7 +451,9 @@ def section_area(section) -> float:
     InvalidContourError.  The result is non-negative and invariant
     under rigid motion.
     """
-    pts = section.contour if isinstance(section, CrossSection) else _as_points(section)
+    if isinstance(section, CrossSection):
+        return section.area()
+    pts = _as_points(section)
     if len(pts) < 3:
         raise InvalidContourError("a ring needs at least 3 points")
     uv = project_ring(pts)
@@ -482,7 +464,8 @@ def section_area(section) -> float:
 
 def canonical_indices(uv: np.ndarray) -> np.ndarray:
     """Ring reordering: start at max u (ties by max v), go counterclockwise."""
-    start = max(range(len(uv)), key=lambda i: (uv[i, 0], uv[i, 1]))
+    top = np.flatnonzero(uv[:, 0] == uv[:, 0].max())
+    start = top[np.argmax(uv[top, 1])]
     order = np.roll(np.arange(len(uv)), -start)
     if _shoelace(uv[order]) < 0:
         order = np.concatenate([[order[0]], order[1:][::-1]])
@@ -521,7 +504,8 @@ class CrossSection:
         object.__setattr__(self, "station", float(self.station))
 
     def area(self) -> float:
-        return section_area(self)
+        # Construction already checked that the ring is planar and simple.
+        return abs(_shoelace(project_ring(self.contour)))
 
 
 def ellipse_section(

@@ -20,12 +20,28 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import canonical_indices, resample_arclength
+from .geometry import _shoelace, canonical_indices, resample_arclength
 from .voxelizer import SLICE_AXES, SliceDataset
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_AREA = 12
+
+# Marching squares (Lorensen & Cline 1987) on a cell with corners a b / d c:
+# the boundary segments of each case code as (from, to) cell edges, with
+# edges 0: ab, 1: bc, 2: cd, 3: da.  All segments share one orientation,
+# so each edge midpoint on a boundary starts exactly one of them.  The
+# saddles 5 and 10 join their foreground corners: regions stay 8-connected.
+_SEGMENTS_BY_CASE = {
+    1: [(2, 3)], 2: [(1, 2)], 3: [(1, 3)], 4: [(0, 1)], 5: [(0, 3), (2, 1)],
+    6: [(0, 2)], 7: [(0, 3)], 8: [(3, 0)], 9: [(2, 0)], 10: [(1, 0), (3, 2)],
+    11: [(1, 0)], 12: [(3, 1)], 13: [(2, 1)], 14: [(3, 2)],
+}
+_CASE_SEGMENTS = np.full((16, 2, 2), -1)  # unused slots hold -1
+for _code, _segments in _SEGMENTS_BY_CASE.items():
+    _CASE_SEGMENTS[_code, : len(_segments)] = _segments
+# Midpoint of each cell edge relative to corner a, in doubled coordinates.
+_EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,7 @@ class SectionDetection:
         object.__setattr__(self, "center", center)
 
     def area(self) -> float:
-        u, v = self.contour[:, 0], self.contour[:, 1]
-        return 0.5 * abs(float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v)))
+        return abs(_shoelace(self.contour))
 
 
 @dataclass(frozen=True)
@@ -106,72 +121,33 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     the midpoints of pixel-grid edges that separate foreground from
     background, giving sub-pixel boundary coordinates whose enclosed
     area tracks the pixel count.  Returns (n, 2) float coordinates in
-    pixel units; the region must be a single component without holes.
+    pixel units; the region must be a single component without holes,
+    otherwise DegenerateGeometryError is raised.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or not mask.any():
         raise DegenerateGeometryError("mask must be a non-empty 2D region")
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
     padded[1:-1, 1:-1] = mask
-
+    # Case code of each cell with corners a b / d c, a as the high bit.
+    code = padded[:-1, :-1] << 3 | padded[:-1, 1:] << 2 | padded[1:, 1:] << 1 | padded[1:, :-1]
+    cells = np.argwhere((code > 0) & (code < 15))
+    edges = _CASE_SEGMENTS[code[cells[:, 0], cells[:, 1]]]
     # Doubled coordinates keep all edge midpoints integral: padded
     # pixel (i, j) center sits at doubled (2(i-1), 2(j-1)).
-    adjacency: dict = {}
-
-    def connect(p, q):
-        adjacency.setdefault(p, []).append(q)
-        adjacency.setdefault(q, []).append(p)
-
-    h, w = padded.shape
-    fg = padded
-    for ci in range(h - 1):
-        for cj in range(w - 1):
-            a = fg[ci, cj]
-            b = fg[ci, cj + 1]
-            c = fg[ci + 1, cj + 1]
-            d = fg[ci + 1, cj]
-            code = (a << 3) | (b << 2) | (c << 1) | int(d)
-            if code in (0, 15):
-                continue
-            base_i, base_j = 2 * ci, 2 * cj
-            # Edge midpoints in doubled padded coordinates.
-            e_ab = (base_i, base_j + 1)
-            e_bc = (base_i + 1, base_j + 2)
-            e_cd = (base_i + 2, base_j + 1)
-            e_da = (base_i + 1, base_j)
-            if code == 0b1010:  # a, c foreground: wrap corners b and d
-                connect(e_ab, e_bc)
-                connect(e_cd, e_da)
-            elif code == 0b0101:  # b, d foreground: wrap corners a and c
-                connect(e_da, e_ab)
-                connect(e_bc, e_cd)
-            else:
-                crossed = []
-                if a != b:
-                    crossed.append(e_ab)
-                if b != c:
-                    crossed.append(e_bc)
-                if c != d:
-                    crossed.append(e_cd)
-                if d != a:
-                    crossed.append(e_da)
-                connect(crossed[0], crossed[1])
-
-    start = min(adjacency)
-    loop = [start]
-    prev = None
-    cur = start
-    while True:
-        nbrs = adjacency[cur]
-        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        if nxt == start:
-            break
-        loop.append(nxt)
-        prev, cur = cur, nxt
-        if len(loop) > len(adjacency) + 1:
-            raise DegenerateGeometryError("boundary trace failed to close")
-    pts = np.array(loop, dtype=float) / 2.0 - 1.0  # back to pixel coordinates
-    return pts
+    ends = (2 * cells[:, None, None] + _EDGE_MIDPOINTS[edges])[edges[:, :, 0] >= 0]
+    keys = ends[..., 0] * (2 * padded.shape[1]) + ends[..., 1]
+    # Every midpoint starts exactly one segment, so a search among the
+    # sorted start keys finds each segment's successor.  The walk starts
+    # at the smallest doubled coordinate.
+    order = np.argsort(keys[:, 0])
+    nxt = np.searchsorted(keys[order, 0], keys[order, 1]).tolist()
+    loop = [0]
+    while (k := nxt[loop[-1]]) != 0 and len(loop) < len(nxt):
+        loop.append(k)
+    if k != 0 or len(loop) != len(nxt):
+        raise DegenerateGeometryError("mask boundary is not a single closed loop")
+    return ends[order[loop], 0] / 2.0 - 1.0  # back to pixel coordinates
 
 
 def _keypoints_from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -388,6 +388,10 @@ class TestSectionArea:
         with pytest.raises(InvalidContourError):
             geo.section_area(np.array([[0.0, 0, 0], [1, 0, 0]]))
 
+    def test_cross_section_area_equals_array_path(self):
+        sec = geo.ellipse_section([1, 2, 3], [0.3, -0.4, 0.86], 4.0, 2.0)
+        assert sec.area() == geo.section_area(sec) == geo.section_area(np.array(sec.contour))
+
     def test_regular_decagon_on_circle_matches_analytic(self):
         # Ten equal-arc points on a circle form a regular decagon with
         # area (5/2) r^2 sin(2 pi / 10).
@@ -428,6 +432,59 @@ class TestSectionArea:
         ring = np.vstack([sec.contour, sec.contour[:1]])
         perim = np.linalg.norm(np.diff(ring, axis=0), axis=1).sum()
         assert abs(perim - oracle_perim) < 1e-4
+
+
+# Scalar reference for ring_is_simple: every non-adjacent edge pair is
+# tested on its own, collinear pairs by their 1D overlap.
+def ref_cross2(a, b):
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def ref_segments_cross(p, q, r, s):
+    d1 = ref_cross2(q - p, r - p)
+    d2 = ref_cross2(q - p, s - p)
+    d3 = ref_cross2(s - r, p - r)
+    d4 = ref_cross2(s - r, q - r)
+    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and (
+        (d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0
+    ):
+        if d1 == 0 and d2 == 0:
+            axis = int(np.argmax(np.abs(q - p)))
+            lo1, hi1 = sorted((p[axis], q[axis]))
+            lo2, hi2 = sorted((r[axis], s[axis]))
+            return hi1 > lo2 and hi2 > lo1
+        return True
+    return False
+
+
+def ref_ring_is_simple(uv):
+    m = len(uv)
+    for i in range(m):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue  # wrap-around edges are adjacent
+            if ref_segments_cross(uv[i], uv[(i + 1) % m], uv[j], uv[(j + 1) % m]):
+                return False
+    return True
+
+
+class TestRingIsSimple:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=10))
+    def test_matches_scalar_reference_on_integer_grid(self, points):
+        # A 4x4 grid makes collinear, touching and repeated points common.
+        uv = np.array(points, dtype=float)
+        assert geo.ring_is_simple(uv) == ref_ring_is_simple(uv)
+
+    def test_collinear_pairs(self):
+        # A flat ring that folds back: non-adjacent edges overlap on one line.
+        folded = np.array([[0.0, 1], [2, 1], [1, 1], [3, 1]])
+        assert not geo.ring_is_simple(folded)
+        # A repeated vertex on a straight side: the edges on either side of
+        # it are collinear and not adjacent, but they only touch.
+        repeated = np.array([[0.0, 0], [1, 0], [1, 0], [2, 0], [2, 2], [0, 2]])
+        assert geo.ring_is_simple(repeated)
+        assert ref_ring_is_simple(repeated)
 
 
 class TestCrossSection:
@@ -507,6 +564,14 @@ class TestCanonicalOrdering:
         reversed_uv = uv[::-1]
         order = geo.canonical_indices(reversed_uv)
         np.testing.assert_allclose(reversed_uv[order], uv, atol=1e-12)
+
+    def test_duplicated_maximum_starts_at_its_first_index(self):
+        # (3, 1) appears at indices 1 and 3: the first one starts the ring.
+        uv = np.array([[0.0, 0], [3, 1], [1, 1], [3, 1], [1, 3]])
+        assert np.array_equal(geo.canonical_indices(uv), [1, 2, 3, 4, 0])
+        # Equal u, larger v wins.
+        uv = np.array([[3.0, 0], [0, 0], [3, 2], [1, 1]])
+        assert geo.canonical_indices(uv)[0] == 2
 
 
 class TestPlaneHelpers:

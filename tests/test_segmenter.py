@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from textilemodel.errors import ConfigError, DegenerateGeometryError
 from textilemodel.segmenter import (
@@ -76,6 +79,88 @@ class TestTraceBoundary:
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             trace_boundary(np.zeros((4, 4), dtype=bool))
+
+
+def ref_trace_boundary(mask):
+    """Reference tracer: marching squares one cell at a time, into an
+    undirected adjacency walked from the smallest doubled coordinate."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    adjacency = {}
+
+    def connect(p, q):
+        adjacency.setdefault(p, []).append(q)
+        adjacency.setdefault(q, []).append(p)
+
+    h, w = padded.shape
+    for ci in range(h - 1):
+        for cj in range(w - 1):
+            a, b = padded[ci, cj], padded[ci, cj + 1]
+            c, d = padded[ci + 1, cj + 1], padded[ci + 1, cj]
+            code = (a << 3) | (b << 2) | (c << 1) | int(d)
+            if code in (0, 15):
+                continue
+            e_ab = (2 * ci, 2 * cj + 1)
+            e_bc = (2 * ci + 1, 2 * cj + 2)
+            e_cd = (2 * ci + 2, 2 * cj + 1)
+            e_da = (2 * ci + 1, 2 * cj)
+            if code == 0b1010:  # a, c foreground: wrap corners b and d
+                connect(e_ab, e_bc)
+                connect(e_cd, e_da)
+            elif code == 0b0101:  # b, d foreground: wrap corners a and c
+                connect(e_da, e_ab)
+                connect(e_bc, e_cd)
+            else:
+                sides = ((e_ab, a, b), (e_bc, b, c), (e_cd, c, d), (e_da, d, a))
+                connect(*[e for e, x, y in sides if x != y])
+
+    start = min(adjacency)
+    loop, prev, cur = [start], None, start
+    while True:
+        nbrs = adjacency[cur]
+        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+        if nxt == start:
+            return np.array(loop, dtype=float) / 2.0 - 1.0
+        loop.append(nxt)
+        prev, cur = cur, nxt
+
+
+@st.composite
+def filled_blobs(draw):
+    """One 8-connected component of a random grid with its holes filled,
+    as detect_sections passes it to the tracer."""
+    shape = (draw(st.integers(1, 14)), draw(st.integers(1, 14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.random(shape) < draw(st.floats(0.2, 0.8))
+    grid[rng.integers(shape[0]), rng.integers(shape[1])] = True
+    comps, n = ndimage.label(grid, structure=np.ones((3, 3), dtype=bool))
+    return ndimage.binary_fill_holes(comps == draw(st.integers(1, n)))
+
+
+class TestTraceBoundaryProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(filled_blobs())
+    def test_matches_reference_tracer_exactly(self, blob):
+        assert np.array_equal(trace_boundary(blob), ref_trace_boundary(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(filled_blobs())
+    def test_signed_area_is_pixel_count_minus_half(self, blob):
+        dense = trace_boundary(blob)
+        u, v = dense[:, 0], dense[:, 1]
+        assert 0.5 * np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v) == blob.sum() - 0.5
+
+    def test_two_components_rejected(self):
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[1, 1] = mask[4, 4] = True
+        with pytest.raises(DegenerateGeometryError):
+            trace_boundary(mask)
+
+    def test_holed_region_rejected(self):
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, 2] = False
+        with pytest.raises(DegenerateGeometryError):
+            trace_boundary(mask)
 
 
 class TestDetectSections:
