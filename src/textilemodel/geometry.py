@@ -394,7 +394,9 @@ def best_fit_plane(points) -> tuple[np.ndarray, np.ndarray]:
 
 def _shoelace(uv: np.ndarray) -> float:
     u, v = uv[:, 0], uv[:, 1]
-    return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
+    u1 = np.concatenate((u[1:], u[:1]))
+    v1 = np.concatenate((v[1:], v[:1]))
+    return 0.5 * float(np.sum(u * v1 - u1 * v))
 
 
 @lru_cache(maxsize=8)

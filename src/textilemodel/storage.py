@@ -60,7 +60,10 @@ def sha256_file(path) -> str:
 
 
 def dump_json(payload: dict, path) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Stream ``payload`` to ``path``; the bytes equal ``json.dumps(indent=2)`` plus a newline."""
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path) -> dict:

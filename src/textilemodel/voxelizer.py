@@ -21,6 +21,7 @@ from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
 from .synthgen import TextileModel
 
 DEFAULT_VOXEL_BUDGET = 2**28
+RENDER_SLAB = 16  # x-planes rendered per float64 working slab
 
 AXIS_XZ = "xz"  # one slice per y index, image axes (x, z)
 AXIS_YZ = "yz"  # one slice per x index, image axes (y, z)
@@ -134,8 +135,22 @@ def _ring_normals(rings: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return normals / lengths
 
 
-def _paint_segment(labels, best_d2, yarn_id, r0, r1, c0, c1, n0, n1, origin, voxel_size):
-    dims = labels.shape
+def _center_d2(p, c0, c1):
+    """Squared distance from each point to the nearer of two section centers."""
+    return np.minimum(((p - c0) ** 2).sum(axis=1), ((p - c1) ** 2).sum(axis=1))
+
+
+def _paint_segment(owner, seg, seg_yarn, seg_c0, seg_c1, r0, r1, n0, n1, origin, voxel_size):
+    """Claim for segment ``seg`` the voxels inside its loft that it wins.
+
+    ``owner`` holds the global segment id of each voxel's current
+    winner, 0 meaning none.  The winner's distance is recomputed with
+    the same elementwise expression, so comparisons see the exact
+    value the winner was admitted with.
+    """
+    dims = owner.shape
+    yarn_id = seg_yarn[seg]
+    c0, c1 = seg_c0[seg], seg_c1[seg]
     lo = np.minimum(r0.min(axis=0), r1.min(axis=0))
     hi = np.maximum(r0.max(axis=0), r1.max(axis=0))
     i_lo = np.maximum(np.floor((lo - origin) / voxel_size - 0.5).astype(int), 0)
@@ -155,7 +170,6 @@ def _paint_segment(labels, best_d2, yarn_id, r0, r1, c0, c1, n0, n1, origin, vox
     s = (d0[between] / (d0[between] - d1[between]))[:, None]
 
     ring = r0[None, :, :] + s[:, :, None] * (r1 - r0)[None, :, :]
-    center = c0 + s * (c1 - c0)
     normal = n0 + s * (n1 - n0)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
 
@@ -182,22 +196,22 @@ def _paint_segment(labels, best_d2, yarn_id, r0, r1, c0, c1, n0, n1, origin, vox
     if not inside.any():
         return
 
-    d2 = np.minimum(
-        ((p - c0) ** 2).sum(axis=1), ((p - c1) ** 2).sum(axis=1)
-    )
-
+    p = p[inside]
+    cand_d2 = _center_d2(p, c0, c1)
     sub_shape = tuple(i_hi - i_lo + 1)
     idx = np.flatnonzero(between)[inside]
-    cand_d2 = d2[inside]
     ii, jj, kk = np.unravel_index(idx, sub_shape)
     ii = ii + i_lo[0]
     jj = jj + i_lo[1]
     kk = kk + i_lo[2]
-    cur_lab = labels[ii, jj, kk]
-    cur_d2 = best_d2[ii, jj, kk]
-    take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (yarn_id < cur_lab))
-    labels[ii[take], jj[take], kk[take]] = yarn_id
-    best_d2[ii[take], jj[take], kk[take]] = cand_d2[take]
+    cur = owner[ii, jj, kk]
+    cur_d2 = np.full(len(cur), np.inf)
+    owned = cur > 0
+    if owned.any():
+        rival = cur[owned]
+        cur_d2[owned] = _center_d2(p[owned], seg_c0[rival], seg_c1[rival])
+    take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (yarn_id < seg_yarn[cur]))
+    owner[ii[take], jj[take], kk[take]] = seg
 
 
 def paint_labels(yarn_geoms, dims, origin, voxel_size) -> np.ndarray:
@@ -207,29 +221,44 @@ def paint_labels(yarn_geoms, dims, origin, voxel_size) -> np.ndarray:
     (S, 10, 3).  Cross-sections are lofted linearly between stations;
     a voxel center belongs to a yarn when it falls inside the
     interpolated ring polygon between two consecutive section planes.
+
+    The only full grid besides the result is one owner grid of segment
+    ids in the smallest unsigned dtype that holds them; each winner's
+    distance is recomputed from small per-segment tables when needed.
     """
-    labels = np.zeros(dims, dtype=np.uint16)
-    best_d2 = np.full(dims, np.inf, dtype=np.float64)
     origin = np.asarray(origin, dtype=float).reshape(3)
-    for yarn_id, rings, centers in yarn_geoms:
-        rings = np.asarray(rings, dtype=float)
-        centers = np.asarray(centers, dtype=float)
+    geoms = [
+        (yarn_id, np.asarray(rings, dtype=float), np.asarray(centers, dtype=float))
+        for yarn_id, rings, centers in yarn_geoms
+    ]
+    # Segment k of a yarn runs from centers[k] to centers[k + 1]; global
+    # segment 0 is "no owner" and maps to label 0.
+    seg_yarn = np.array(
+        [0] + [yarn_id for yarn_id, rings, _ in geoms for _ in range(len(rings) - 1)],
+        dtype=np.uint16,
+    )
+    seg_c0 = np.concatenate([np.zeros((1, 3))] + [centers[:-1] for _, _, centers in geoms])
+    seg_c1 = np.concatenate([np.zeros((1, 3))] + [centers[1:] for _, _, centers in geoms])
+    owner = np.zeros(dims, dtype=np.min_scalar_type(len(seg_yarn) - 1))
+    seg = 0
+    for _, rings, centers in geoms:
         normals = _ring_normals(rings, centers)
         for k in range(len(rings) - 1):
+            seg += 1
             _paint_segment(
-                labels,
-                best_d2,
-                yarn_id,
+                owner,
+                seg,
+                seg_yarn,
+                seg_c0,
+                seg_c1,
                 rings[k],
                 rings[k + 1],
-                centers[k],
-                centers[k + 1],
                 normals[k],
                 normals[k + 1],
                 origin,
                 voxel_size,
             )
-    return labels
+    return seg_yarn[owner]
 
 
 def voxelize(
@@ -320,43 +349,54 @@ def render_pseudo_ct(volume: LabelVolume, params: RenderParams) -> GrayVolume:
     """Render a label volume into a noisy pseudo-CT intensity volume.
 
     Deterministic for a given (volume, params) pair: the random field
-    is seeded by ``params.seed`` only.
+    is seeded by ``params.seed`` only.  The volume is rendered in slabs
+    of ``RENDER_SLAB`` x-planes, so the float64 working set is one slab
+    beside the float32 result.  The slabs draw their noise in turn from
+    one generator in C order, so the noise stream equals one
+    full-volume draw.
     """
     nx, ny, nz = volume.dims
     vs = volume.voxel_size
     ox, oy, oz = volume.origin
-    g = np.full(volume.dims, params.matrix_level, dtype=np.float64)
 
     warp_ids = [i for i, fam in volume.label_map.items() if fam == "warp"]
     weft_ids = [i for i, fam in volume.label_map.items() if fam == "weft"]
-    warp_mask = np.isin(volume.data, warp_ids)
-    weft_mask = np.isin(volume.data, weft_ids)
 
     two_pi = 2.0 * np.pi / params.texture_period
     xs = np.sin(two_pi * (ox + (np.arange(nx) + 0.5) * vs))
     ys = np.sin(two_pi * (oy + (np.arange(ny) + 0.5) * vs))
     zs = np.sin(two_pi * (oz + (np.arange(nz) + 0.5) * vs))
+    # Fibers run along x in warps (texture across y and z), along y in wefts.
+    warp_level = params.yarn_level + params.warp_contrast * (
+        0.5 + 0.5 * ys[None, :, None] * zs[None, None, :]
+    )
+    weft_level = params.yarn_level + params.weft_contrast * (
+        0.5 + 0.5 * xs[:, None, None] * zs[None, None, :]
+    )
 
-    if warp_mask.any():
-        # Fibers run along x: texture varies across y and z.
-        tex = 0.5 + 0.5 * ys[None, :, None] * zs[None, None, :]
-        g = np.where(warp_mask, params.yarn_level + params.warp_contrast * tex, g)
-    if weft_mask.any():
-        tex = 0.5 + 0.5 * xs[:, None, None] * zs[None, None, :]
-        g = np.where(weft_mask, params.yarn_level + params.weft_contrast * tex, g)
-
+    ring_term = None
     if params.ring_amplitude > 0:
         cx = ox + nx * vs / 2.0
         cy = oy + ny * vs / 2.0
         px = ox + (np.arange(nx) + 0.5) * vs - cx
         py = oy + (np.arange(ny) + 0.5) * vs - cy
         r = np.hypot(px[:, None], py[None, :])
-        g += params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
+        ring_term = params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
 
     rng = np.random.default_rng(params.seed)
-    g += rng.normal(0.0, params.noise_sigma, size=volume.dims)
-    g = np.clip(g, 0.0, 1.0).astype(np.float32)
-    return GrayVolume(data=g, voxel_size=vs, origin=np.array(volume.origin))
+    out = np.empty(volume.dims, dtype=np.float32)
+    for x0 in range(0, nx, RENDER_SLAB):
+        xsl = slice(x0, x0 + RENDER_SLAB)
+        labels = volume.data[xsl]
+        g = np.full(labels.shape, params.matrix_level, dtype=np.float64)
+        np.copyto(g, warp_level, where=np.isin(labels, warp_ids))
+        np.copyto(g, weft_level[xsl], where=np.isin(labels, weft_ids))
+        if ring_term is not None:
+            g += ring_term[xsl]
+        g += rng.normal(0.0, params.noise_sigma, size=g.shape)
+        np.clip(g, 0.0, 1.0, out=g)
+        out[xsl] = g
+    return GrayVolume(data=out, voxel_size=vs, origin=np.array(volume.origin))
 
 
 def _sidecar(volume, kind: str) -> dict:
@@ -391,7 +431,7 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     dtype = "<u2" if kind == "labels" else "<f4"
     raw_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(raw_path, "wb") as fh:
-        volume.data.astype(dtype).tofile(fh)
+        volume.data.astype(dtype, copy=False).tofile(fh)
     atomic_write_text(json_path, json.dumps(_sidecar(volume, kind), indent=2, sort_keys=True))
     return raw_path, json_path
 
@@ -407,13 +447,13 @@ def load_volume(base_path):
     if meta["kind"] == "labels":
         label_map = {int(k): v for k, v in meta.get("label_map", {}).items()}
         return LabelVolume(
-            data=data.astype(np.uint16),
+            data=data.astype(np.uint16, copy=False),
             voxel_size=meta["voxel_size"],
             origin=np.array(meta["origin"]),
             label_map=label_map,
         )
     return GrayVolume(
-        data=data.astype(np.float32),
+        data=data.astype(np.float32, copy=False),
         voxel_size=meta["voxel_size"],
         origin=np.array(meta["origin"]),
     )

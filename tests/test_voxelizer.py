@@ -1,9 +1,12 @@
 """Label volumes, slicing, pseudo-CT rendering, and raw+JSON persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textilemodel.errors import BudgetExceededError, ConfigError
 from textilemodel.geometry import Box, ellipse_section
@@ -12,6 +15,7 @@ from textilemodel.voxelizer import (
     GrayVolume,
     LabelVolume,
     RenderParams,
+    _ring_normals,
     compute_dims,
     extract_slices,
     load_volume,
@@ -220,3 +224,260 @@ class TestVolumeIO:
         assert meta["dims"] == [163, 160, 80]
         assert meta["voxel_size_um"] == pytest.approx(20.0)
         assert meta["dtype"] == "<u2"
+
+
+# Full-volume references for the streamed kernels: the renderer that
+# built whole-grid float64 temporaries, and the painter that kept a
+# whole-grid float64 distance beside the labels.
+
+
+def ref_render_pseudo_ct(volume, params):
+    nx, ny, nz = volume.dims
+    vs = volume.voxel_size
+    ox, oy, oz = volume.origin
+    g = np.full(volume.dims, params.matrix_level, dtype=np.float64)
+
+    warp_ids = [i for i, fam in volume.label_map.items() if fam == "warp"]
+    weft_ids = [i for i, fam in volume.label_map.items() if fam == "weft"]
+    warp_mask = np.isin(volume.data, warp_ids)
+    weft_mask = np.isin(volume.data, weft_ids)
+
+    two_pi = 2.0 * np.pi / params.texture_period
+    xs = np.sin(two_pi * (ox + (np.arange(nx) + 0.5) * vs))
+    ys = np.sin(two_pi * (oy + (np.arange(ny) + 0.5) * vs))
+    zs = np.sin(two_pi * (oz + (np.arange(nz) + 0.5) * vs))
+
+    if warp_mask.any():
+        tex = 0.5 + 0.5 * ys[None, :, None] * zs[None, None, :]
+        g = np.where(warp_mask, params.yarn_level + params.warp_contrast * tex, g)
+    if weft_mask.any():
+        tex = 0.5 + 0.5 * xs[:, None, None] * zs[None, None, :]
+        g = np.where(weft_mask, params.yarn_level + params.weft_contrast * tex, g)
+
+    if params.ring_amplitude > 0:
+        cx = ox + nx * vs / 2.0
+        cy = oy + ny * vs / 2.0
+        px = ox + (np.arange(nx) + 0.5) * vs - cx
+        py = oy + (np.arange(ny) + 0.5) * vs - cy
+        r = np.hypot(px[:, None], py[None, :])
+        g += params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
+
+    rng = np.random.default_rng(params.seed)
+    g += rng.normal(0.0, params.noise_sigma, size=volume.dims)
+    return np.clip(g, 0.0, 1.0).astype(np.float32)
+
+
+def ref_paint_segment(labels, best_d2, yarn_id, r0, r1, c0, c1, n0, n1, origin, voxel_size):
+    dims = labels.shape
+    lo = np.minimum(r0.min(axis=0), r1.min(axis=0))
+    hi = np.maximum(r0.max(axis=0), r1.max(axis=0))
+    i_lo = np.maximum(np.floor((lo - origin) / voxel_size - 0.5).astype(int), 0)
+    i_hi = np.minimum(np.ceil((hi - origin) / voxel_size - 0.5).astype(int), np.array(dims) - 1)
+    if np.any(i_lo > i_hi):
+        return
+    ax = [origin[d] + (np.arange(i_lo[d], i_hi[d] + 1) + 0.5) * voxel_size for d in range(3)]
+    px, py, pz = np.meshgrid(*ax, indexing="ij")
+    pts = np.stack([px, py, pz], axis=-1).reshape(-1, 3)
+
+    d0 = (pts - c0) @ n0
+    d1 = (pts - c1) @ n1
+    between = (d0 >= 0.0) & (d1 < 0.0)
+    if not between.any():
+        return
+    p = pts[between]
+    s = (d0[between] / (d0[between] - d1[between]))[:, None]
+
+    ring = r0[None, :, :] + s[:, :, None] * (r1 - r0)[None, :, :]
+    normal = n0 + s * (n1 - n0)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+
+    zdot = normal[:, 2]
+    ref = np.where(
+        (np.abs(zdot) > 0.99)[:, None], [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
+    )
+    e2 = ref - (ref * normal).sum(axis=1, keepdims=True) * normal
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    e1 = np.cross(e2, normal)
+
+    rel = ring - p[:, None, :]
+    u = (rel * e1[:, None, :]).sum(axis=2)
+    v = (rel * e2[:, None, :]).sum(axis=2)
+
+    u2, v2 = np.roll(u, -1, axis=1), np.roll(v, -1, axis=1)
+    straddle = (v > 0.0) != (v2 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_hit = u + (0.0 - v) * (u2 - u) / (v2 - v)
+    crossings = (straddle & (x_hit > 0.0)).sum(axis=1)
+    inside = (crossings % 2) == 1
+    if not inside.any():
+        return
+
+    d2 = np.minimum(
+        ((p - c0) ** 2).sum(axis=1), ((p - c1) ** 2).sum(axis=1)
+    )
+
+    sub_shape = tuple(i_hi - i_lo + 1)
+    idx = np.flatnonzero(between)[inside]
+    cand_d2 = d2[inside]
+    ii, jj, kk = np.unravel_index(idx, sub_shape)
+    ii = ii + i_lo[0]
+    jj = jj + i_lo[1]
+    kk = kk + i_lo[2]
+    cur_lab = labels[ii, jj, kk]
+    cur_d2 = best_d2[ii, jj, kk]
+    take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (yarn_id < cur_lab))
+    labels[ii[take], jj[take], kk[take]] = yarn_id
+    best_d2[ii[take], jj[take], kk[take]] = cand_d2[take]
+
+
+def ref_paint_labels(yarn_geoms, dims, origin, voxel_size):
+    labels = np.zeros(dims, dtype=np.uint16)
+    best_d2 = np.full(dims, np.inf, dtype=np.float64)
+    origin = np.asarray(origin, dtype=float).reshape(3)
+    for yarn_id, rings, centers in yarn_geoms:
+        rings = np.asarray(rings, dtype=float)
+        centers = np.asarray(centers, dtype=float)
+        normals = _ring_normals(rings, centers)
+        for k in range(len(rings) - 1):
+            ref_paint_segment(
+                labels, best_d2, yarn_id, rings[k], rings[k + 1], centers[k],
+                centers[k + 1], normals[k], normals[k + 1], origin, voxel_size,
+            )
+    return labels
+
+
+def random_label_volume(rng, nx, label_map):
+    data = rng.integers(0, 6, size=(nx, 7, 5)).astype(np.uint16)
+    origin = rng.uniform(-5.0, 5.0, size=3)
+    return LabelVolume(
+        data=data, voxel_size=float(rng.uniform(0.5, 1.5)), origin=origin, label_map=label_map
+    )
+
+
+MIXED = {1: "warp", 2: "weft", 3: "warp", 4: "weft", 5: "weft"}
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("nx", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("ring_amplitude", [0.0, 0.1])
+    def test_slab_edges_and_rings(self, nx, ring_amplitude):
+        rng = np.random.default_rng(nx)
+        vol = random_label_volume(rng, nx, MIXED)
+        p = RenderParams(ring_amplitude=ring_amplitude, ring_period=3.0, seed=nx + 7)
+        assert np.array_equal(render_pseudo_ct(vol, p).data, ref_render_pseudo_ct(vol, p))
+
+    @pytest.mark.parametrize(
+        "label_map",
+        [{1: "weft", 2: "weft"}, {1: "warp", 3: "warp"}, {}],
+        ids=["no-warp", "no-weft", "neither"],
+    )
+    def test_missing_families(self, label_map):
+        vol = random_label_volume(np.random.default_rng(3), 40, label_map)
+        p = RenderParams(seed=9)
+        assert np.array_equal(render_pseudo_ct(vol, p).data, ref_render_pseudo_ct(vol, p))
+
+    def test_desk_volume(self, desk_volume):
+        p = RenderParams(ring_amplitude=0.05, seed=4)
+        assert np.array_equal(
+            render_pseudo_ct(desk_volume, p).data, ref_render_pseudo_ct(desk_volume, p)
+        )
+
+
+def tube_geom(yarn_id, start, direction, length, a, b, n_rings, jitter):
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    secs = [
+        ellipse_section(
+            center=np.asarray(start) + t * direction + j,
+            normal=direction,
+            a=a,
+            b=b,
+            station=t,
+        )
+        for t, j in zip(np.linspace(0.0, length, n_rings), jitter)
+    ]
+    return yarn_id, np.stack([s.contour for s in secs]), np.array([s.center for s in secs])
+
+
+@st.composite
+def crossing_tubes(draw):
+    """Two to four random elliptic tubes through the middle of a small grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    voxel_size = draw(st.sampled_from([0.7, 1.0, 1.3]))
+    dims = (18, 20, 16)
+    origin = rng.uniform(-3.0, 3.0, size=3)
+    mid = origin + np.array(dims) * voxel_size / 2.0
+    ids = rng.choice(np.arange(1, 9), size=draw(st.integers(2, 4)), replace=False)
+    geoms = []
+    for yid in ids:
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        length = 30.0 * voxel_size
+        n_rings = int(rng.integers(2, 6))
+        b = rng.uniform(1.5, 4.0) * voxel_size
+        a = b * rng.uniform(1.0, 1.8)
+        jitter = rng.normal(scale=0.3 * voxel_size, size=(n_rings, 3))
+        start = mid - direction * length / 2.0 + rng.normal(scale=2.0 * voxel_size, size=3)
+        geoms.append(tube_geom(int(yid), start, direction, length, a, b, n_rings, jitter))
+    return geoms, dims, origin, voxel_size
+
+
+class TestPaintMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(crossing_tubes())
+    def test_overlapping_random_tubes(self, case):
+        geoms, dims, origin, voxel_size = case
+        got = paint_labels(geoms, dims, origin, voxel_size)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, ref_paint_labels(geoms, dims, origin, voxel_size))
+        # Order independence: the label is the (d^2, yarn id) minimum.
+        assert np.array_equal(got, paint_labels(geoms[::-1], dims, origin, voxel_size))
+
+    @pytest.mark.parametrize("order", [(2, 5), (5, 2)])
+    def test_mirror_pair_ties_go_to_the_smaller_id(self, order):
+        # Axes at y = 12.5 and 18.5 put the voxel row y = 15.5 exactly
+        # between them: both yarns reach it at the same squared distance.
+        axes = {2: 12.5, 5: 18.5}
+        geoms = [
+            TestPaint.cylinder_geom(yid, 6.0, 30.0, (axes[yid], 15.0)) for yid in order
+        ]
+        dims = (30, 30, 30)
+        got = paint_labels(geoms, dims, np.zeros(3), 1.0)
+        tie_row = got[:, 15, :]
+        assert (tie_row == 2).sum() > 100 and not (tie_row == 5).any()
+        assert np.array_equal(got, ref_paint_labels(geoms, dims, np.zeros(3), 1.0))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, as tracemalloc sees it.
+
+    One untraced call first lets numpy's one-off lazy set-up finish, so
+    the peak does not depend on which tests ran before.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPeakMemory:
+    # numpy reports its buffers to tracemalloc, so these peaks are exact
+    # and repeat from run to run.
+
+    def test_render_peak_near_its_output(self, desk_volume):
+        ct, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(seed=1))
+        assert peak < 1.5 * ct.data.nbytes
+
+    def test_paint_peak_near_its_labels(self):
+        model = desk_model()
+        geoms = [
+            (y.yarn_id, np.stack([s.contour for s in y.sections]), y.centers)
+            for y in model.yarns
+        ]
+        dims = compute_dims(model.bbox, 1.0)
+        labels, peak = traced_peak(paint_labels, geoms, dims, model.bbox.lo, 1.0)
+        assert peak < 2.5 * labels.nbytes
