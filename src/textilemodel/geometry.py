@@ -8,7 +8,7 @@ voxel units; one voxel corresponds to a configurable physical size
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -76,39 +76,9 @@ class Box:
         return Box(pts.min(axis=0) - margin, pts.max(axis=0) + margin)
 
 
-@dataclass(frozen=True)
-class Polyline:
-    """Ordered point sequence, shape (n, 3).
-
-    Consecutive points must differ; a single point is allowed and has
-    zero length.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _as_points(self.points, "polyline points")
-        if len(pts) == 0:
-            raise DegenerateGeometryError("polyline needs at least one point")
-        if len(pts) >= 2:
-            same = np.all(pts[1:] == pts[:-1], axis=1)
-            if np.any(same):
-                raise DegenerateGeometryError("polyline has consecutive duplicate points")
-        object.__setattr__(self, "points", _freeze(pts))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def cumlength(self) -> np.ndarray:
-        """Cumulative chord length per vertex, starting at 0."""
-        if len(self.points) == 1:
-            return np.zeros(1)
-        steps = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(steps)])
-
-    @property
-    def length(self) -> float:
-        return float(self.cumlength()[-1])
+def cumulative_length(points: np.ndarray) -> np.ndarray:
+    """Cumulative chord length per vertex of an (n, 3) polyline, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
 
 
 @dataclass(frozen=True)
@@ -259,11 +229,11 @@ def bspline_fit(samples, degree: int = 3, n_controls: int | None = None) -> BSpl
 
     Parameters
     ----------
-    samples : Polyline or (n, 3) array
+    samples : (n, 3) array
     degree : spline degree, default cubic
     n_controls : number of control points, default ``max(degree + 1, n // 4)``
     """
-    pts = samples.points if isinstance(samples, Polyline) else _as_points(samples, "samples")
+    pts = _as_points(samples, "samples")
     keep = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
     pts = pts[keep]
     if n_controls is None:
@@ -304,34 +274,27 @@ def resample_arclength(path, n: int, closed: bool = False) -> np.ndarray:
 
     Open paths keep both endpoints; closed paths are sampled at spacing
     L / n starting from the first point, without duplicating the seam.
-    Accepts a Polyline, a BSplineCurve or an (m, 3) array.
+    Accepts a BSplineCurve or an (m, 3) array whose consecutive points
+    differ.
     """
-    if isinstance(path, BSplineCurve):
-        pts = _densify(path, n)
-    elif isinstance(path, Polyline):
-        pts = path.points
-    else:
-        pts = _as_points(path, "path")
+    pts = _densify(path, n) if isinstance(path, BSplineCurve) else _as_points(path, "path")
     if closed:
         if n < 3:
             raise DegenerateGeometryError("closed resampling needs n >= 3")
         if len(pts) >= 2 and np.all(pts[0] == pts[-1]):
             pts = pts[:-1]
         ring = np.vstack([pts, pts[0]])
-        cum = Polyline(ring).cumlength() if len(ring) > 1 else np.zeros(1)
-        total = cum[-1]
-        if total <= 0:
-            raise DegenerateGeometryError("closed path has zero length")
-        targets = np.arange(n) * total / n
     else:
         if n < 2:
             raise DegenerateGeometryError("open resampling needs n >= 2")
         ring = pts
-        cum = Polyline(ring).cumlength()
-        total = cum[-1]
-        if total <= 0:
-            raise DegenerateGeometryError("path has zero length")
-        targets = np.linspace(0.0, total, n)
+    if np.any(np.all(ring[1:] == ring[:-1], axis=1)):
+        raise DegenerateGeometryError("path has consecutive duplicate points")
+    cum = cumulative_length(ring)
+    total = cum[-1]
+    if total <= 0:
+        raise DegenerateGeometryError(("closed " if closed else "") + "path has zero length")
+    targets = np.arange(n) * total / n if closed else np.linspace(0.0, total, n)
     out = np.column_stack([np.interp(targets, cum, ring[:, k]) for k in range(3)])
     if not closed:
         out[0] = ring[0]

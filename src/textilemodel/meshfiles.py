@@ -10,26 +10,27 @@ import numpy as np
 
 from .errors import ConfigError
 from .reconstruct import QuadSurfaceMesh, VolumeMesh
-from .storage import atomic_write_text
+from .storage import atomic_open
 
 VTK_WEDGE = 13
 VTK_HEXAHEDRON = 12
 
+# Rows converted to Python per tolist() call: the writers stream lines
+# without holding every row of a large mesh as Python objects at once.
+_BLOCK = 4096
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
+
+def _rows(arr: np.ndarray):
+    """The rows of ``arr`` as Python lists (scalars for 1-D), one block at a time."""
+    return (row for lo in range(0, len(arr), _BLOCK) for row in arr[lo : lo + _BLOCK].tolist())
 
 
 def write_obj(mesh: QuadSurfaceMesh, path) -> None:
     """Write a quad surface mesh as OBJ (1-based face indices)."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for q in mesh.quads:
-        lines.append("f %d %d %d %d" % tuple(q + 1))
-    for t in mesh.cap_triangles:
-        lines.append("f %d %d %d" % tuple(t + 1))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.writelines("v %.9g %.9g %.9g\n" % tuple(v) for v in _rows(mesh.vertices))
+        fh.writelines("f %d %d %d %d\n" % tuple(q) for q in _rows(mesh.quads + 1))
+        fh.writelines("f %d %d %d\n" % tuple(t) for t in _rows(mesh.cap_triangles + 1))
 
 
 def read_obj(path):
@@ -68,28 +69,18 @@ def write_vtk(mesh: VolumeMesh, path, title: str = "textile volume mesh") -> Non
     """Write a wedge/hex volume mesh as legacy ASCII VTK with cell labels."""
     if "\n" in title:
         raise ConfigError("title must be a single line")
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(mesh.vertices)} float",
-    ]
-    for v in mesh.vertices:
-        lines.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
     n_cells = mesh.n_cells
     size = len(mesh.wedges) * 7 + len(mesh.hexes) * 9
-    lines.append(f"CELLS {n_cells} {size}")
-    for w in mesh.wedges:
-        lines.append("6 " + " ".join(str(int(i)) for i in w))
-    for h in mesh.hexes:
-        lines.append("8 " + " ".join(str(int(i)) for i in h))
-    lines.append(f"CELL_TYPES {n_cells}")
-    lines.extend([str(VTK_WEDGE)] * len(mesh.wedges))
-    lines.extend([str(VTK_HEXAHEDRON)] * len(mesh.hexes))
-    lines.append(f"CELL_DATA {n_cells}")
-    lines.append("SCALARS yarn_id int 1")
-    lines.append("LOOKUP_TABLE default")
-    labels = np.concatenate([mesh.wedge_labels, mesh.hex_labels])
-    lines.extend(str(int(x)) for x in labels)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(
+            f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {len(mesh.vertices)} float\n"
+        )
+        fh.writelines("%.9g %.9g %.9g\n" % tuple(v) for v in _rows(mesh.vertices))
+        fh.write(f"CELLS {n_cells} {size}\n")
+        fh.writelines("6 %d %d %d %d %d %d\n" % tuple(w) for w in _rows(mesh.wedges))
+        fh.writelines("8 %d %d %d %d %d %d %d %d\n" % tuple(h) for h in _rows(mesh.hexes))
+        fh.write(f"CELL_TYPES {n_cells}\n")
+        fh.write(f"{VTK_WEDGE}\n" * len(mesh.wedges) + f"{VTK_HEXAHEDRON}\n" * len(mesh.hexes))
+        fh.write(f"CELL_DATA {n_cells}\nSCALARS yarn_id int 1\nLOOKUP_TABLE default\n")
+        fh.writelines("%d\n" % x for x in _rows(np.concatenate([mesh.wedge_labels, mesh.hex_labels])))

@@ -31,6 +31,7 @@ from .geometry import (
     bspline_fit,
     bspline_tangent,
     canonical_indices,
+    cumulative_length,
 )
 from .segmenter import DetectionSet, SectionDetection
 from .voxelizer import AXIS_XZ, AXIS_YZ, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
@@ -53,7 +54,6 @@ class YarnTrack:
     entries: tuple
     gaps: tuple
     boundary_gaps: tuple
-    slice_range: tuple
     voxel_size: float
     origin: np.ndarray
     filled: tuple = ()
@@ -68,7 +68,6 @@ class YarnTrack:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "gaps", tuple(tuple(g) for g in self.gaps))
         object.__setattr__(self, "boundary_gaps", tuple(tuple(g) for g in self.boundary_gaps))
-        object.__setattr__(self, "slice_range", tuple(self.slice_range))
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(3))
 
     def __len__(self) -> int:
@@ -171,7 +170,6 @@ def track_yarns(
                 entries=tuple(tr["entries"]),
                 gaps=tuple(_missing_runs(indices)),
                 boundary_gaps=tuple(boundary),
-                slice_range=(0, n - 1),
                 voxel_size=dset.voxel_size,
                 origin=np.array(dset.origin),
             )
@@ -258,19 +256,21 @@ class ReconstructedYarn:
         return np.array([s.center for s in self.sections])
 
 
-def _lift(track: YarnTrack, contour: np.ndarray, slice_index: int) -> np.ndarray:
+def _lift(track: YarnTrack, contour: np.ndarray, slice_index) -> np.ndarray:
+    """World points of pixel points ``contour`` (n, 2) on slice
+    ``slice_index``: one index for all points or one per point."""
     vs = track.voxel_size
     o = track.origin
-    along = o[0] + (slice_index + 0.5) * vs if track.axis == AXIS_YZ else o[1] + (slice_index + 0.5) * vs
+    along = (np.asarray(slice_index) + 0.5) * vs
     u = contour[:, 0]
     v = contour[:, 1]
     z = o[2] + (v + 0.5) * vs
     if track.axis == AXIS_YZ:
         y = o[1] + (u + 0.5) * vs
-        x = np.full_like(y, along)
+        x = np.broadcast_to(o[0] + along, y.shape)
     else:
         x = o[0] + (u + 0.5) * vs
-        y = np.full_like(x, along)
+        y = np.broadcast_to(o[1] + along, x.shape)
     return np.column_stack([x, y, z])
 
 
@@ -303,14 +303,8 @@ def lift_and_fit(
     the fitted axis.
     """
     entries = _trim_end_slivers(track.entries, keep_min=degree + 1)
-    if len(entries) < len(track.entries):
-        track = replace(
-            track,
-            entries=entries,
-            filled=tuple(i for i in track.filled if any(i == j for j, _ in entries)),
-        )
-    centers = np.stack(
-        [_lift(track, det.center[None, :], i)[0] for i, det in track.entries]
+    centers = _lift(
+        track, np.array([det.center for _, det in entries]), [i for i, _ in entries]
     )
     if n_controls is None:
         n_controls = max(degree + 1, len(centers) // 4)
@@ -319,19 +313,16 @@ def lift_and_fit(
         raise InsufficientDataError("too few sections to fit a yarn axis")
     path = bspline_fit(centers, degree=degree, n_controls=n_controls)
 
-    steps = np.linalg.norm(np.diff(centers, axis=0), axis=1)
-    params = np.concatenate([[0.0], np.cumsum(steps)])
+    params = cumulative_length(centers)
     params /= params[-1]
     dense_t = np.linspace(0.0, 1.0, 512)
-    dense = bspline_eval(path, dense_t)
-    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(dense, axis=0), axis=1))])
-    stations = np.interp(params, dense_t, arc)
+    stations = np.interp(params, dense_t, cumulative_length(bspline_eval(path, dense_t)))
 
     filled = set(track.filled)
     sections = []
     flags = []
     tangents = bspline_tangent(path, params)
-    for k, (i, det) in enumerate(track.entries):
+    for k, (i, det) in enumerate(entries):
         ring = _lift(track, det.contour, i)
         center = ring.mean(axis=0)
         t = tangents[k]
@@ -455,6 +446,17 @@ def _aligned_rings(yarn: ReconstructedYarn) -> np.ndarray:
     return aligned
 
 
+def _ring_band(s: int) -> np.ndarray:
+    """Lateral quads (a + j, a + jn, b + jn, b + j) between S stacked
+    rings of RING_N points, with a = RING_N k, b = a + RING_N and
+    jn = (j + 1) % RING_N; segment k major, ring point j minor."""
+    j = np.arange(RING_N)
+    jn = (j + 1) % RING_N
+    a = RING_N * np.arange(s - 1)[:, None]
+    b = a + RING_N
+    return np.stack([a + j, a + jn, b + jn, b + j], axis=-1).reshape(-1, 4)
+
+
 def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
     """Swept quad mesh over the yarn's sections.
 
@@ -463,39 +465,21 @@ def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
     twist so the sweep never shears.
     """
     aligned = _aligned_rings(yarn)
-    s = len(aligned)
-    centers = np.array([sec.center for sec in yarn.sections])
-
-    vertices = np.vstack([aligned.reshape(-1, 3), centers[0], centers[-1]])
-    c0 = RING_N * s
-    c1 = c0 + 1
-
-    quads = []
-    for k in range(s - 1):
-        base_a = RING_N * k
-        base_b = RING_N * (k + 1)
-        for j in range(RING_N):
-            jn = (j + 1) % RING_N
-            quads.append((base_a + j, base_a + jn, base_b + jn, base_b + j))
-    tris = []
-    for j in range(RING_N):
-        jn = (j + 1) % RING_N
-        tris.append((c0, jn, j))  # start cap faces backward
-    base_e = RING_N * (s - 1)
-    for j in range(RING_N):
-        jn = (j + 1) % RING_N
-        tris.append((c1, base_e + j, base_e + jn))  # end cap faces forward
-
+    quads = _ring_band(len(aligned))
+    # Fans about the two end centres over the first and last ring's edges.
+    c0 = np.full(RING_N, RING_N * len(aligned))
+    caps = [
+        np.column_stack([c0, quads[:RING_N, [1, 0]]]),  # start cap faces backward
+        np.column_stack([c0 + 1, quads[-RING_N:, [3, 2]]]),  # end cap faces forward
+    ]
     mesh = QuadSurfaceMesh(
-        vertices=vertices, quads=np.array(quads), cap_triangles=np.array(tris)
+        vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers[[0, -1]]]),
+        quads=quads,
+        cap_triangles=np.concatenate(caps),
     )
     if enclosed_volume(mesh) < 0:
         # Ring orientation faced the caps inward; flip all faces.
-        mesh = QuadSurfaceMesh(
-            vertices=vertices,
-            quads=np.array(quads)[:, ::-1],
-            cap_triangles=np.array(tris)[:, ::-1],
-        )
+        mesh = replace(mesh, quads=mesh.quads[:, ::-1], cap_triangles=mesh.cap_triangles[:, ::-1])
     if not is_watertight(mesh):
         raise MeshIntegrityError("swept surface has open or over-shared edges")
     return mesh
@@ -513,8 +497,8 @@ class VolumeMesh:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        w = np.asarray(self.wedges, dtype=np.int64).reshape(-1, 6) if np.size(self.wedges) else np.empty((0, 6), np.int64)
-        h = np.asarray(self.hexes, dtype=np.int64).reshape(-1, 8) if np.size(self.hexes) else np.empty((0, 8), np.int64)
+        w = np.asarray(self.wedges, dtype=np.int64).reshape(-1, 6)
+        h = np.asarray(self.hexes, dtype=np.int64).reshape(-1, 8)
         wl = np.asarray(self.wedge_labels, dtype=np.int64).reshape(-1)
         hl = np.asarray(self.hex_labels, dtype=np.int64).reshape(-1)
         if len(wl) != len(w) or len(hl) != len(h):
@@ -545,6 +529,12 @@ _WEDGE_TETS = np.array(
 )
 
 
+# VTK hexahedron corner order as (di, dj, dk) offsets from the lowest corner.
+_HEX_CORNERS = np.array(
+    [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
+)
+
+
 def wedge_volumes(mesh: VolumeMesh) -> np.ndarray:
     return _signed_tet_volumes(mesh.vertices[mesh.wedges[:, _WEDGE_TETS]]).sum(axis=1)
 
@@ -562,35 +552,18 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
     """
     aligned = _aligned_rings(yarn)
     s = len(aligned)
-    centers = np.array([sec.center for sec in yarn.sections])
-    vertices = np.vstack([aligned.reshape(-1, 3), centers])
-    c_base = RING_N * s
-
-    wedges = []
-    for k in range(s - 1):
-        a = RING_N * k
-        b = RING_N * (k + 1)
-        for j in range(RING_N):
-            jn = (j + 1) % RING_N
-            wedges.append((c_base + k, a + j, a + jn, c_base + k + 1, b + j, b + jn))
-    wedges = np.array(wedges)
+    band = _ring_band(s)
+    c = np.repeat(RING_N * s + np.arange(s - 1), RING_N)
     mesh = VolumeMesh(
-        vertices=vertices,
-        wedges=wedges,
-        hexes=np.empty((0, 8), np.int64),
-        wedge_labels=np.full(len(wedges), label),
-        hex_labels=np.empty(0, np.int64),
+        vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers]),
+        wedges=np.column_stack([c, band[:, :2], c + 1, band[:, [3, 2]]]),
+        hexes=(),
+        wedge_labels=np.full(len(band), label),
+        hex_labels=(),
     )
     vols = wedge_volumes(mesh)
     if vols.sum() < 0:
-        wedges = wedges[:, [0, 2, 1, 3, 5, 4]]
-        mesh = VolumeMesh(
-            vertices=vertices,
-            wedges=wedges,
-            hexes=np.empty((0, 8), np.int64),
-            wedge_labels=np.full(len(wedges), label),
-            hex_labels=np.empty(0, np.int64),
-        )
+        mesh = replace(mesh, wedges=mesh.wedges[:, [0, 2, 1, 3, 5, 4]])
         vols = wedge_volumes(mesh)
     if (vols <= 0).any():
         seg = int(np.argmax(vols <= 0)) // RING_N
@@ -614,7 +587,8 @@ def build_composite_mesh(
     """
     yarns = list(yarns)
     dims = compute_dims(bbox, cell_size)
-    n_cells = int(np.prod([float(d) for d in dims]))
+    nx, ny, nz = dims
+    n_cells = nx * ny * nz
     if n_cells > budget:
         raise MeshIntegrityError(
             f"composite grid {dims} = {n_cells} cells exceeds budget {budget}"
@@ -625,37 +599,20 @@ def build_composite_mesh(
     )
     grid = paint_labels(geoms, dims, bbox.lo, cell_size)
 
-    nx, ny, nz = dims
     xs = bbox.lo[0] + np.arange(nx + 1) * cell_size
     ys = bbox.lo[1] + np.arange(ny + 1) * cell_size
     zs = bbox.lo[2] + np.arange(nz + 1) * cell_size
     px, py, pz = np.meshgrid(xs, ys, zs, indexing="ij")
     vertices = np.stack([px, py, pz], axis=-1).reshape(-1, 3)
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    ii, jj, kk = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    ii, jj, kk = ii.reshape(-1), jj.reshape(-1), kk.reshape(-1)
-    hexes = np.column_stack(
-        [
-            vid(ii, jj, kk),
-            vid(ii + 1, jj, kk),
-            vid(ii + 1, jj + 1, kk),
-            vid(ii, jj + 1, kk),
-            vid(ii, jj, kk + 1),
-            vid(ii + 1, jj, kk + 1),
-            vid(ii + 1, jj + 1, kk + 1),
-            vid(ii, jj + 1, kk + 1),
-        ]
-    )
+    # Vertex ids are linear in (i, j, k), so each hex corner is the
+    # cell's lowest vertex plus the corner's (di, dj, dk) . stride.
+    stride = np.array([(ny + 1) * (nz + 1), nz + 1, 1])
+    lowest = np.arange(len(vertices)).reshape(nx + 1, ny + 1, nz + 1)[:-1, :-1, :-1].reshape(-1)
     return VolumeMesh(
         vertices=vertices,
-        wedges=np.empty((0, 6), np.int64),
-        hexes=hexes,
-        wedge_labels=np.empty(0, np.int64),
+        wedges=(),
+        hexes=lowest[:, None] + _HEX_CORNERS @ stride,
+        wedge_labels=(),
         hex_labels=grid.reshape(-1).astype(np.int64),
     )
 

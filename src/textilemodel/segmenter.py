@@ -88,7 +88,6 @@ class DetectionSet:
     per_slice: tuple
     voxel_size: float
     origin: np.ndarray
-    provenance: str = "oracle"
 
     def __post_init__(self):
         if self.axis not in SLICE_AXES:
@@ -219,7 +218,6 @@ def detect_batch(dataset: SliceDataset, min_area: int = DEFAULT_MIN_AREA) -> Det
         per_slice=per_slice,
         voxel_size=dataset.voxel_size,
         origin=np.array(dataset.origin),
-        provenance="oracle",
     )
 
 
@@ -273,7 +271,6 @@ def degrade(dset: DetectionSet, params: DegradeParams) -> DetectionSet:
         per_slice=per_slice,
         voxel_size=dset.voxel_size,
         origin=np.array(dset.origin),
-        provenance="degraded",
     )
 
 
@@ -305,7 +302,6 @@ def filter_transverse(dset: DetectionSet, max_aspect: float = 6.0) -> DetectionS
         per_slice=per_slice,
         voxel_size=dset.voxel_size,
         origin=np.array(dset.origin),
-        provenance=dset.provenance,
     )
 
 
@@ -335,7 +331,6 @@ def read_detections(
     axis: str | None = None,
     voxel_size: float = 1.0,
     origin=(0.0, 0.0, 0.0),
-    provenance: str = "file",
 ) -> DetectionSet:
     """Load a JSON-lines detection file.
 
@@ -375,5 +370,4 @@ def read_detections(
         per_slice=per_slice,
         voxel_size=voxel_size,
         origin=np.asarray(origin, dtype=float),
-        provenance=provenance,
     )

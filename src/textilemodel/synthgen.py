@@ -21,6 +21,7 @@ from .geometry import (
     best_fit_plane,
     bspline_eval,
     bspline_fit,
+    cumulative_length,
     ellipse_section,
     plane_frame,
     section_area,
@@ -176,14 +177,9 @@ def _interpolating_path(centers: np.ndarray) -> BSplineCurve:
     return bspline_fit(centers, degree=3, n_controls=len(centers))
 
 
-def _stations(centers: np.ndarray) -> np.ndarray:
-    steps = np.linalg.norm(np.diff(centers, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
 def _build_yarn(yarn_id, family, centers, tangents, a, b, orientation) -> YarnModel:
     path = _interpolating_path(centers)
-    stations = _stations(centers)
+    stations = cumulative_length(centers)
     sections = tuple(
         ellipse_section(c, t, a, b, orientation=orientation, station=s)
         for c, t, s in zip(centers, tangents, stations)
@@ -327,7 +323,7 @@ def _scale_model(model: TextileModel, frames: list, thickness_k: float) -> Texti
         # Stations shrink with the path; rebuild them from the scaled centers.
         centers = np.array([s.center for s in yarn.sections])
         centers[:, 2] = z_mid + f * (centers[:, 2] - z_mid)
-        stations = _stations(centers)
+        stations = cumulative_length(centers)
         sections = tuple(
             _scale_section(s, frame, z_mid, f, station=st)
             for s, frame, st in zip(yarn.sections, yarn_frames, stations)
@@ -410,7 +406,7 @@ def perturb_model(
             ring = ring - np.outer((ring - centroid) @ normal, normal)
             sections.append((ring, ring.mean(axis=0)))
         centers = np.array([c for _, c in sections])
-        stations = _stations(centers)
+        stations = cumulative_length(centers)
         if np.any(np.diff(stations) <= 0):
             raise DegenerateGeometryError(
                 "perturbation collapsed neighbouring sections; lower the noise"

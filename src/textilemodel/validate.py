@@ -8,7 +8,6 @@ it exceeds the hexagonal packing bound.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InsufficientDataError
 from .geometry import resample_arclength
-from .storage import atomic_open
+from .storage import atomic_open, dump_json
 
 # Densest possible circle packing of a plane region.
 HEX_PACKING_LIMIT = math.pi / (2.0 * math.sqrt(3.0))
@@ -267,8 +266,6 @@ def write_report(path_report: PathReport, vf_report, out_json, out_text) -> None
     if vf_report is not None:
         payload["fiber_volume_fraction"] = vf_report.to_dict()
         text += ["", "# intra-yarn fiber volume fraction", vf_report.to_text()]
-    with atomic_open(out_json) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(payload, out_json)
     with atomic_open(out_text) as fh:
         fh.write("\n".join(text) + "\n")

@@ -360,6 +360,26 @@ class TestResample:
         with pytest.raises(DegenerateGeometryError):
             geo.resample_arclength(np.array([[1.0, 1, 1]]), 4)
 
+    def test_consecutive_duplicate_points_raise(self):
+        line = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0]])
+        for closed in (False, True):
+            with pytest.raises(DegenerateGeometryError):
+                geo.resample_arclength(line, 4, closed=closed)
+        with pytest.raises(DegenerateGeometryError):  # -0.0 == 0.0
+            geo.resample_arclength(np.array([[0.0, 0, 0], [-0.0, 0, 0], [1, 0, 0]]), 3)
+        with pytest.raises(DegenerateGeometryError):  # one point closes onto itself
+            geo.resample_arclength(np.array([[1.0, 1, 1]]), 3, closed=True)
+
+    def test_duplicates_mean_equal_points_not_zero_steps(self):
+        # The first step's length underflows to 0, but its points differ.
+        pts = np.array([[0.0, 0, 0], [1e-170, 0, 0], [5, 0, 0]])
+        out = geo.resample_arclength(pts, 6)
+        np.testing.assert_allclose(out[:, 0], np.linspace(0, 5, 6), atol=1e-12)
+        # A closed path may repeat its first point at the end.
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]])
+        out = geo.resample_arclength(square, 4, closed=True)
+        np.testing.assert_allclose(out, square[:4], atol=1e-12)
+
     def test_curve_input(self):
         pts = np.column_stack([np.linspace(0, 10, 30), np.zeros(30), np.zeros(30)])
         curve = geo.bspline_fit(pts, 3, 6)

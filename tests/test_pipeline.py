@@ -22,7 +22,13 @@ from textilemodel.pipeline import (
     stage_seed,
     verify_manifest,
 )
-from textilemodel.reconstruct import build_surface_mesh, build_volume_mesh, reconstruct_yarns
+from textilemodel.reconstruct import (
+    QuadSurfaceMesh,
+    VolumeMesh,
+    build_surface_mesh,
+    build_volume_mesh,
+    reconstruct_yarns,
+)
 from textilemodel.segmenter import DetectionSet, SectionDetection, write_detections
 from textilemodel.storage import (
     atomic_write_text,
@@ -445,6 +451,90 @@ class TestAtomicWrites:
             lambda: write_report(report({"a": 1}), None, *paths),
             lambda: write_report(report({"a": 1, "z": object()}), None, *paths),
         )
+
+
+# List-join references for the mesh writers: every line built as a
+# string, joined, and written in one piece.
+def ref_obj_text(mesh):
+    fmt = lambda x: "%.9g" % x
+    lines = [f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}" for v in mesh.vertices]
+    lines += ["f %d %d %d %d" % tuple(q + 1) for q in mesh.quads]
+    lines += ["f %d %d %d" % tuple(t + 1) for t in mesh.cap_triangles]
+    return "\n".join(lines) + "\n"
+
+
+def ref_vtk_text(mesh, title):
+    fmt = lambda x: "%.9g" % x
+    lines = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {len(mesh.vertices)} float",
+    ]
+    lines += [f"{fmt(v[0])} {fmt(v[1])} {fmt(v[2])}" for v in mesh.vertices]
+    lines.append(f"CELLS {mesh.n_cells} {len(mesh.wedges) * 7 + len(mesh.hexes) * 9}")
+    lines += ["6 " + " ".join(str(int(i)) for i in w) for w in mesh.wedges]
+    lines += ["8 " + " ".join(str(int(i)) for i in h) for h in mesh.hexes]
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines += ["13"] * len(mesh.wedges) + ["12"] * len(mesh.hexes)
+    lines += [f"CELL_DATA {mesh.n_cells}", "SCALARS yarn_id int 1", "LOOKUP_TABLE default"]
+    lines += [str(int(x)) for x in np.concatenate([mesh.wedge_labels, mesh.hex_labels])]
+    return "\n".join(lines) + "\n"
+
+
+def random_vertices(rng, n):
+    """Coordinates over many magnitudes, so %.9g prints exponents,
+    signs, short forms and all nine digits; more rows than one
+    conversion block of the writers."""
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+    v[:4] = [[0.0, -0.0, 1.0], [0.1, 1e-300, 123456789.5], [-2.5e20, 1 / 3, 7.0], [np.float32(0.7), 1e9, -1e-9]]
+    return v
+
+
+def random_volume_mesh(seed, n_wedges, n_hexes, n_vertices=9000):
+    rng = np.random.default_rng(seed)
+    return VolumeMesh(
+        vertices=random_vertices(rng, n_vertices),
+        wedges=rng.integers(0, n_vertices, size=(n_wedges, 6)),
+        hexes=rng.integers(0, n_vertices, size=(n_hexes, 8)),
+        wedge_labels=rng.integers(0, 40, size=n_wedges),
+        hex_labels=rng.integers(0, 40, size=n_hexes),
+    )
+
+
+class TestMeshWriterOracle:
+    @pytest.mark.parametrize(
+        "n_wedges, n_hexes", [(5000, 0), (0, 9000), (300, 200), (0, 0)],
+        ids=["wedges", "hexes", "mixed", "no-cells"],
+    )
+    def test_vtk_bytes_match_list_join(self, tmp_path, n_wedges, n_hexes):
+        mesh = random_volume_mesh(n_wedges + n_hexes, n_wedges, n_hexes)
+        p = tmp_path / "m.vtk"
+        write_vtk(mesh, p, title="random cells")
+        assert p.read_bytes() == ref_vtk_text(mesh, "random cells").encode()
+
+    def test_vtk_bytes_of_a_yarn_wedge_mesh(self, straight_yarns, tmp_path):
+        mesh = build_volume_mesh(straight_yarns[0][0], label=7)
+        p = tmp_path / "yarn.vtk"
+        write_vtk(mesh, p)
+        assert p.read_bytes() == ref_vtk_text(mesh, "textile volume mesh").encode()
+
+    def test_obj_bytes_match_list_join(self, straight_yarns, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 9000
+        meshes = [
+            build_surface_mesh(straight_yarns[0][0]),
+            QuadSurfaceMesh(
+                vertices=random_vertices(rng, n),
+                quads=rng.integers(0, n, size=(5000, 4)),
+                cap_triangles=rng.integers(0, n, size=(4500, 3)),
+            ),
+        ]
+        for mesh in meshes:
+            p = tmp_path / "m.obj"
+            write_obj(mesh, p)
+            assert p.read_bytes() == ref_obj_text(mesh).encode()
 
 
 class TestMeshFiles:

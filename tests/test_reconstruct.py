@@ -1,6 +1,7 @@
 """Tracking, gap completion, 3D lifting, and mesh construction."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from textilemodel.errors import (
     MeshIntegrityError,
 )
 from textilemodel.geometry import (
+    Box,
     best_fit_plane,
     bspline_eval,
     bspline_fit,
@@ -23,6 +25,7 @@ from textilemodel.geometry import (
 from textilemodel.reconstruct import (
     QuadSurfaceMesh,
     ReconstructedYarn,
+    VolumeMesh,
     YarnTrack,
     _aligned_rings,
     build_composite_mesh,
@@ -186,7 +189,6 @@ class TestLift:
             entries=track.entries,
             gaps=track.gaps,
             boundary_gaps=track.boundary_gaps,
-            slice_range=track.slice_range,
             voxel_size=2.0,
             origin=np.array([100.0, 200.0, 300.0]),
         )
@@ -572,6 +574,129 @@ class TestCompositeMesh:
         box = Box(lo=(0.0, 0.0, 0.0), hi=(100.0, 100.0, 100.0))
         with pytest.raises(MeshIntegrityError):
             build_composite_mesh([yarn], box, cell_size=0.5, budget=1000)
+
+
+# Loop-built references for the mesh topology: one index tuple per
+# quad, cap triangle, wedge and hexahedron, appended in the order the
+# builders emit them, with the same orientation flips.
+def ref_surface_mesh(yarn):
+    """(mesh, flipped) built face by face."""
+    aligned = _aligned_rings(yarn)
+    s = len(aligned)
+    centers = np.array([sec.center for sec in yarn.sections])
+    vertices = np.vstack([aligned.reshape(-1, 3), centers[0], centers[-1]])
+    c0, c1 = 10 * s, 10 * s + 1
+    quads = []
+    for k in range(s - 1):
+        a, b = 10 * k, 10 * (k + 1)
+        for j in range(10):
+            jn = (j + 1) % 10
+            quads.append((a + j, a + jn, b + jn, b + j))
+    tris = [(c0, (j + 1) % 10, j) for j in range(10)]
+    e = 10 * (s - 1)
+    tris += [(c1, e + j, e + (j + 1) % 10) for j in range(10)]
+    quads, tris = np.array(quads), np.array(tris)
+    mesh = QuadSurfaceMesh(vertices=vertices, quads=quads, cap_triangles=tris)
+    if enclosed_volume(mesh) < 0:
+        return QuadSurfaceMesh(vertices, quads[:, ::-1], tris[:, ::-1]), True
+    return mesh, False
+
+
+def ref_volume_mesh(yarn, label):
+    """(mesh, flipped) built cell by cell."""
+    s = len(yarn.sections)
+    vertices = np.vstack([_aligned_rings(yarn).reshape(-1, 3), yarn.centers])
+    c = 10 * s
+    wedges = []
+    for k in range(s - 1):
+        a, b = 10 * k, 10 * (k + 1)
+        for j in range(10):
+            jn = (j + 1) % 10
+            wedges.append((c + k, a + j, a + jn, c + k + 1, b + j, b + jn))
+    wedges = np.array(wedges)
+    flipped = ref_wedge_volumes(SimpleNamespace(vertices=vertices, wedges=wedges)).sum() < 0
+    if flipped:
+        wedges = wedges[:, [0, 2, 1, 3, 5, 4]]
+    mesh = VolumeMesh(
+        vertices=vertices,
+        wedges=wedges,
+        hexes=np.empty((0, 8), np.int64),
+        wedge_labels=np.full(len(wedges), label),
+        hex_labels=np.empty(0, np.int64),
+    )
+    return mesh, flipped
+
+
+def ref_hexes(nx, ny, nz):
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    hexes = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                hexes.append(
+                    (
+                        vid(i, j, k), vid(i + 1, j, k), vid(i + 1, j + 1, k), vid(i, j + 1, k),
+                        vid(i, j, k + 1), vid(i + 1, j, k + 1), vid(i + 1, j + 1, k + 1),
+                        vid(i, j + 1, k + 1),
+                    )
+                )
+    return np.array(hexes)
+
+
+def first_sections(yarn, s):
+    return ReconstructedYarn(
+        family=yarn.family, axis=yarn.axis, path=yarn.path,
+        sections=yarn.sections[:s], completed_flags=yarn.completed_flags[:s],
+    )
+
+
+class TestMeshTopologyOracle:
+    def check(self, yarn):
+        """Both builders equal their loop-built references; returns the
+        surface and wedge flip decisions."""
+        mesh, ref, flipped = build_surface_mesh(yarn), *ref_surface_mesh(yarn)
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        assert np.array_equal(mesh.quads, ref.quads)
+        assert np.array_equal(mesh.cap_triangles, ref.cap_triangles)
+        vm, vref, vflipped = build_volume_mesh(yarn, label=3), *ref_volume_mesh(yarn, 3)
+        assert np.array_equal(vm.vertices, vref.vertices)
+        assert np.array_equal(vm.wedges, vref.wedges)
+        assert np.array_equal(vm.wedge_labels, vref.wedge_labels)
+        assert vm.hexes.shape == (0, 8) and vm.hex_labels.shape == (0,)
+        return flipped, vflipped
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_curved_yarns_with_random_rolls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 15))
+        yarn = curved_yarn(n_secs=n, rolls=[int(r) for r in rng.integers(0, 10, n)])
+        # One ring direction faces the caps inward, so exactly one of
+        # the pair takes each flip.
+        flips = {self.check(yarn), self.check(reversed_rings(yarn))}
+        assert flips == {(False, False), (True, True)}
+
+    def test_reversed_rings_take_the_flip(self):
+        assert self.check(straight_yarn(n_secs=6)) == (False, False)
+        assert self.check(reversed_rings(straight_yarn(n_secs=6))) == (True, True)
+
+    def test_two_sections(self):
+        for yarn in (straight_yarn(n_secs=2), first_sections(curved_yarn(), 2)):
+            for y in (yarn, reversed_rings(yarn)):
+                self.check(y)
+                assert build_volume_mesh(y).wedges.shape == (10, 6)
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (1, 5, 3), (3, 1, 7), (5, 3, 1), (7, 5, 3)]
+    )
+    def test_composite_hexes(self, dims):
+        cell = 0.7
+        lo = np.array([-1.3, 0.4, 2.1])
+        box = Box(lo=lo, hi=lo + cell * (np.array(dims) - 0.5))
+        mesh = build_composite_mesh([straight_yarn()], box, cell_size=cell)
+        assert np.array_equal(mesh.hexes, ref_hexes(*dims))
+        assert mesh.wedges.shape == (0, 6) and mesh.wedge_labels.shape == (0,)
 
 
 @pytest.fixture(scope="module")

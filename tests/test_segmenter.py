@@ -288,7 +288,6 @@ class TestDegrade:
         for da, db in zip(ds.all(), out.all()):
             assert np.array_equal(da.contour, db.contour)
             assert 0.5 <= db.confidence < 1.0
-        assert out.provenance == "degraded"
 
     def test_jitter_moves_keypoints_and_recenters(self):
         ds = self.toy_set(n_slices=5)
