@@ -187,8 +187,7 @@ def bspline_tangent(curve: BSplineCurve, t) -> np.ndarray:
     us = _map_param(curve, t)
     # The derivative is a degree p - 1 spline on the inner knots.
     vec = _eval(knots[1:-1], p - 1, dctrl, us.reshape(-1))
-    # vecdot, not norm(axis=1): the latter moves the last bit.
-    norm = np.sqrt(np.vecdot(vec, vec))
+    norm = _norms(vec)
     if np.any(norm <= 0):
         raise DegenerateGeometryError("curve tangent vanishes")
     return (vec / norm[:, None]).reshape(us.shape + (3,))
@@ -302,39 +301,67 @@ def resample_arclength(path, n: int, closed: bool = False) -> np.ndarray:
     return out
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross has high call overhead for single 3-vectors
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+def _norms(v: np.ndarray) -> np.ndarray:
+    # vecdot, not norm(axis=1): the latter moves the last bit.
+    return np.sqrt(np.vecdot(v, v))
+
+
+def fit_planes(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares planes of a ring stack (N, m, 3).
+
+    Returns the centroids (N, 3), the unit normals (N, 3) with their
+    largest-magnitude component positive, and the rings relative to
+    their centroids (N, m, 3).
+    """
+    centroids = rings.mean(axis=1)
+    rel = rings - centroids[:, None]
+    normals = np.linalg.svd(rel, full_matrices=False)[2][:, -1]
+    lead = normals[np.arange(len(normals)), np.abs(normals).argmax(axis=1)]
+    np.negative(normals, out=normals, where=lead[:, None] < 0)
+    return centroids, normals, rel
+
+
+# Reference axes of plane_frames, indexed by "the plane is horizontal".
+_REFS = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-handed in-plane axes (e1, e2), e1 x e2 = normal, of nonzero
+    normals (N, 3).
+
+    e2 is the in-plane direction closest to +z when the plane is not
+    horizontal (|n_z| <= 0.99), so vertical structure keeps a stable
+    reference; horizontal planes take e1 closest to +x instead.
+    """
+    n = normals / _norms(normals)[:, None]
+    flat = np.abs(n[:, 2:]) > 0.99
+    # a: the reference axis made orthogonal to n; e1 on horizontal
+    # planes, e2 on the others.  The reference picks one component of
+    # n, so vecdot is exact here.
+    ref = _REFS.take(flat[:, 0].astype(np.intp), axis=0)
+    a = ref - np.vecdot(ref, n)[:, None] * n
+    a = a / _norms(a)[:, None]
+    # b = a x n, or n x a on horizontal planes, with np.cross's products.
+    an = a.take(_NEXT, axis=1) * n.take(_PREV, axis=1)
+    na = a.take(_PREV, axis=1) * n.take(_NEXT, axis=1)
+    b = an - na
+    np.subtract(na, an, out=b, where=flat)
+    return np.where(flat, a, b), np.where(flat, b, a)
+
+
+def _project(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    # Stacked matmul, not einsum or vecdot: those move the last bit.
+    return np.concatenate([rel @ e1[:, :, None], rel @ e2[:, :, None]], axis=2)
 
 
 def plane_frame(normal) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed in-plane axes (e1, e2) with e1 x e2 = normal.
-
-    e2 is the in-plane direction closest to +z when the plane is not
-    horizontal, so vertical structure keeps a stable reference.
-    """
-    n = np.asarray(normal, dtype=float).reshape(3)
-    norm = np.linalg.norm(n)
-    if norm <= 0:
+    """``plane_frames`` of one normal."""
+    n = np.asarray(normal, dtype=float).reshape(1, 3)
+    if _norms(n)[0] <= 0:
         raise DegenerateGeometryError("plane normal must be nonzero")
-    n = n / norm
-    zref = np.array([0.0, 0.0, 1.0])
-    if abs(n @ zref) > 0.99:
-        xref = np.array([1.0, 0.0, 0.0])
-        e1 = xref - (xref @ n) * n
-        e1 /= np.linalg.norm(e1)
-        e2 = _cross3(n, e1)
-        return e1, e2
-    e2 = zref - (zref @ n) * n
-    e2 /= np.linalg.norm(e2)
-    e1 = _cross3(e2, n)
-    return e1, e2
+    e1, e2 = plane_frames(n)
+    return e1[0], e2[0]
 
 
 def best_fit_plane(points) -> tuple[np.ndarray, np.ndarray]:
@@ -346,56 +373,55 @@ def best_fit_plane(points) -> tuple[np.ndarray, np.ndarray]:
     pts = _as_points(points)
     if len(pts) < 3:
         raise DegenerateGeometryError("plane fit needs at least 3 points")
-    centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    normal = vt[-1]
-    lead = np.argmax(np.abs(normal))
-    if normal[lead] < 0:
-        normal = -normal
-    return centroid, normal
+    centroids, normals, _ = fit_planes(pts[None])
+    return centroids[0], normals[0]
 
 
-def _shoelace(uv: np.ndarray) -> float:
-    u, v = uv[:, 0], uv[:, 1]
-    u1 = np.concatenate((u[1:], u[:1]))
-    v1 = np.concatenate((v[1:], v[:1]))
-    return 0.5 * float(np.sum(u * v1 - u1 * v))
+def _shoelace(uv: np.ndarray):
+    """Signed area of a 2D ring (m, 2), or of each ring of a stack (..., m, 2)."""
+    nxt = np.concatenate((uv[..., 1:, :], uv[..., :1, :]), axis=-2)
+    return 0.5 * (uv[..., 0] * nxt[..., 1] - nxt[..., 0] * uv[..., 1]).sum(axis=-1)
 
 
 @lru_cache(maxsize=8)
-def _nonadjacent_edge_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _orientation_corners(m: int) -> np.ndarray:
+    """Corner indices (3, 4, P) of the orientation tests of an m-ring.
+
+    For each of the P non-adjacent edge pairs (p q, r s), row k of
+    [A, B, C] gives cross(B - A, C - A) as d1..d4: the side of r and s
+    against p q, then of p and q against r s.
+    """
     ii, jj = np.triu_indices(m, k=2)
     keep = ~((ii == 0) & (jj == m - 1))  # wrap-around edges are adjacent
-    return ii[keep], jj[keep]
+    ii, jj = ii[keep], jj[keep]
+    i1, j1 = (ii + 1) % m, (jj + 1) % m
+    return np.array([[ii, ii, jj, jj], [i1, i1, j1, j1], [jj, j1, ii, i1]])
 
 
-def ring_is_simple(uv: np.ndarray) -> bool:
-    """True when the closed 2D polygon has no self-intersection."""
+def ring_is_simple(uv: np.ndarray):
+    """True where a closed 2D polygon has no self-intersection: one bool
+    for a ring (m, 2), one per ring for a stack (N, m, 2)."""
     uv = np.asarray(uv, dtype=float)
-    m = len(uv)
-    ii, jj = _nonadjacent_edge_pairs(m)
-    p, q = uv[ii], uv[(ii + 1) % m]
-    r, s = uv[jj], uv[(jj + 1) % m]
-
-    def cross(a, b):
-        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-
-    d1 = cross(q - p, r - p)
-    d2 = cross(q - p, s - p)
-    d3 = cross(s - r, p - r)
-    d4 = cross(s - r, q - r)
-    straddle = (((d1 > 0) != (d2 > 0)) | (d1 == 0) | (d2 == 0)) & (
-        ((d3 > 0) != (d4 > 0)) | (d3 == 0) | (d4 == 0)
+    corners = uv.take(_orientation_corners(uv.shape[-2]), axis=-2)  # (..., 3, 4, P, 2)
+    ba = corners[..., 1, :, :, :] - corners[..., 0, :, :, :]
+    ca = corners[..., 2, :, :, :] - corners[..., 0, :, :, :]
+    d = ba[..., 0] * ca[..., 1] - ba[..., 1] * ca[..., 0]  # (..., 4, P)
+    pos, zero = d > 0, d == 0
+    # Each segment's ends lie on opposite sides of the other's line, or on it.
+    straddle = ((pos[..., ::2, :] != pos[..., 1::2, :]) | zero[..., ::2, :] | zero[..., 1::2, :]).all(
+        axis=-2
     )
     if not straddle.any():
-        return True
+        return ~straddle.any(axis=-1)
     # A collinear pair crosses only where it overlaps along the first
     # segment's dominant axis.
-    collinear = (d1 == 0) & (d2 == 0)
-    axis = np.argmax(np.abs(q - p), axis=1)[:, None]
-    pa, qa, ra, sa = (np.take_along_axis(x, axis, axis=1)[:, 0] for x in (p, q, r, s))
-    overlap = (np.maximum(pa, qa) > np.minimum(ra, sa)) & (np.maximum(ra, sa) > np.minimum(pa, qa))
-    return not np.any(straddle & (~collinear | overlap))
+    collinear = zero[..., 0, :] & zero[..., 1, :]
+    axis = np.abs(ba[..., 0, :, :]).argmax(axis=-1)[..., None, None, :, None]
+    # Coordinates along that axis of [[p, r], [q, s]], then min/max per segment.
+    ends = np.take_along_axis(corners[..., :2, ::2, :, :], axis, axis=-1)[..., 0]
+    lo, hi = ends.min(axis=-3), ends.max(axis=-3)
+    overlap = (hi[..., 0, :] > lo[..., 1, :]) & (hi[..., 1, :] > lo[..., 0, :])
+    return ~(straddle & (~collinear | overlap)).any(axis=-1)
 
 
 def project_ring(points, centroid=None, normal=None) -> np.ndarray:
@@ -404,8 +430,14 @@ def project_ring(points, centroid=None, normal=None) -> np.ndarray:
     if centroid is None or normal is None:
         centroid, normal = best_fit_plane(pts)
     e1, e2 = plane_frame(normal)
-    rel = pts - centroid
-    return np.column_stack([rel @ e1, rel @ e2])
+    return _project((pts - centroid)[None], e1[None], e2[None])[0]
+
+
+def ring_areas(rings: np.ndarray) -> np.ndarray:
+    """Enclosed area of each ring of a stack (N, m, 3) in its best-fit
+    plane, by the shoelace rule; the rings are not checked."""
+    _, normals, rel = fit_planes(rings)
+    return np.abs(_shoelace(_project(rel, *plane_frames(normals))))
 
 
 def section_area(section) -> float:
@@ -424,17 +456,61 @@ def section_area(section) -> float:
     uv = project_ring(pts)
     if not ring_is_simple(uv):
         raise InvalidContourError("ring is self-intersecting")
-    return abs(_shoelace(uv))
+    return abs(float(_shoelace(uv)))
 
 
 def canonical_indices(uv: np.ndarray) -> np.ndarray:
-    """Ring reordering: start at max u (ties by max v), go counterclockwise."""
-    top = np.flatnonzero(uv[:, 0] == uv[:, 0].max())
-    start = top[np.argmax(uv[top, 1])]
-    order = np.roll(np.arange(len(uv)), -start)
-    if _shoelace(uv[order]) < 0:
-        order = np.concatenate([[order[0]], order[1:][::-1]])
-    return order
+    """Ring reordering: start at max u (ties by max v), go counterclockwise.
+
+    Takes one ring (m, 2) or a stack (N, m, 2) and returns (m,) or
+    (N, m) indices into the ring.
+    """
+    u, v = uv[..., 0], uv[..., 1]
+    top = u == u.max(axis=-1, keepdims=True, initial=-np.inf)
+    start = np.argmax(np.where(top, v, -np.inf), axis=-1)
+    m = uv.shape[-2]
+    order = (start[..., None] + np.arange(m)) % m
+    reverse = np.concatenate([order[..., :1], order[..., :0:-1]], axis=-1)
+    clockwise = _shoelace(np.take_along_axis(uv, order[..., None], axis=-2)) < 0
+    return np.where(clockwise[..., None], reverse, order)
+
+
+# Construction checks of a CrossSection, in the order they apply: a ring
+# takes the first one it fails.
+_FAULTS = (
+    (DegenerateGeometryError, "contour contains non-finite values"),
+    (InvalidContourError, f"contour must have {RING_POINTS} points"),
+    (InvalidContourError, "section center and station must be finite"),
+    (InvalidContourError, "center does not match contour centroid"),
+    (InvalidContourError, "contour is not planar within tolerance"),
+    (InvalidContourError, "contour is self-intersecting"),
+)
+
+
+def section_faults(rings: np.ndarray, centers: np.ndarray, stations: np.ndarray) -> list:
+    """Check a stack of would-be CrossSections in one pass.
+
+    ``rings`` is (N, m, 3), ``centers`` (N, 3) and ``stations`` (N,).
+    Returns, per ring, None or the error its CrossSection construction
+    raises.
+    """
+    n, m = rings.shape[:2]
+    bad = np.zeros((len(_FAULTS), n), dtype=bool)
+    finite = np.isfinite(rings).all(axis=(1, 2))
+    bad[0] = ~finite
+    bad[1] = m != RING_POINTS
+    bad[2] = ~(np.isfinite(centers).all(axis=1) & np.isfinite(stations))
+    if m == RING_POINTS and finite.any():
+        live = slice(None) if finite.all() else finite
+        centroids, normals, rel = fit_planes(rings[live])
+        with np.errstate(invalid="ignore"):  # non-finite centers are flagged above
+            bad[3, live] = _norms(centroids - centers[live]) > CENTROID_TOL
+        bad[4, live] = np.abs(rel @ normals[:, :, None]).max(axis=(1, 2)) > PLANE_TOL
+        bad[5, live] = ~ring_is_simple(_project(rel, *plane_frames(normals)))
+    first = bad.argmax(axis=0)
+    return [
+        _FAULTS[k][0](_FAULTS[k][1]) if bad[k, i] else None for i, k in enumerate(first.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -443,7 +519,8 @@ class CrossSection:
 
     The center must match the ring centroid and the ring must be planar
     and simple; violations raise at construction.  ``station`` is the
-    arc-length position of the section along its yarn path.
+    arc-length position of the section along its yarn path.  Stacks of
+    sections are built and checked in one pass by ``cross_sections``.
     """
 
     contour: np.ndarray
@@ -452,25 +529,57 @@ class CrossSection:
 
     def __post_init__(self):
         ring = _as_points(self.contour, "contour")
-        if len(ring) != RING_POINTS:
-            raise InvalidContourError(f"contour must have {RING_POINTS} points")
         center = np.asarray(self.center, dtype=float).reshape(3)
-        if not np.all(np.isfinite(center)) or not np.isfinite(self.station):
-            raise InvalidContourError("section center and station must be finite")
-        if np.linalg.norm(ring.mean(axis=0) - center) > CENTROID_TOL:
-            raise InvalidContourError("center does not match contour centroid")
-        centroid, normal = best_fit_plane(ring)
-        if np.max(np.abs((ring - centroid) @ normal)) > PLANE_TOL:
-            raise InvalidContourError("contour is not planar within tolerance")
-        if not ring_is_simple(project_ring(ring, centroid, normal)):
-            raise InvalidContourError("contour is self-intersecting")
+        fault = section_faults(ring[None], center[None], np.array([self.station]))[0]
+        if fault is not None:
+            raise fault
         object.__setattr__(self, "contour", _freeze(ring))
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "station", float(self.station))
 
     def area(self) -> float:
         # Construction already checked that the ring is planar and simple.
-        return abs(_shoelace(project_ring(self.contour)))
+        return float(ring_areas(self.contour[None])[0])
+
+
+def cross_sections(contours, centers, stations, faults=None) -> tuple:
+    """CrossSections of a stack: contours (N, m, 3), centers (N, 3) and
+    stations (N,), checked in one ``section_faults`` pass.
+
+    The first faulty ring raises its error.  A caller that already holds
+    this stack's ``section_faults`` passes them as ``faults``; faulty
+    rings are then left out and nothing is checked again.
+    """
+    if len(contours) == 0:
+        return ()
+    if faults is None and len({len(c) for c in contours}) > 1:
+        # Ragged point counts do not stack: check the rings before the
+        # first one of the wrong length, then that ring on its own,
+        # which raises.
+        k = next(k for k, c in enumerate(contours) if len(c) != RING_POINTS)
+        cross_sections(contours[:k], centers[:k], stations[:k])
+        CrossSection(contour=contours[k], center=centers[k], station=stations[k])
+    rings = np.array(contours, dtype=float)
+    if rings.ndim != 3 or rings.shape[2] != 3:
+        raise DegenerateGeometryError(f"contour must have shape (n, 3), got {rings.shape[1:]}")
+    centers = np.array(centers, dtype=float).reshape(len(rings), 3)
+    stations = np.asarray(stations, dtype=float).reshape(len(rings))
+    if faults is None:
+        faults = section_faults(rings, centers, stations)
+        for fault in faults:
+            if fault is not None:
+                raise fault
+    rings.flags.writeable = False
+    centers.flags.writeable = False
+    sections = []
+    for ring, center, station, fault in zip(rings, centers, stations.tolist(), faults):
+        if fault is None:
+            sec = object.__new__(CrossSection)
+            object.__setattr__(sec, "contour", ring)
+            object.__setattr__(sec, "center", center)
+            object.__setattr__(sec, "station", station)
+            sections.append(sec)
+    return tuple(sections)
 
 
 def ellipse_section(

@@ -20,18 +20,21 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     InsufficientDataError,
-    InvalidContourError,
     MeshIntegrityError,
 )
 from .geometry import (
     Box,
     BSplineCurve,
-    CrossSection,
+    _norms,
+    _project,
+    _shoelace,
     bspline_eval,
     bspline_fit,
     bspline_tangent,
     canonical_indices,
+    cross_sections,
     cumulative_length,
+    section_faults,
 )
 from .segmenter import DetectionSet, SectionDetection
 from .voxelizer import AXIS_XZ, AXIS_YZ, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
@@ -274,18 +277,17 @@ def _lift(track: YarnTrack, contour: np.ndarray, slice_index) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-def _trim_end_slivers(entries: tuple, keep_min: int) -> tuple:
+def _trim_end_slivers(areas: np.ndarray, keep_min: int) -> slice:
     """Drop grazing end cuts: leading/trailing detections whose area is
     under half the track median are cap slivers, not transverse
     sections, and would bend the fitted axis at the ends."""
-    areas = np.array([det.area() for _, det in entries])
     floor = 0.5 * float(np.median(areas))
-    lo, hi = 0, len(entries)
+    lo, hi = 0, len(areas)
     while hi - lo > keep_min and areas[lo] < floor:
         lo += 1
     while hi - lo > keep_min and areas[hi - 1] < floor:
         hi -= 1
-    return entries[lo:hi]
+    return slice(lo, hi)
 
 
 def lift_and_fit(
@@ -300,12 +302,15 @@ def lift_and_fit(
     through them, and each ring is projected along the local tangent
     onto the plane through its center perpendicular to the path,
     undoing the oblique-cut stretch.  Stations are arc lengths along
-    the fitted axis.
+    the fitted axis.  All rings of the track are lifted, projected and
+    checked as one stack.
     """
-    entries = _trim_end_slivers(track.entries, keep_min=degree + 1)
-    centers = _lift(
-        track, np.array([det.center for _, det in entries]), [i for i, _ in entries]
-    )
+    contours = np.array([det.contour for _, det in track.entries])
+    trim = _trim_end_slivers(np.abs(_shoelace(contours)), keep_min=degree + 1)
+    entries = track.entries[trim]
+    contours = contours[trim]
+    slices = np.array([i for i, _ in entries])
+    centers = _lift(track, np.array([det.center for _, det in entries]), slices)
     if n_controls is None:
         n_controls = max(degree + 1, len(centers) // 4)
     n_controls = min(n_controls, len(centers))
@@ -318,38 +323,38 @@ def lift_and_fit(
     dense_t = np.linspace(0.0, 1.0, 512)
     stations = np.interp(params, dense_t, cumulative_length(bspline_eval(path, dense_t)))
 
-    filled = set(track.filled)
-    sections = []
-    flags = []
+    n, m = contours.shape[:2]
+    rings = _lift(track, contours.reshape(-1, 2), np.repeat(slices, m)).reshape(n, m, 3)
+    ring_centers = rings.mean(axis=1)
     tangents = bspline_tangent(path, params)
-    for k, (i, det) in enumerate(entries):
-        ring = _lift(track, det.contour, i)
-        center = ring.mean(axis=0)
-        t = tangents[k]
-        rel = ring - center
-        ring_p = ring - np.outer(rel @ t, t)
-        # Start the ring at its largest-u point and run it counterclockwise
-        # about the tangent.  This only rotates or reverses the point order:
-        # a ring that detector noise folded stays folded, and CrossSection
-        # rejects it below.
-        e1 = ring_p[0] - center
-        nrm = np.linalg.norm(e1)
-        if nrm < 1e-9:
+    rel = rings - ring_centers[:, None]
+    rings = rings - (rel @ tangents[:, :, None]) * tangents[:, None]
+    # Start each ring at its largest-u point and run it counterclockwise
+    # about the tangent.  This only rotates or reverses the point order:
+    # a ring that detector noise folded stays folded, and section_faults
+    # rejects it below.
+    e1 = rings[:, 0] - ring_centers
+    nrm = _norms(e1)
+    degenerate = nrm < 1e-9
+    live = np.flatnonzero(~degenerate)
+    rings, ring_centers, stations = rings[live], ring_centers[live], stations[live]
+    e1 = e1[live] / nrm[live, None]
+    e2 = np.cross(tangents[live], e1)
+    uv = _project(rings - ring_centers[:, None], e1, e2)
+    rings = np.take_along_axis(rings, canonical_indices(uv)[:, :, None], axis=1)
+    faults = section_faults(rings, ring_centers, stations)
+
+    invalid = dict(zip(live.tolist(), faults))
+    filled = set(track.filled)
+    flags = []
+    for k, (i, _) in enumerate(entries):
+        if degenerate[k]:
             log.info("dropping degenerate section at slice %d", i)
-            continue
-        e1 /= nrm
-        e2 = np.cross(t, e1)
-        uv = np.column_stack([(ring_p - center) @ e1, (ring_p - center) @ e2])
-        ring_p = ring_p[canonical_indices(uv)]
-        try:
-            sec = CrossSection(
-                contour=ring_p, center=center, station=float(stations[k])
-            )
-        except (InvalidContourError, DegenerateGeometryError):
+        elif invalid[k] is not None:
             log.info("dropping invalid section at slice %d", i)
-            continue
-        sections.append(sec)
-        flags.append(i in filled)
+        else:
+            flags.append(i in filled)
+    sections = cross_sections(rings, ring_centers, stations, faults)
 
     if len(sections) < 2:
         raise InsufficientDataError("track collapsed while lifting sections")

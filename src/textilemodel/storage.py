@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BSplineCurve, CrossSection
+from .geometry import BSplineCurve, CrossSection, cross_sections
 from .reconstruct import ReconstructedYarn
 from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 
@@ -98,11 +98,9 @@ def _section_to_dict(s: CrossSection) -> dict:
     }
 
 
-def _section_from_dict(d: dict) -> CrossSection:
-    return CrossSection(
-        contour=np.array(d["contour"], dtype=float),
-        center=np.array(d["center"], dtype=float),
-        station=float(d["station"]),
+def _sections_from_dicts(ds: list) -> tuple:
+    return cross_sections(
+        [d["contour"] for d in ds], [d["center"] for d in ds], [d["station"] for d in ds]
     )
 
 
@@ -171,7 +169,7 @@ def load_model(path) -> TextileModel:
             yarn_id=yd["id"],
             family=yd["family"],
             path=_curve_from_dict(yd["path"]),
-            sections=tuple(_section_from_dict(sd) for sd in yd["sections"]),
+            sections=_sections_from_dicts(yd["sections"]),
         )
         for yd in d["yarns"]
     )
@@ -223,7 +221,7 @@ def load_yarns(path):
                 family=yd["family"],
                 axis=yd["axis"],
                 path=_curve_from_dict(yd["path"]),
-                sections=tuple(_section_from_dict(sd) for sd in yd["sections"]),
+                sections=_sections_from_dicts(yd["sections"]),
                 completed_flags=tuple(bool(f) for f in yd["completed"]),
             )
         )

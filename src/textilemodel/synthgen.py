@@ -18,13 +18,14 @@ from .geometry import (
     Box,
     BSplineCurve,
     CrossSection,
-    best_fit_plane,
     bspline_eval,
     bspline_fit,
+    cross_sections,
     cumulative_length,
     ellipse_section,
-    plane_frame,
-    section_area,
+    fit_planes,
+    plane_frames,
+    ring_areas,
 )
 
 # A section center must sit on its yarn path within this distance.
@@ -294,40 +295,25 @@ def generate_interlock(
     return TextileModel(yarns=tuple(yarns), bbox=bbox, thickness=thickness, spec=spec)
 
 
-def _scale_section(
-    sec: CrossSection, frame: tuple, z_mid: float, f: float, station: float
-) -> CrossSection:
-    """Flatten one section: center follows the global z scale, the ring
-    contracts by f along its in-plane vertical axis and widens by 1/f
-    horizontally, which preserves its area exactly.  ``frame`` is the
-    ``plane_frame`` of the ring's best-fit plane."""
-    center = np.array(sec.center)
-    new_center = center.copy()
-    new_center[2] = z_mid + f * (center[2] - z_mid)
-    e1, e2 = frame
-    rel = sec.contour - center
-    alpha = rel @ e1
-    beta = rel @ e2
-    ring = new_center + np.outer(alpha / f, e1) + np.outer(beta * f, e2)
-    return CrossSection(contour=ring, center=new_center, station=station)
-
-
-def _scale_model(model: TextileModel, frames: list, thickness_k: float) -> TextileModel:
+def _scale_model(model: TextileModel, planes: list, thickness_k: float) -> TextileModel:
+    """Flatten every section: centers follow the global z scale, rings
+    contract by f along their in-plane vertical axis and widen by 1/f
+    horizontally, which preserves their areas exactly.  ``planes`` holds
+    per yarn the section centers, the frames (e1, e2) of the rings'
+    best-fit planes and the ring coordinates (alpha, beta) in them."""
     z_mid = model.mid_plane_z
     f = thickness_k / model.thickness
     yarns = []
-    for yarn, yarn_frames in zip(model.yarns, frames):
+    for yarn, (centers, e1, e2, alpha, beta) in zip(model.yarns, planes):
         ctrl = np.array(yarn.path.control_points)
         ctrl[:, 2] = z_mid + f * (ctrl[:, 2] - z_mid)
         path = BSplineCurve(yarn.path.degree, ctrl, yarn.path.knots)
-        # Stations shrink with the path; rebuild them from the scaled centers.
-        centers = np.array([s.center for s in yarn.sections])
+        centers = centers.copy()
         centers[:, 2] = z_mid + f * (centers[:, 2] - z_mid)
+        # Stations shrink with the path; rebuild them from the scaled centers.
         stations = cumulative_length(centers)
-        sections = tuple(
-            _scale_section(s, frame, z_mid, f, station=st)
-            for s, frame, st in zip(yarn.sections, yarn_frames, stations)
-        )
+        rings = centers[:, None] + (alpha / f) * e1[:, None] + (beta * f) * e2[:, None]
+        sections = cross_sections(rings, centers, stations)
         yarns.append(YarnModel(yarn.yarn_id, yarn.family, path, sections))
 
     lo = np.array(model.bbox.lo)
@@ -362,15 +348,18 @@ def compaction_sequence(
     h0 = model.thickness
     if not (0 < thickness_final <= h0):
         raise ConfigError("target thickness must lie in (0, initial thickness]")
-    # Every step scales the input model, so its section frames are shared.
-    frames = [
-        [plane_frame(best_fit_plane(s.contour)[1]) for s in yarn.sections]
-        for yarn in model.yarns
-    ]
+    # Every step scales the input model, so its section planes are shared.
+    planes = []
+    for yarn in model.yarns:
+        rings = np.array([s.contour for s in yarn.sections])
+        centers = np.array([s.center for s in yarn.sections])
+        e1, e2 = plane_frames(fit_planes(rings)[1])
+        rel = rings - centers[:, None]
+        planes.append((centers, e1, e2, rel @ e1[:, :, None], rel @ e2[:, :, None]))
     out = [model]
     for k in range(1, n_steps + 1):
         hk = h0 - k * (h0 - thickness_final) / n_steps
-        out.append(_scale_model(model, frames, hk))
+        out.append(_scale_model(model, planes, hk))
     return tuple(out)
 
 
@@ -395,28 +384,27 @@ def perturb_model(
     rng = np.random.default_rng(seed)
     yarns = []
     for yarn in model.yarns:
-        sections = []
+        rings = []
         for sec in yarn.sections:
             ring = np.array(sec.contour)
             if center_sigma > 0:
                 ring = ring + rng.normal(0.0, center_sigma, 3)
             if contour_sigma > 0:
                 ring = ring + rng.normal(0.0, contour_sigma, ring.shape)
-            centroid, normal = best_fit_plane(ring)
-            ring = ring - np.outer((ring - centroid) @ normal, normal)
-            sections.append((ring, ring.mean(axis=0)))
-        centers = np.array([c for _, c in sections])
+            rings.append(ring)
+        rings = np.array(rings)
+        _, normals, rel = fit_planes(rings)
+        rings = rings - (rel @ normals[:, :, None]) * normals[:, None]
+        centers = rings.mean(axis=1)
         stations = cumulative_length(centers)
         if np.any(np.diff(stations) <= 0):
             raise DegenerateGeometryError(
                 "perturbation collapsed neighbouring sections; lower the noise"
             )
         path = _interpolating_path(centers)
-        new_sections = tuple(
-            CrossSection(contour=ring, center=c, station=st)
-            for (ring, c), st in zip(sections, stations)
+        yarns.append(
+            YarnModel(yarn.yarn_id, yarn.family, path, cross_sections(rings, centers, stations))
         )
-        yarns.append(YarnModel(yarn.yarn_id, yarn.family, path, new_sections))
     bbox = model.bbox
     kp = np.vstack([s.contour for y in yarns for s in y.sections])
     lo = np.minimum(np.array(bbox.lo), kp.min(axis=0))
@@ -440,7 +428,9 @@ def fiber_spec_for_target_vf(
     of the model's sections equal to ``target_vf``."""
     if not (0 < target_vf <= 1):
         raise ConfigError("target_vf must lie in (0, 1]")
-    areas = [section_area(s) for y in model.yarns for s in y.sections]
+    areas = np.concatenate(
+        [ring_areas(np.array([s.contour for s in y.sections])) for y in model.yarns]
+    )
     mean_area = float(np.mean(areas))
     radius = math.sqrt(target_vf * mean_area / (math.pi * fibers_per_yarn))
     return FiberSpec(fiber_radius=radius, fibers_per_yarn=fibers_per_yarn)

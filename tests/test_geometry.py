@@ -630,3 +630,240 @@ class TestBox:
         box = geo.Box.around(pts, margin=1.0)
         np.testing.assert_allclose(box.lo, [-1, -2, 1])
         np.testing.assert_allclose(box.hi, [5, 2, 4])
+
+
+# Scalar references for the ring kernel: the one-ring plane fit, frame,
+# projection, shoelace and CrossSection checks that the stacked kernel
+# replaced.  The kernel must match them bit for bit.
+def ref_cross3(a, b):
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
+def ref_best_fit_plane(pts):
+    centroid = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
+    normal = vt[-1]
+    if normal[np.argmax(np.abs(normal))] < 0:
+        normal = -normal
+    return centroid, normal
+
+
+def ref_plane_frame(normal):
+    n = normal / np.linalg.norm(normal)
+    zref = np.array([0.0, 0.0, 1.0])
+    if abs(n @ zref) > 0.99:
+        xref = np.array([1.0, 0.0, 0.0])
+        e1 = xref - (xref @ n) * n
+        e1 /= np.linalg.norm(e1)
+        return e1, ref_cross3(n, e1)
+    e2 = zref - (zref @ n) * n
+    e2 /= np.linalg.norm(e2)
+    return ref_cross3(e2, n), e2
+
+
+def ref_project_ring(pts, centroid, normal):
+    e1, e2 = ref_plane_frame(normal)
+    rel = pts - centroid
+    return np.column_stack([rel @ e1, rel @ e2])
+
+
+def ref_shoelace(uv):
+    u, v = uv[:, 0], uv[:, 1]
+    u1 = np.concatenate((u[1:], u[:1]))
+    v1 = np.concatenate((v[1:], v[:1]))
+    return 0.5 * float(np.sum(u * v1 - u1 * v))
+
+
+def ref_section_fault(ring, center, station):
+    """(error type, message) of the one-ring CrossSection checks, or None."""
+    if not np.all(np.isfinite(ring)):
+        return DegenerateGeometryError, "contour contains non-finite values"
+    if len(ring) != geo.RING_POINTS:
+        return InvalidContourError, f"contour must have {geo.RING_POINTS} points"
+    if not np.all(np.isfinite(center)) or not np.isfinite(station):
+        return InvalidContourError, "section center and station must be finite"
+    if np.linalg.norm(ring.mean(axis=0) - center) > geo.CENTROID_TOL:
+        return InvalidContourError, "center does not match contour centroid"
+    centroid, normal = ref_best_fit_plane(ring)
+    if np.max(np.abs((ring - centroid) @ normal)) > geo.PLANE_TOL:
+        return InvalidContourError, "contour is not planar within tolerance"
+    if not ref_ring_is_simple(ref_project_ring(ring, centroid, normal)):
+        return InvalidContourError, "contour is self-intersecting"
+    return None
+
+
+def ref_canonical_indices(uv):
+    top = np.flatnonzero(uv[:, 0] == uv[:, 0].max())
+    start = top[np.argmax(uv[top, 1])]
+    order = np.roll(np.arange(len(uv)), -start)
+    if ref_shoelace(uv[order]) < 0:
+        order = np.concatenate([[order[0]], order[1:][::-1]])
+    return order
+
+
+REPEATED_VERTEX_RECTANGLE = np.array(
+    [[0.0, 0], [1, 0], [1, 0], [2, 0], [3, 0], [3, 1], [3, 2], [2, 2], [1, 2], [0, 2]]
+)
+
+
+def random_ring(rng, defects):
+    """A 10-point ring with some of these defects: "flat" (|n_z| > 0.99),
+    "grid" (integer points in a horizontal plane, so collinear and
+    repeated points; half of them a rectangle with a repeated vertex on
+    one side, simple only by the collinear-overlap rule), "warp" (not planar), "fold" (two points swapped),
+    "off" (center off the centroid), "nan" (non-finite center, station
+    or ring point).  Returns (ring, center, station)."""
+    if "grid" in defects:
+        if rng.random() < 0.5:
+            uv = np.roll(REPEATED_VERTEX_RECTANGLE * rng.integers(1, 4), rng.integers(10), axis=0)
+        else:
+            uv = rng.integers(0, 4, size=(10, 2)).astype(float)
+        ring = np.column_stack([uv, np.full(10, float(rng.integers(-5, 5)))])
+    else:
+        if "flat" in defects:
+            normal = np.array([*rng.uniform(-0.1, 0.1, 2), rng.choice([-1.0, 1.0])])
+        else:
+            normal = rng.normal(size=3)
+        e1, e2 = geo.plane_frame(normal)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 10))
+        a, b = rng.uniform(1.0, 6.0, 2)
+        ring = np.outer(a * np.cos(theta), e1) + np.outer(b * np.sin(theta), e2)
+        ring += rng.normal(scale=1e-3, size=ring.shape) + rng.uniform(-50.0, 50.0, 3)
+        if "warp" in defects:
+            ring[rng.integers(10)] += rng.uniform(0.5, 4.0) * np.cross(e1, e2)
+    if "fold" in defects:
+        i = rng.integers(10)
+        j = (i + rng.integers(2, 9)) % 10
+        ring[[i, j]] = ring[[j, i]]
+    center = ring.mean(axis=0)
+    station = float(rng.uniform(0.0, 100.0))
+    if "off" in defects:
+        center = center + rng.normal(size=3) * rng.uniform(0.1, 0.5)
+    if "nan" in defects:
+        which = rng.integers(3)
+        if which == 0:
+            center[rng.integers(3)] = rng.choice([np.nan, np.inf])
+        elif which == 1:
+            station = float(rng.choice([np.nan, -np.inf]))
+        else:
+            ring[rng.integers(10), rng.integers(3)] = np.nan
+    return ring, center, station
+
+
+DEFECTS = ("flat", "grid", "warp", "fold", "off", "nan")
+
+ring_stacks = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.sets(st.sampled_from(DEFECTS), max_size=3)),
+    min_size=1,
+    max_size=8,
+)
+
+
+# Stacks of 1..6 rings of 3..10 points on a 4x4 grid: collinear,
+# touching and repeated points are common.
+grid_ring_stacks = st.integers(3, 10).flatmap(
+    lambda m: st.lists(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=m, max_size=m),
+        min_size=1,
+        max_size=6,
+    )
+).map(lambda rings: np.array(rings, dtype=float))
+
+
+def build_stack(cases):
+    rows = [random_ring(np.random.default_rng(seed), defects) for seed, defects in cases]
+    rings, centers, stations = (np.array(x) for x in zip(*rows))
+    return rings, centers, stations
+
+
+class TestRingKernelMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ring_stacks)
+    def test_faults(self, cases):
+        rings, centers, stations = build_stack(cases)
+        got = [None if f is None else (type(f), str(f))
+               for f in geo.section_faults(rings, centers, stations)]
+        want = [ref_section_fault(*row) for row in zip(rings, centers, stations)]
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_stacks)
+    def test_planes_frames_uv_and_areas(self, cases):
+        rings, _, _ = build_stack(cases)
+        rings = rings[np.isfinite(rings).all(axis=(1, 2))]
+        if not len(rings):
+            return
+        centroids, normals, rel = geo.fit_planes(rings)
+        e1, e2 = geo.plane_frames(normals)
+        areas = geo.ring_areas(rings)
+        simple = geo.ring_is_simple(geo.project_ring(rings[0])[None])
+        assert simple.shape == (1,)
+        for k, ring in enumerate(rings):
+            c, n = ref_best_fit_plane(ring)
+            f1, f2 = ref_plane_frame(n)
+            uv = ref_project_ring(ring, c, n)
+            assert np.array_equal(centroids[k], c) and np.array_equal(normals[k], n)
+            assert np.array_equal(rel[k], ring - c)
+            assert np.array_equal(e1[k], f1) and np.array_equal(e2[k], f2)
+            assert np.array_equal(geo.project_ring(ring), uv)
+            assert areas[k] == abs(ref_shoelace(uv))
+            # The one-ring wrappers are the same kernel.
+            assert all(map(np.array_equal, geo.best_fit_plane(ring), (c, n)))
+            assert all(map(np.array_equal, geo.plane_frame(n), (f1, f2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_stacks)
+    def test_cross_section_and_bulk_builder_raise_the_reference_error(self, cases):
+        rings, centers, stations = build_stack(cases)
+        want = [ref_section_fault(*row) for row in zip(rings, centers, stations)]
+        for row, w in zip(zip(rings, centers, stations), want):
+            if w is None:
+                sec = geo.CrossSection(*row)
+                assert sec.area() == abs(ref_shoelace(ref_project_ring(row[0], *ref_best_fit_plane(row[0]))))
+            else:
+                with pytest.raises(w[0]) as err:
+                    geo.CrossSection(*row)
+                assert str(err.value) == w[1]
+        first = next((w for w in want if w is not None), None)
+        if first is None:
+            built = geo.cross_sections(rings, centers, stations)
+            assert len(built) == len(rings)
+            for sec, row in zip(built, zip(rings, centers, stations)):
+                assert np.array_equal(sec.contour, row[0]) and np.array_equal(sec.center, row[1])
+                assert type(sec.station) is float and sec.station == row[2]
+                assert not sec.contour.flags.writeable
+        else:
+            with pytest.raises(first[0]) as err:
+                geo.cross_sections(rings, centers, stations)
+            assert str(err.value) == first[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_ring_stacks)
+    def test_ring_is_simple_stack_on_integer_grid(self, uv):
+        assert geo.ring_is_simple(uv).tolist() == [ref_ring_is_simple(r) for r in uv]
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_ring_stacks)
+    def test_canonical_indices_stack(self, uv):
+        # Integer points make tied maxima and zero-area rings common.
+        want = [ref_canonical_indices(r) for r in uv]
+        assert np.array_equal(geo.canonical_indices(uv), want)
+        assert all(np.array_equal(geo.canonical_indices(r), w) for r, w in zip(uv, want))
+
+    def test_ragged_stack_raises_the_first_fault_in_order(self):
+        rings, centers, stations = build_stack([(1, set()), (2, {"fold"}), (3, set())])
+        contours = [rings[0], rings[1], rings[2][:9]]
+        with pytest.raises(InvalidContourError, match="self-intersecting"):
+            geo.cross_sections(contours, centers, stations)
+        with pytest.raises(InvalidContourError, match="must have 10 points"):
+            geo.cross_sections([rings[0], rings[2][:9], rings[1]], centers, stations)
+        assert geo.cross_sections([], [], []) == ()
+
+    def test_faulty_rings_are_left_out_when_faults_are_given(self):
+        rings, centers, stations = build_stack([(1, set()), (2, {"fold"}), (3, set())])
+        faults = geo.section_faults(rings, centers, stations)
+        assert [f is None for f in faults] == [True, False, True]
+        built = geo.cross_sections(rings, centers, stations, faults)
+        assert [s.station for s in built] == [stations[0], stations[2]]

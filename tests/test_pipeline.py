@@ -10,7 +10,7 @@ import pytest
 
 from textilemodel import __version__
 from textilemodel.cli import main
-from textilemodel.errors import ConfigError
+from textilemodel.errors import ConfigError, InvalidContourError
 from textilemodel.meshfiles import read_obj, write_obj, write_vtk
 from textilemodel.pipeline import (
     STAGES,
@@ -377,6 +377,28 @@ class TestYarnStorage:
         assert gaps == [list(map(list, t.boundary_gaps)) for t in tracks] or gaps == [
             t.boundary_gaps for t in tracks
         ]
+
+    @pytest.mark.parametrize(
+        "short, message",
+        [(None, "contour is self-intersecting"), (3, "contour must have 10 points"), (7, "contour is self-intersecting")],
+    )
+    def test_corrupted_contour_raises_the_first_error_in_file_order(
+        self, straight_yarns, tmp_path, short, message
+    ):
+        ys, _ = straight_yarns
+        p = tmp_path / "yarns.json"
+        save_yarns(ys, p, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
+        d = json.loads(p.read_text())
+        secs = d["yarns"][0]["sections"]
+        c = secs[5]["contour"]
+        c[2], c[6] = c[6], c[2]  # folded
+        secs[9]["center"][0] += 1.0  # off its centroid
+        if short is not None:
+            secs[short]["contour"] = secs[short]["contour"][:9]
+        p.write_text(json.dumps(d))
+        with pytest.raises(InvalidContourError) as err:
+            load_yarns(p)
+        assert str(err.value) == message
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         p = tmp_path / "odd.json"

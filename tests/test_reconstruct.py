@@ -1,5 +1,6 @@
 """Tracking, gap completion, 3D lifting, and mesh construction."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -219,24 +220,46 @@ class TestLift:
         import textilemodel.reconstruct as rc
 
         (track,) = track_yarns(make_set([lambda i: (10.0, 8.0)], 12), d_gate=5.0)
-        real = rc.CrossSection
+        real = rc.section_faults
 
-        def third_section_raises(exc):
-            calls = []
+        def third_section_faulty(*args):
+            faults = real(*args)
+            faults[2] = InvalidContourError("fold")
+            return faults
 
-            def make(**kwargs):
-                calls.append(kwargs)
-                if len(calls) == 3:
-                    raise exc
-                return real(**kwargs)
+        def check_raises(*args):
+            raise RuntimeError("bug")
 
-            return make
-
-        monkeypatch.setattr(rc, "CrossSection", third_section_raises(InvalidContourError("fold")))
+        monkeypatch.setattr(rc, "section_faults", third_section_faulty)
         assert len(lift_and_fit(track).sections) == 11
-        monkeypatch.setattr(rc, "CrossSection", third_section_raises(RuntimeError("bug")))
+        monkeypatch.setattr(rc, "section_faults", check_raises)
         with pytest.raises(RuntimeError, match="bug"):
             lift_and_fit(track)
+
+    def test_degenerate_and_folded_rings_are_dropped_in_order(self, caplog):
+        # Slice 5: a star whose first point is its own centroid, so the
+        # ring has no start direction.  Slice 9: a decagon with two
+        # points swapped, which no reordering unfolds.
+        star = np.array(
+            [[0, 0], [3, 0], [2, 2], [0, 3], [-2, 2], [-3, 0], [-2, -2], [0, -3], [2, -2], [0, 0]]
+        ) + np.array([10.0, 8.0])
+        folded = decagon((10.0, 8.0))[[0, 1, 6, 3, 4, 5, 2, 7, 8, 9]]
+        ds = make_set([lambda i: (10.0, 8.0)], 16)
+        per_slice = [list(dets) for dets in ds.per_slice]
+        for i, ring in ((5, star), (9, folded)):
+            per_slice[i] = [dataclasses.replace(per_slice[i][0], contour=ring, center=ring.mean(axis=0))]
+        ds = dataclasses.replace(ds, per_slice=per_slice)
+        (track,) = track_yarns(ds, d_gate=5.0)
+        with caplog.at_level("INFO", logger="textilemodel.reconstruct"):
+            yarn = lift_and_fit(track, n_controls=4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping degenerate section at slice 5",
+            "dropping invalid section at slice 9",
+        ]
+        assert len(yarn.sections) == 14
+        # The kept centres are the lifted detection centres of the other slices.
+        kept = [i for i in range(16) if i not in (5, 9)]
+        assert np.array_equal(yarn.centers[:, 0], np.array(kept) + 0.5)
 
     def test_stations_are_arc_lengths(self):
         ds = make_set([lambda i: (10.0 + 2.0 * i, 8.0)], 16)

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from textilemodel.errors import ConfigError, InsufficientDataError
 from textilemodel.geometry import bspline_fit, ellipse_section
-from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock
+from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock, perturb_model
 from textilemodel.validate import (
     HEX_PACKING_LIMIT,
     PathReport,
@@ -198,6 +198,21 @@ class TestVfDistribution:
         assert rep.n_capped == len(rep.values)
         assert rep.n_over_hex_limit == len(rep.values)
         assert np.all(rep.values == 1.0)
+
+    def test_equals_a_loop_of_fiber_volume_fraction(self):
+        # Noisy rings spread the areas, and a radius that puts Vf = 1 at
+        # the median area makes capped, over-hex-limit and plain sections.
+        model = perturb_model(tiny_model(), contour_sigma=0.3, seed=3)
+        areas = [s.area() for y in model.yarns for s in y.sections]
+        fibers = FiberSpec(fiber_radius=math.sqrt(np.median(areas) / (math.pi * 100)), fibers_per_yarn=100)
+        rep = vf_distribution(model.yarns, fibers)
+        loop = [[fiber_volume_fraction(s, fibers) for s in y.sections] for y in model.yarns]
+        flat = [vf for per_yarn in loop for vf in per_yarn]
+        assert np.array_equal(rep.values, [vf.value for vf in flat])
+        assert rep.per_yarn_mean == tuple(float(np.mean([vf.value for vf in p])) for p in loop)
+        assert rep.n_capped == sum(vf.capped for vf in flat)
+        assert rep.n_over_hex_limit == sum(vf.over_hex_limit for vf in flat)
+        assert 0 < rep.n_capped < rep.n_over_hex_limit < len(flat)
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
