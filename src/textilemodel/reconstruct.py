@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -258,6 +259,33 @@ class ReconstructedYarn:
     def centers(self) -> np.ndarray:
         return np.array([s.center for s in self.sections])
 
+    @property
+    def aligned_rings(self) -> np.ndarray:
+        """Section rings, shape (S, n, 3), each cyclically shifted so
+        that the summed point distance to the previous aligned ring is
+        least."""
+        rings = np.stack([s.contour for s in self.sections])
+        n = rings.shape[1]
+        order = (np.arange(n) + self._ring_shifts[:, None]) % n
+        return np.take_along_axis(rings, order[:, :, None], axis=1)
+
+    # The shift search runs once per yarn; only the S shifts are kept.
+    # cached_property writes the instance __dict__ directly, which a
+    # frozen dataclass allows; replace() builds a fresh, uncached yarn.
+    @cached_property
+    def _ring_shifts(self) -> np.ndarray:
+        rings = np.stack([s.contour for s in self.sections])
+        n = rings.shape[1]
+        shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row o: shift by o
+        best = np.zeros(len(rings), dtype=np.intp)
+        prev = rings[0]
+        for k in range(1, len(rings)):
+            candidates = rings[k][shifts]
+            costs = np.linalg.norm(prev - candidates, axis=2).sum(axis=1)
+            best[k] = np.argmin(costs)
+            prev = candidates[best[k]]
+        return best
+
 
 def _lift(track: YarnTrack, contour: np.ndarray, slice_index) -> np.ndarray:
     """World points of pixel points ``contour`` (n, 2) on slice
@@ -437,20 +465,6 @@ def enclosed_volume(mesh: QuadSurfaceMesh) -> float:
     return float(_signed_tet_volumes(mesh.vertices[tris]).sum())
 
 
-def _aligned_rings(yarn: ReconstructedYarn) -> np.ndarray:
-    """Section rings, shape (S, n, 3), each cyclically shifted so that
-    the summed point distance to the previous aligned ring is least."""
-    rings = np.stack([s.contour for s in yarn.sections])
-    n = rings.shape[1]
-    shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row o: shift by o
-    aligned = rings.copy()
-    for k in range(1, len(rings)):
-        candidates = rings[k][shifts]
-        costs = np.linalg.norm(aligned[k - 1] - candidates, axis=2).sum(axis=1)
-        aligned[k] = candidates[np.argmin(costs)]
-    return aligned
-
-
 def _ring_band(s: int) -> np.ndarray:
     """Lateral quads (a + j, a + jn, b + jn, b + j) between S stacked
     rings of RING_N points, with a = RING_N k, b = a + RING_N and
@@ -469,7 +483,7 @@ def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
     triangles; ring correspondence picks the cyclic offset with least
     twist so the sweep never shears.
     """
-    aligned = _aligned_rings(yarn)
+    aligned = yarn.aligned_rings
     quads = _ring_band(len(aligned))
     # Fans about the two end centres over the first and last ring's edges.
     c0 = np.full(RING_N, RING_N * len(aligned))
@@ -555,7 +569,7 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
     differ slightly (up to 8.6e-4 relative on the 16 yarns of the
     default seed-11 run).
     """
-    aligned = _aligned_rings(yarn)
+    aligned = yarn.aligned_rings
     s = len(aligned)
     band = _ring_band(s)
     c = np.repeat(RING_N * s + np.arange(s - 1), RING_N)

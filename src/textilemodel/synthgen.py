@@ -159,11 +159,11 @@ class TextileModel:
         if abs(z_extent - self.thickness) > 1e-6:
             raise ConfigError("thickness must match the bbox z extent")
         for yarn in yarns:
-            for sec in yarn.sections:
-                if not np.all(self.bbox.contains(sec.contour)):
-                    raise DegenerateGeometryError(
-                        f"yarn {yarn.yarn_id} has keypoints outside the bbox"
-                    )
+            contours = np.concatenate([sec.contour for sec in yarn.sections])
+            if not np.all(self.bbox.contains(contours)):
+                raise DegenerateGeometryError(
+                    f"yarn {yarn.yarn_id} has keypoints outside the bbox"
+                )
         object.__setattr__(self, "yarns", yarns)
 
     @property

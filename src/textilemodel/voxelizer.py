@@ -3,9 +3,18 @@
 A label volume samples the textile on a regular grid: voxel (i, j, k)
 covers the cell starting at ``origin + (i, j, k) * voxel_size`` and its
 center sits half a voxel further.  Label 0 is matrix/background, yarn
-labels are the yarn ids.  Overlapping yarns resolve to the yarn whose
-nearest section center is closest, with the smaller label winning ties,
-so the result does not depend on paint order.
+labels are the yarn ids.
+
+Yarns are painted as linear lofts of their cross-section rings.
+``paint_labels`` takes the ring segments (between consecutive sections)
+in blocks whose padded voxel boxes hold at most ``PAINT_BLOCK`` voxels
+and ray-casts their candidate voxels ``RAY_CHUNK`` at a time, so its
+working set follows those constants (and the largest single box), not
+the grid size.  Each voxel goes to its candidate with the least
+(squared distance to the segment's nearer section center, yarn id,
+segment id); one ``lexsort`` per block finds that minimum exactly, so
+overlapping yarns resolve to the nearest section center, the smaller
+label winning ties, whatever the paint order and block size.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from .synthgen import TextileModel
 
 DEFAULT_VOXEL_BUDGET = 2**28
 RENDER_SLAB = 16  # x-planes rendered per float64 working slab
+PAINT_BLOCK = 2**13  # padded box voxels per block of painted segments
+RAY_CHUNK = 2**11  # candidate points per ray-cast chunk
 
 AXIS_XZ = "xz"  # one slice per y index, image axes (x, z)
 AXIS_YZ = "yz"  # one slice per x index, image axes (y, z)
@@ -135,130 +146,251 @@ def _ring_normals(rings: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return normals / lengths
 
 
-def _center_d2(p, c0, c1):
-    """Squared distance from each point to the nearer of two section centers."""
-    return np.minimum(((p - c0) ** 2).sum(axis=1), ((p - c1) ** 2).sum(axis=1))
+def _center_d2(p, seg, tab: _Segments) -> np.ndarray:
+    """Squared distance from points ``p`` (3, K) to the nearer section
+    center of their segments ``seg``, summed over x, y, z in order."""
+    d2 = []
+    for c in (tab.c0, tab.c1):
+        sq = [(p[d] - c[d].take(seg)) ** 2 for d in range(3)]
+        d2.append((sq[0] + sq[1]) + sq[2])
+    return np.minimum(*d2)
 
 
-def _paint_segment(owner, seg, seg_yarn, seg_c0, seg_c1, r0, r1, n0, n1, origin, voxel_size):
-    """Claim for segment ``seg`` the voxels inside its loft that it wins.
+@dataclass(frozen=True)
+class _Segments:
+    """Per-segment tables of the lofted yarns; row 0 is "no owner".
 
-    ``owner`` holds the global segment id of each voxel's current
-    winner, 0 meaning none.  The winner's distance is recomputed with
-    the same elementwise expression, so comparisons see the exact
-    value the winner was admitted with.
+    Segment k of a yarn runs from section k to section k + 1.  Vectors
+    are stored as component planes: ``c0[d]`` is the d-th coordinate of
+    every segment's start center.  Ring rows hold the n ring points and
+    then the first again, closing the ring; a ring with fewer points
+    than the longest repeats its last point, which only adds
+    zero-length edges that no ray crosses.
     """
-    dims = owner.shape
-    yarn_id = seg_yarn[seg]
-    c0, c1 = seg_c0[seg], seg_c1[seg]
-    lo = np.minimum(r0.min(axis=0), r1.min(axis=0))
-    hi = np.maximum(r0.max(axis=0), r1.max(axis=0))
-    i_lo = np.maximum(np.floor((lo - origin) / voxel_size - 0.5).astype(int), 0)
-    i_hi = np.minimum(np.ceil((hi - origin) / voxel_size - 0.5).astype(int), np.array(dims) - 1)
-    if np.any(i_lo > i_hi):
-        return
-    ax = [origin[d] + (np.arange(i_lo[d], i_hi[d] + 1) + 0.5) * voxel_size for d in range(3)]
-    px, py, pz = np.meshgrid(*ax, indexing="ij")
-    pts = np.stack([px, py, pz], axis=-1).reshape(-1, 3)
 
-    d0 = (pts - c0) @ n0
-    d1 = (pts - c1) @ n1
-    between = (d0 >= 0.0) & (d1 < 0.0)
-    if not between.any():
-        return
-    p = pts[between]
-    s = (d0[between] / (d0[between] - d1[between]))[:, None]
+    yarn: np.ndarray  # (N,) yarn id
+    c0: np.ndarray  # (3, N) start and end section centers
+    c1: np.ndarray
+    n0: np.ndarray  # (3, N) start and end plane normals, and n1 - n0
+    n1: np.ndarray
+    dn: np.ndarray
+    r0: np.ndarray  # (3, n + 1, N) start ring, and end ring minus start ring
+    dr: np.ndarray
+    lo: np.ndarray  # (N, 3) lowest voxel index of the segment's box
+    shape: np.ndarray  # (N, 3) box shape, all 0 where the box misses the grid
 
-    ring = r0[None, :, :] + s[:, :, None] * (r1 - r0)[None, :, :]
-    normal = n0 + s * (n1 - n0)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    @staticmethod
+    def build(geoms, dims, origin, voxel_size) -> _Segments:
+        n_pts = max(rings.shape[1] for _, rings, _ in geoms)
+        cols = {key: [] for key in ("yarn", "c0", "c1", "n0", "n1", "r0", "r1")}
+        for yarn_id, rings, centers in geoms:
+            normals = _ring_normals(rings, centers)
+            pad = np.repeat(rings[:, -1:], n_pts - rings.shape[1], axis=1)
+            rings = np.concatenate([rings, pad, rings[:, :1]], axis=1)
+            cols["yarn"].append(np.full(len(rings) - 1, yarn_id, dtype=np.uint16))
+            for key, arr in (("c", centers), ("n", normals), ("r", rings)):
+                cols[key + "0"].append(arr[:-1])
+                cols[key + "1"].append(arr[1:])
+        t = {key: _with_none_row(parts) for key, parts in cols.items()}
+        lo = np.minimum(t["r0"].min(axis=1), t["r1"].min(axis=1))
+        hi = np.maximum(t["r0"].max(axis=1), t["r1"].max(axis=1))
+        i_lo = np.maximum(np.floor((lo - origin) / voxel_size - 0.5).astype(int), 0)
+        i_hi = np.minimum(np.ceil((hi - origin) / voxel_size - 0.5).astype(int), np.array(dims) - 1)
+        shape = i_hi - i_lo + 1
+        shape[(shape <= 0).any(axis=1)] = 0
+        shape[0] = 0
+        # Component planes: (3, N) vectors and (3, n + 1, N) rings.
+        planes = {key: np.ascontiguousarray(t[key].T) for key in t}
+        return _Segments(
+            yarn=t["yarn"],
+            c0=planes["c0"],
+            c1=planes["c1"],
+            n0=planes["n0"],
+            n1=planes["n1"],
+            dn=planes["n1"] - planes["n0"],
+            r0=planes["r0"],
+            dr=planes["r1"] - planes["r0"],
+            lo=i_lo,
+            shape=shape,
+        )
 
-    # Stable in-plane frame: e2 toward +z (or +x for near-vertical planes).
-    zdot = normal[:, 2]
-    ref = np.where(
-        (np.abs(zdot) > 0.99)[:, None], [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
-    )
-    e2 = ref - (ref * normal).sum(axis=1, keepdims=True) * normal
-    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
-    e1 = np.cross(e2, normal)
 
-    rel = ring - p[:, None, :]
-    u = (rel * e1[:, None, :]).sum(axis=2)
-    v = (rel * e2[:, None, :]).sum(axis=2)
+def _with_none_row(parts) -> np.ndarray:
+    """Concatenated per-yarn segment rows behind a zero row for segment 0."""
+    rows = np.concatenate(parts)
+    return np.concatenate([np.zeros((1,) + rows.shape[1:], dtype=rows.dtype), rows])
 
-    # Ray casting from the voxel center along +u.
-    u2, v2 = np.roll(u, -1, axis=1), np.roll(v, -1, axis=1)
-    straddle = (v > 0.0) != (v2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_hit = u + (0.0 - v) * (u2 - u) / (v2 - v)
-    crossings = (straddle & (x_hit > 0.0)).sum(axis=1)
-    inside = (crossings % 2) == 1
-    if not inside.any():
-        return
 
-    p = p[inside]
-    cand_d2 = _center_d2(p, c0, c1)
-    sub_shape = tuple(i_hi - i_lo + 1)
-    idx = np.flatnonzero(between)[inside]
-    ii, jj, kk = np.unravel_index(idx, sub_shape)
-    ii = ii + i_lo[0]
-    jj = jj + i_lo[1]
-    kk = kk + i_lo[2]
-    cur = owner[ii, jj, kk]
+def _blocks(sizes: np.ndarray):
+    """Runs of consecutive segments with non-empty boxes, each at most
+    ``PAINT_BLOCK`` voxels once every box is padded to the run's largest.
+
+    A run holds only one-voxel boxes or none: numpy takes a one-row
+    matrix-vector product as a BLAS dot, which can round differently
+    from the matrix-vector kernel of larger boxes.
+    """
+    block, widest = [], 0
+    for seg in np.flatnonzero(sizes).tolist():
+        m = int(sizes[seg])
+        if block and (
+            max(widest, m) * (len(block) + 1) > PAINT_BLOCK or (m == 1) != (widest == 1)
+        ):
+            yield np.array(block)
+            block, widest = [], 0
+        block.append(seg)
+        widest = max(widest, m)
+    if block:
+        yield np.array(block)
+
+
+def _inside_rings(seg, p, s, tab: _Segments) -> np.ndarray:
+    """Whether point ``p[:, i]`` lies inside segment ``seg[i]``'s ring
+    lofted to fraction ``s[i]``, by a ray cast along the in-plane +u
+    axis; ``RAY_CHUNK`` points at a time.
+
+    Vectors are kept as component planes; every sum, norm and cross
+    product adds its terms in the order numpy's length-3 versions do,
+    so the result is bit for bit that of the (point, vertex, axis)
+    array form.
+    """
+    inside = np.empty(len(seg), dtype=bool)
+    for a in range(0, len(seg), RAY_CHUNK):
+        sl = slice(a, a + RAY_CHUNK)
+        sg, sc = seg[sl], s[sl]
+        n = [tab.n0[d].take(sg) + sc * tab.dn[d].take(sg) for d in range(3)]
+        length = np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+        n = [c / length for c in n]
+
+        # Stable in-plane frame: e2 toward +z (or +x for near-vertical planes).
+        vertical = np.abs(n[2]) > 0.99
+        ref = (vertical.astype(float), 0.0, (~vertical).astype(float))
+        dot = (ref[0] * n[0] + ref[1] * n[1]) + ref[2] * n[2]
+        e2 = [r - dot * c for r, c in zip(ref, n)]
+        length = np.sqrt((e2[0] * e2[0] + e2[1] * e2[1]) + e2[2] * e2[2])
+        e2 = [c / length for c in e2]
+        e1 = [e2[1] * n[2] - e2[2] * n[1], e2[2] * n[0] - e2[0] * n[2], e2[0] * n[1] - e2[1] * n[0]]
+
+        # In-plane coordinates (u, v) of the lofted ring about each
+        # point, one row per ring point.
+        for d in range(3):
+            rel = tab.dr[d].take(sg, axis=1)
+            rel *= sc
+            rel += tab.r0[d].take(sg, axis=1)
+            rel -= p[d][sl]
+            if d == 0:
+                u, v = rel * e1[0], rel * e2[0]
+            else:
+                u += rel * e1[d]
+                v += rel * e2[d]
+
+        # Ray casting from the voxel center along +u: count the edges
+        # (ring point j, j + 1) that cross the ray.
+        ua, ub, va, vb = u[:-1], u[1:], v[:-1], v[1:]
+        straddle = (va > 0.0) != (vb > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_hit = ua + (0.0 - va) * (ub - ua) / (vb - va)
+        straddle &= x_hit > 0.0
+        inside[sl] = np.bitwise_xor.reduce(straddle, axis=0)
+    return inside
+
+
+def _paint_block(owner, segs, tab: _Segments, axes) -> None:
+    """Claim for the segments ``segs`` the voxels inside their lofts
+    that they win.
+
+    ``owner`` is the flat grid of winning segment ids, 0 meaning none.
+    A winner's distance is recomputed with the same expression it was
+    admitted with, so comparisons are exact.
+    """
+    _, ny, nz = (len(a) for a in axes)
+    shape = tab.shape[segs]
+    size = shape.prod(axis=1)
+    # Row b walks box b in C order; padding repeats its last voxel.
+    t = np.minimum(np.arange(size.max()), size[:, None] - 1)
+    ijk = [t // shape[:, 1:2] // shape[:, 2:], t // shape[:, 2:] % shape[:, 1:2], t % shape[:, 2:]]
+    pts = np.empty(t.shape + (3,))
+    for d in range(3):
+        ijk[d] += tab.lo[segs, d, None]
+        pts[..., d] = axes[d].take(ijk[d])
+    # One BLAS matrix-vector product per box and plane, as for a lone box.
+    dist = []
+    for c, n in ((tab.c0, tab.n0), (tab.c1, tab.n1)):
+        normals = np.ascontiguousarray(n.take(segs, axis=1).T)[:, :, None]
+        dist.append(np.matmul(pts - c.take(segs, axis=1).T[:, None], normals).reshape(-1))
+    d0, d1 = dist
+    between = (d0 >= 0.0) & (d1 < 0.0) & (np.arange(t.shape[1]) < size[:, None]).reshape(-1)
+    idx = np.flatnonzero(between)
+    seg = segs.take(idx // t.shape[1])
+    ijk = [a.reshape(-1).take(idx) for a in ijk]
+    p = [axes[d].take(ijk[d]) for d in range(3)]
+    d0, d1 = d0.take(idx), d1.take(idx)
+    inside = np.flatnonzero(_inside_rings(seg, p, d0 / (d0 - d1), tab))
+    seg, p, ijk = seg.take(inside), [c.take(inside) for c in p], [a.take(inside) for a in ijk]
+    vox = (ijk[0] * ny + ijk[1]) * nz + ijk[2]
+
+    # The block's winner per voxel is its (d2, yarn, segment) minimum,
+    # the order in which the rule below admits rivals.
+    d2 = _center_d2(p, seg, tab)
+    yarn = tab.yarn.take(seg)
+    order = np.lexsort((seg, yarn, d2, vox))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = vox.take(order[1:]) != vox.take(order[:-1])
+    win = order[first]
+    vox, seg, d2, yarn = vox.take(win), seg.take(win), d2.take(win), yarn.take(win)
+    p = [c.take(win) for c in p]
+
+    # Earlier blocks hold smaller segment ids, so a tie on (d2, yarn)
+    # keeps the current owner.
+    cur = owner.take(vox)
     cur_d2 = np.full(len(cur), np.inf)
-    owned = cur > 0
-    if owned.any():
-        rival = cur[owned]
-        cur_d2[owned] = _center_d2(p[owned], seg_c0[rival], seg_c1[rival])
-    take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (yarn_id < seg_yarn[cur]))
-    owner[ii[take], jj[take], kk[take]] = seg
+    owned = np.flatnonzero(cur)
+    if len(owned):
+        cur_d2[owned] = _center_d2([c.take(owned) for c in p], cur.take(owned), tab)
+    take = (d2 < cur_d2) | ((d2 == cur_d2) & (yarn < tab.yarn.take(cur)))
+    owner[vox[take]] = seg[take]
 
 
 def paint_labels(yarn_geoms, dims, origin, voxel_size) -> np.ndarray:
     """Rasterize lofted yarns onto a label grid.
 
     ``yarn_geoms`` yields (yarn_id, rings, centers) with rings shaped
-    (S, 10, 3).  Cross-sections are lofted linearly between stations;
-    a voxel center belongs to a yarn when it falls inside the
-    interpolated ring polygon between two consecutive section planes.
+    (S, n, 3).  Cross-sections are lofted linearly between stations;
+    a voxel center belongs to a segment when it falls between the two
+    section planes and inside the interpolated ring polygon there.
+    Each voxel takes the yarn of its lexicographically least candidate
+    (d2, yarn id, segment id), d2 being the squared distance to the
+    segment's nearer section center.
 
-    The only full grid besides the result is one owner grid of segment
-    ids in the smallest unsigned dtype that holds them; each winner's
-    distance is recomputed from small per-segment tables when needed.
+    Segments are painted in blocks of consecutive ids.  One ``lexsort``
+    reduces a block's candidates to a winner per voxel, which then
+    meets the voxel's current owner with the rule of painting one
+    segment at a time; the labels are exactly those of that serial
+    painter.  Memory: a block's voxel boxes, each padded to the block's
+    largest, hold at most ``PAINT_BLOCK`` voxels (a lone larger box is
+    a block of its own), and the ray cast holds ``RAY_CHUNK`` points by
+    ring points at a time.  The only full grid is the owner grid of
+    segment ids, uint16 up to 65535 segments; it then becomes the
+    result, its ids mapped to yarn ids in place.
     """
     origin = np.asarray(origin, dtype=float).reshape(3)
     geoms = [
         (yarn_id, np.asarray(rings, dtype=float), np.asarray(centers, dtype=float))
         for yarn_id, rings, centers in yarn_geoms
     ]
-    # Segment k of a yarn runs from centers[k] to centers[k + 1]; global
-    # segment 0 is "no owner" and maps to label 0.
-    seg_yarn = np.array(
-        [0] + [yarn_id for yarn_id, rings, _ in geoms for _ in range(len(rings) - 1)],
-        dtype=np.uint16,
-    )
-    seg_c0 = np.concatenate([np.zeros((1, 3))] + [centers[:-1] for _, _, centers in geoms])
-    seg_c1 = np.concatenate([np.zeros((1, 3))] + [centers[1:] for _, _, centers in geoms])
-    owner = np.zeros(dims, dtype=np.min_scalar_type(len(seg_yarn) - 1))
-    seg = 0
-    for _, rings, centers in geoms:
-        normals = _ring_normals(rings, centers)
-        for k in range(len(rings) - 1):
-            seg += 1
-            _paint_segment(
-                owner,
-                seg,
-                seg_yarn,
-                seg_c0,
-                seg_c1,
-                rings[k],
-                rings[k + 1],
-                normals[k],
-                normals[k + 1],
-                origin,
-                voxel_size,
-            )
-    return seg_yarn[owner]
+    if not geoms:
+        return np.zeros(dims, dtype=np.uint16)
+    tab = _Segments.build(geoms, dims, origin, voxel_size)
+    axes = [origin[d] + (np.arange(dims[d]) + 0.5) * voxel_size for d in range(3)]
+    ids = np.promote_types(np.min_scalar_type(len(tab.yarn) - 1), np.uint16)
+    owner = np.zeros(int(np.prod(dims)), dtype=ids)
+    for segs in _blocks(tab.shape.prod(axis=1)):
+        _paint_block(owner, segs, tab, axes)
+    if owner.dtype != np.uint16:
+        return tab.yarn[owner].reshape(dims)
+    # Segment ids become yarn ids in place, a slab at a time.
+    for a in range(0, len(owner), PAINT_BLOCK):
+        owner[a : a + PAINT_BLOCK] = tab.yarn[owner[a : a + PAINT_BLOCK]]
+    return owner.reshape(dims)
 
 
 def voxelize(

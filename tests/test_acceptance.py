@@ -15,8 +15,9 @@ from scipy.spatial.distance import cdist
 
 from textilemodel.cli import main
 from textilemodel.geometry import Box, ellipse_section, section_area
-from textilemodel.pipeline import PipelineConfig, stage_seed
+from textilemodel.pipeline import PipelineConfig, grid_box, stage_seed
 from textilemodel.reconstruct import (
+    build_composite_mesh,
     build_surface_mesh,
     build_volume_mesh,
     enclosed_volume,
@@ -41,6 +42,8 @@ from textilemodel.validate import (
     vf_distribution,
 )
 from textilemodel.voxelizer import compute_dims, extract_slices, slice_count, voxelize
+
+from test_voxelizer import ref_serial_paint_labels
 
 MICRO_CT_VOXEL = 0.02  # mm
 
@@ -211,6 +214,29 @@ def test_reconstructed_meshes_are_watertight_and_volume_consistent(clean_chain):
     print(
         f"\nmesh integrity: 16 yarns watertight, Euler 2, wedge vs surface "
         f"volume worst {worst_rel:.2e} rel (limit 1e-2), {elapsed:.1f} s"
+    )
+
+
+def test_composite_mesh_labels_match_the_serial_painter(clean_chain):
+    # The pipeline's composite grid: coarse cells over the label grid's box.
+    vol, yarns = clean_chain.volume, clean_chain.yarns
+    box = grid_box(vol.origin, vol.dims, vol.voxel_size)
+    cell = PipelineConfig().reconstruct.composite_cell
+    t0 = time.perf_counter()
+    mesh = build_composite_mesh(yarns, box, cell_size=cell)
+    elapsed = time.perf_counter() - t0
+
+    dims = compute_dims(box, cell)
+    geoms = [
+        (i + 1, np.stack([s.contour for s in y.sections]), y.centers)
+        for i, y in enumerate(yarns)
+    ]
+    ref = ref_serial_paint_labels(geoms, dims, box.lo, cell)
+    assert np.array_equal(mesh.hex_labels, ref.reshape(-1))
+    assert set(np.unique(mesh.hex_labels)) == set(range(len(yarns) + 1))
+    print(
+        f"\ncomposite mesh: {dims} cells of {cell:g}, labels equal to the serial "
+        f"painter over {sum(len(y.sections) - 1 for y in yarns)} segments, {elapsed:.3f} s"
     )
 
 

@@ -28,7 +28,6 @@ from textilemodel.reconstruct import (
     ReconstructedYarn,
     VolumeMesh,
     YarnTrack,
-    _aligned_rings,
     build_composite_mesh,
     build_surface_mesh,
     build_volume_mesh,
@@ -370,8 +369,8 @@ def curved_yarn(n_secs=12, radius=20.0, sweep=0.8, axes=None, rolls=None, twists
     )
 
 
-# Per-ring scalar reference for _aligned_rings: each cyclic offset
-# scored in its own pass against the previous aligned ring.
+# Per-ring scalar reference for ReconstructedYarn.aligned_rings: each
+# cyclic offset scored in its own pass against the previous aligned ring.
 def ref_aligned_rings(yarn):
     rings = np.stack([s.contour for s in yarn.sections])
     s, n, _ = rings.shape
@@ -462,7 +461,7 @@ class TestSurfaceMesh:
             + yarn.sections[2:],
             completed_flags=yarn.completed_flags,
         )
-        aligned = _aligned_rings(rolled)
+        aligned = rolled.aligned_rings
         # undoes np.roll(+3)
         assert np.array_equal(aligned[1], np.roll(rolled.sections[1].contour, -3, axis=0))
         v0 = enclosed_volume(build_surface_mesh(yarn))
@@ -489,7 +488,7 @@ class TestSurfaceMesh:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         twists = list(rng.uniform(0.0, 2 * math.pi, n_secs))
         yarn = curved_yarn(n_secs, radius, sweep, axes=axes, rolls=rolls, twists=twists)
-        assert np.array_equal(_aligned_rings(yarn), ref_aligned_rings(yarn))
+        assert np.array_equal(yarn.aligned_rings, ref_aligned_rings(yarn))
 
     def test_vectorised_kernels_match_scalar_reference(self):
         yarn = curved_yarn()
@@ -604,7 +603,7 @@ class TestCompositeMesh:
 # builders emit them, with the same orientation flips.
 def ref_surface_mesh(yarn):
     """(mesh, flipped) built face by face."""
-    aligned = _aligned_rings(yarn)
+    aligned = yarn.aligned_rings
     s = len(aligned)
     centers = np.array([sec.center for sec in yarn.sections])
     vertices = np.vstack([aligned.reshape(-1, 3), centers[0], centers[-1]])
@@ -628,7 +627,7 @@ def ref_surface_mesh(yarn):
 def ref_volume_mesh(yarn, label):
     """(mesh, flipped) built cell by cell."""
     s = len(yarn.sections)
-    vertices = np.vstack([_aligned_rings(yarn).reshape(-1, 3), yarn.centers])
+    vertices = np.vstack([yarn.aligned_rings.reshape(-1, 3), yarn.centers])
     c = 10 * s
     wedges = []
     for k in range(s - 1):

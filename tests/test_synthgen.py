@@ -5,7 +5,7 @@ import pytest
 
 from textilemodel import geometry as geo
 from textilemodel import synthgen as sg
-from textilemodel.errors import ConfigError, InfeasibleWeaveError
+from textilemodel.errors import ConfigError, DegenerateGeometryError, InfeasibleWeaveError
 
 
 def desk_spec(**overrides):
@@ -84,6 +84,25 @@ class TestGenerateInterlock:
         for yarn in desk_model.yarns:
             for sec in yarn.sections:
                 assert np.all(desk_model.bbox.contains(sec.contour))
+
+    def test_first_yarn_outside_the_bbox_is_named(self, desk_model):
+        # Trim the box on +y: the high-y warps and every weft poke out.
+        hi = desk_model.bbox.hi - np.array([0.0, 30.0, 0.0])
+        box = geo.Box(lo=desk_model.bbox.lo, hi=hi)
+        first = next(
+            y.yarn_id
+            for y in desk_model.yarns
+            if any(not np.all(box.contains(s.contour)) for s in y.sections)
+        )
+        assert 1 < first < 9
+        message = rf"^yarn {first} has keypoints outside the bbox$"
+        with pytest.raises(DegenerateGeometryError, match=message):
+            sg.TextileModel(
+                yarns=desk_model.yarns,
+                bbox=box,
+                thickness=desk_model.thickness,
+                spec=desk_model.spec,
+            )
 
     def test_thickness_matches_bbox(self, desk_model):
         assert abs(desk_model.bbox.extent[2] - desk_model.thickness) < 1e-12

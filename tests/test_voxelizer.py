@@ -1,5 +1,6 @@
 """Label volumes, slicing, pseudo-CT rendering, and raw+JSON persistence."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textilemodel import voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
 from textilemodel.geometry import Box, ellipse_section
 from textilemodel.synthgen import WeaveSpec, generate_interlock
@@ -226,9 +228,10 @@ class TestVolumeIO:
         assert meta["dtype"] == "<u2"
 
 
-# Full-volume references for the streamed kernels: the renderer that
-# built whole-grid float64 temporaries, and the painter that kept a
-# whole-grid float64 distance beside the labels.
+# References for the streamed and batched kernels: the renderer that
+# built whole-grid float64 temporaries, the painter that kept a
+# whole-grid float64 distance beside the labels, and the painter that
+# claimed voxels one segment at a time into one owner grid.
 
 
 def ref_render_pseudo_ct(volume, params):
@@ -346,6 +349,100 @@ def ref_paint_labels(yarn_geoms, dims, origin, voxel_size):
     return labels
 
 
+def ref_serial_paint_segment(owner, seg, seg_yarn, seg_c0, seg_c1, r0, r1, n0, n1, origin, voxel_size):
+    dims = owner.shape
+    yarn_id = seg_yarn[seg]
+    c0, c1 = seg_c0[seg], seg_c1[seg]
+    lo = np.minimum(r0.min(axis=0), r1.min(axis=0))
+    hi = np.maximum(r0.max(axis=0), r1.max(axis=0))
+    i_lo = np.maximum(np.floor((lo - origin) / voxel_size - 0.5).astype(int), 0)
+    i_hi = np.minimum(np.ceil((hi - origin) / voxel_size - 0.5).astype(int), np.array(dims) - 1)
+    if np.any(i_lo > i_hi):
+        return
+    ax = [origin[d] + (np.arange(i_lo[d], i_hi[d] + 1) + 0.5) * voxel_size for d in range(3)]
+    px, py, pz = np.meshgrid(*ax, indexing="ij")
+    pts = np.stack([px, py, pz], axis=-1).reshape(-1, 3)
+
+    d0 = (pts - c0) @ n0
+    d1 = (pts - c1) @ n1
+    between = (d0 >= 0.0) & (d1 < 0.0)
+    if not between.any():
+        return
+    p = pts[between]
+    s = (d0[between] / (d0[between] - d1[between]))[:, None]
+
+    ring = r0[None, :, :] + s[:, :, None] * (r1 - r0)[None, :, :]
+    normal = n0 + s * (n1 - n0)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+
+    zdot = normal[:, 2]
+    ref = np.where(
+        (np.abs(zdot) > 0.99)[:, None], [[1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
+    )
+    e2 = ref - (ref * normal).sum(axis=1, keepdims=True) * normal
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    e1 = np.cross(e2, normal)
+
+    rel = ring - p[:, None, :]
+    u = (rel * e1[:, None, :]).sum(axis=2)
+    v = (rel * e2[:, None, :]).sum(axis=2)
+
+    u2, v2 = np.roll(u, -1, axis=1), np.roll(v, -1, axis=1)
+    straddle = (v > 0.0) != (v2 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_hit = u + (0.0 - v) * (u2 - u) / (v2 - v)
+    crossings = (straddle & (x_hit > 0.0)).sum(axis=1)
+    inside = (crossings % 2) == 1
+    if not inside.any():
+        return
+
+    p = p[inside]
+    cand_d2 = np.minimum(((p - c0) ** 2).sum(axis=1), ((p - c1) ** 2).sum(axis=1))
+    sub_shape = tuple(i_hi - i_lo + 1)
+    idx = np.flatnonzero(between)[inside]
+    ii, jj, kk = np.unravel_index(idx, sub_shape)
+    ii = ii + i_lo[0]
+    jj = jj + i_lo[1]
+    kk = kk + i_lo[2]
+    cur = owner[ii, jj, kk]
+    cur_d2 = np.full(len(cur), np.inf)
+    owned = cur > 0
+    if owned.any():
+        rival = cur[owned]
+        q = p[owned]
+        cur_d2[owned] = np.minimum(
+            ((q - seg_c0[rival]) ** 2).sum(axis=1), ((q - seg_c1[rival]) ** 2).sum(axis=1)
+        )
+    take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (yarn_id < seg_yarn[cur]))
+    owner[ii[take], jj[take], kk[take]] = seg
+
+
+def ref_serial_paint_labels(yarn_geoms, dims, origin, voxel_size):
+    """One segment at a time into one grid of owner segment ids."""
+    origin = np.asarray(origin, dtype=float).reshape(3)
+    geoms = [
+        (yarn_id, np.asarray(rings, dtype=float), np.asarray(centers, dtype=float))
+        for yarn_id, rings, centers in yarn_geoms
+    ]
+    seg_yarn = np.array(
+        [0] + [yarn_id for yarn_id, rings, _ in geoms for _ in range(len(rings) - 1)],
+        dtype=np.uint16,
+    )
+    seg_c0 = np.concatenate([np.zeros((1, 3))] + [centers[:-1] for _, _, centers in geoms])
+    seg_c1 = np.concatenate([np.zeros((1, 3))] + [centers[1:] for _, _, centers in geoms])
+    owner = np.zeros(dims, dtype=np.min_scalar_type(len(seg_yarn) - 1))
+    seg = 0
+    for _, rings, centers in geoms:
+        normals = _ring_normals(rings, centers)
+        for k in range(len(rings) - 1):
+            seg += 1
+            ref_serial_paint_segment(
+                owner, seg, seg_yarn, seg_c0, seg_c1, rings[k], rings[k + 1],
+                normals[k], normals[k + 1], origin, voxel_size,
+            )
+    return seg_yarn[owner]
+
+
 def random_label_volume(rng, nx, label_map):
     data = rng.integers(0, 6, size=(nx, 7, 5)).astype(np.uint16)
     origin = rng.uniform(-5.0, 5.0, size=3)
@@ -399,6 +496,19 @@ def tube_geom(yarn_id, start, direction, length, a, b, n_rings, jitter):
     return yarn_id, np.stack([s.contour for s in secs]), np.array([s.center for s in secs])
 
 
+def tilted_tube(rng, yarn_id, direction, mid, voxel_size):
+    """A random elliptic tube 30 voxels long along ``direction``, near ``mid``."""
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    length = 30.0 * voxel_size
+    n_rings = int(rng.integers(2, 6))
+    b = rng.uniform(1.5, 4.0) * voxel_size
+    a = b * rng.uniform(1.0, 1.8)
+    jitter = rng.normal(scale=0.3 * voxel_size, size=(n_rings, 3))
+    start = mid - direction * length / 2.0 + rng.normal(scale=2.0 * voxel_size, size=3)
+    return tube_geom(yarn_id, start, direction, length, a, b, n_rings, jitter)
+
+
 @st.composite
 def crossing_tubes(draw):
     """Two to four random elliptic tubes through the middle of a small grid."""
@@ -410,28 +520,175 @@ def crossing_tubes(draw):
     ids = rng.choice(np.arange(1, 9), size=draw(st.integers(2, 4)), replace=False)
     geoms = []
     for yid in ids:
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        length = 30.0 * voxel_size
-        n_rings = int(rng.integers(2, 6))
-        b = rng.uniform(1.5, 4.0) * voxel_size
-        a = b * rng.uniform(1.0, 1.8)
-        jitter = rng.normal(scale=0.3 * voxel_size, size=(n_rings, 3))
-        start = mid - direction * length / 2.0 + rng.normal(scale=2.0 * voxel_size, size=3)
-        geoms.append(tube_geom(int(yid), start, direction, length, a, b, n_rings, jitter))
+        geoms.append(tilted_tube(rng, int(yid), rng.normal(size=3), mid, voxel_size))
     return geoms, dims, origin, voxel_size
+
+
+def assert_paints_like_references(geoms, dims, origin, voxel_size):
+    got = paint_labels(geoms, dims, origin, voxel_size)
+    assert got.dtype == np.uint16 and got.shape == tuple(dims)
+    assert np.array_equal(got, ref_serial_paint_labels(geoms, dims, origin, voxel_size))
+    assert np.array_equal(got, ref_paint_labels(geoms, dims, origin, voxel_size))
+    # Order independence: the label is the (d^2, yarn id) minimum.
+    assert np.array_equal(got, paint_labels(geoms[::-1], dims, origin, voxel_size))
+    return got
+
+
+# Blocks from one segment at a time and ray-cast chunks from a few
+# points, up to the shipped constants.
+block_sizes = st.sampled_from([1, 40, 300, 2**14])
+chunk_sizes = st.sampled_from([7, 64, 2**12])
+
+
+@contextlib.contextmanager
+def paint_in_blocks(block, chunk):
+    """Paint with the given segment-block and ray-chunk sizes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voxelizer, "PAINT_BLOCK", block)
+        mp.setattr(voxelizer, "RAY_CHUNK", chunk)
+        yield
+
+
+@st.composite
+def on_plane_tubes(draw):
+    """Tubes whose sections are centred on voxel centres with normals
+    along lattice directions, so section planes pass through rows of
+    voxel centres: d0 is exactly 0 at each section centre and within
+    rounding of 0 across the plane."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    voxel_size = draw(st.sampled_from([0.5, 1.0]))
+    dims = (17, 17, 17)
+    origin = np.full(3, -8.5 * voxel_size)  # voxel centres at (i - 8) * voxel_size
+    # Axis, face-diagonal and body-diagonal steps between section centres.
+    lattice = [np.array(d) - 1 for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)]
+    geoms = []
+    for yid in rng.choice(np.arange(1, 9), size=draw(st.integers(1, 3)), replace=False):
+        step = lattice[rng.integers(len(lattice))] * int(rng.integers(1, 4))
+        n_rings = int(rng.integers(2, 6))
+        first = rng.integers(-4, 5, size=3) - step * (n_rings // 2)
+        b = rng.uniform(1.5, 3.5) * voxel_size
+        secs = [
+            ellipse_section(
+                center=(first + k * step) * voxel_size,
+                normal=step,
+                a=b * rng.uniform(1.0, 1.6),
+                b=b,
+                station=float(k),
+            )
+            for k in range(n_rings)
+        ]
+        geoms.append(
+            (int(yid), np.stack([s.contour for s in secs]), np.array([s.center for s in secs]))
+        )
+    return geoms, dims, origin, voxel_size
+
+
+@st.composite
+def vertical_tubes(draw):
+    """Tubes running within about 17 degrees of the z axis, so section
+    normals fall on both sides of the |n_z| = 0.99 frame switch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    voxel_size = draw(st.sampled_from([0.7, 1.0]))
+    dims = (18, 18, 20)
+    origin = rng.uniform(-3.0, 3.0, size=3)
+    mid = origin + np.array(dims) * voxel_size / 2.0
+    geoms = []
+    for yid in rng.choice(np.arange(1, 9), size=draw(st.integers(1, 3)), replace=False):
+        tilt = rng.normal(size=2)
+        tilt *= rng.uniform(0.0, 0.3) / np.linalg.norm(tilt)
+        direction = [tilt[0], tilt[1], rng.choice([-1.0, 1.0])]
+        geoms.append(tilted_tube(rng, int(yid), direction, mid, voxel_size))
+    return geoms, dims, origin, voxel_size
+
+
+@st.composite
+def straying_tubes(draw):
+    """Crossing tubes plus one tube wholly outside the grid and one
+    through a corner, whose boxes are empty or clipped to a few voxels."""
+    geoms, dims, origin, voxel_size = draw(crossing_tubes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = np.array(dims) * voxel_size
+    used = {yid for yid, _, _ in geoms}
+    free = [yid for yid in range(1, 12) if yid not in used]
+    away = origin + extent / 2.0
+    away[rng.integers(3)] += rng.choice([-1.0, 1.0]) * 2.0 * extent.max()
+    corner = origin + extent * rng.integers(0, 2, size=3)
+    for yid, mid in zip(free, (away, corner)):
+        geoms.append(tilted_tube(rng, yid, rng.normal(size=3), mid, voxel_size))
+    order = rng.permutation(len(geoms))
+    return [geoms[i] for i in order], dims, origin, voxel_size
+
+
+@st.composite
+def mirror_pairs(draw):
+    """Two equal tubes mirrored about a plane of voxel centres: voxels on
+    that plane reach both yarns at exactly the same squared distance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = float(draw(st.integers(2, 4)))
+    radius = float(draw(st.integers(5, 7)))
+    ids = [int(i) for i in rng.choice(np.arange(1, 9), size=2, replace=False)]
+    geoms = [
+        TestPaint.cylinder_geom(yid, radius, 24.0, (15.5 + sign * gap, 12.0), n_rings=5)
+        for yid, sign in zip(ids, (-1.0, 1.0))
+    ]
+    return geoms, (24, 31, 24), np.zeros(3), 1.0
 
 
 class TestPaintMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(crossing_tubes())
     def test_overlapping_random_tubes(self, case):
+        assert_paints_like_references(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(crossing_tubes(), block_sizes, chunk_sizes)
+    def test_many_blocks_and_chunks(self, case, block, chunk):
+        with paint_in_blocks(block, chunk):
+            assert_paints_like_references(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(on_plane_tubes(), block_sizes)
+    def test_voxel_centres_on_section_planes(self, case, block):
+        with paint_in_blocks(block, 2**12):
+            assert_paints_like_references(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(vertical_tubes())
+    def test_near_vertical_tubes(self, case):
+        assert_paints_like_references(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(straying_tubes(), block_sizes)
+    def test_boxes_outside_and_clipped_by_the_grid(self, case, block):
         geoms, dims, origin, voxel_size = case
-        got = paint_labels(geoms, dims, origin, voxel_size)
-        assert got.dtype == np.uint16
-        assert np.array_equal(got, ref_paint_labels(geoms, dims, origin, voxel_size))
-        # Order independence: the label is the (d^2, yarn id) minimum.
-        assert np.array_equal(got, paint_labels(geoms[::-1], dims, origin, voxel_size))
+        tab = voxelizer._Segments.build(
+            [(y, np.asarray(r), np.asarray(c)) for y, r, c in geoms], dims, origin, voxel_size
+        )
+        assert (tab.shape[1:] == 0).all(axis=1).any()
+        with paint_in_blocks(block, 2**12):
+            assert_paints_like_references(*case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(mirror_pairs(), block_sizes)
+    def test_mirror_ties_in_any_blocking(self, case, block):
+        geoms, dims, origin, voxel_size = case
+        with paint_in_blocks(block, 2**12):
+            got = assert_paints_like_references(*case)
+        # On the mirror plane y = 15.5, voxels inside both tubes are ties.
+        alone = [paint_labels([g], dims, origin, voxel_size)[:, 15, :] > 0 for g in geoms]
+        both = alone[0] & alone[1]
+        assert both.sum() > 50
+        assert (got[:, 15, :][both] == min(g[0] for g in geoms)).all()
+
+    @settings(max_examples=20, deadline=None)
+    @given(crossing_tubes(), st.integers(0, 3))
+    def test_rings_of_different_sizes(self, case, which):
+        # One yarn's rings keep every other point: pentagons among decagons.
+        geoms, dims, origin, voxel_size = case
+        k = which % len(geoms)
+        yid, rings, centers = geoms[k]
+        geoms[k] = (yid, rings[:, ::2], centers)
+        assert_paints_like_references(geoms, dims, origin, voxel_size)
 
     @pytest.mark.parametrize("order", [(2, 5), (5, 2)])
     def test_mirror_pair_ties_go_to_the_smaller_id(self, order):
@@ -446,6 +703,33 @@ class TestPaintMatchesReference:
         tie_row = got[:, 15, :]
         assert (tie_row == 2).sum() > 100 and not (tie_row == 5).any()
         assert np.array_equal(got, ref_paint_labels(geoms, dims, np.zeros(3), 1.0))
+        assert np.array_equal(got, ref_serial_paint_labels(geoms, dims, np.zeros(3), 1.0))
+
+    def test_no_yarns_paint_nothing(self):
+        got = paint_labels([], (3, 4, 5), np.zeros(3), 1.0)
+        assert got.dtype == np.uint16 and got.shape == (3, 4, 5) and not got.any()
+
+
+class TestPaintBlocks:
+    def test_example(self):
+        with paint_in_blocks(12, 2**12):
+            sizes = np.array([0, 4, 4, 1, 1, 1, 0, 3, 20, 2, 1])
+            blocks = [b.tolist() for b in voxelizer._blocks(sizes)]
+        assert blocks == [[1, 2], [3, 4, 5], [7], [8], [9], [10]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=60), st.sampled_from([1, 10, 64, 500]))
+    def test_blocks_cover_boxes_in_order_within_the_bound(self, sizes, limit):
+        sizes = np.array([0] + sizes)
+        with paint_in_blocks(limit, 2**12):
+            blocks = list(voxelizer._blocks(sizes))
+        assert np.concatenate(blocks or [[]]).tolist() == np.flatnonzero(sizes).tolist()
+        for block in blocks:
+            m = sizes[block]
+            assert len(block) == 1 or len(block) * m.max() <= limit
+            # One-voxel boxes never share a block with larger ones: numpy
+            # takes their plane distances as a BLAS dot, not a gemv.
+            assert (m == 1).all() or (m > 1).all()
 
 
 def traced_peak(fn, *args):
