@@ -273,32 +273,53 @@ def resample_arclength(path, n: int, closed: bool = False) -> np.ndarray:
 
     Open paths keep both endpoints; closed paths are sampled at spacing
     L / n starting from the first point, without duplicating the seam.
-    Accepts a BSplineCurve or an (m, 3) array whose consecutive points
-    differ.
+    Accepts a BSplineCurve, an (m, 3) array whose consecutive points
+    differ, or a stack (N, m, 3) of such arrays, which returns (N, n, 3)
+    and raises the error of its first faulty path.
     """
-    pts = _densify(path, n) if isinstance(path, BSplineCurve) else _as_points(path, "path")
+    if isinstance(path, BSplineCurve):
+        path = _densify(path, n)
+    paths = np.asarray(path, dtype=float)
+    single = paths.ndim == 2
+    if single:
+        paths = paths[None]
+    if paths.ndim != 3 or paths.shape[2] != 3:
+        raise DegenerateGeometryError(
+            f"path must have shape (m, 3) or (N, m, 3), got {paths.shape}"
+        )
+    n_min = 3 if closed else 2
+    # Equal consecutive points; a closed one-point path repeats itself.
+    same = np.all(paths[:, 1:] == paths[:, :-1], axis=2).any(axis=1)
+    same |= closed and paths.shape[1] == 1
     if closed:
-        if n < 3:
-            raise DegenerateGeometryError("closed resampling needs n >= 3")
-        if len(pts) >= 2 and np.all(pts[0] == pts[-1]):
-            pts = pts[:-1]
-        ring = np.vstack([pts, pts[0]])
-    else:
-        if n < 2:
-            raise DegenerateGeometryError("open resampling needs n >= 2")
-        ring = pts
-    if np.any(np.all(ring[1:] == ring[:-1], axis=1)):
-        raise DegenerateGeometryError("path has consecutive duplicate points")
-    cum = cumulative_length(ring)
-    total = cum[-1]
-    if total <= 0:
-        raise DegenerateGeometryError(("closed " if closed else "") + "path has zero length")
-    targets = np.arange(n) * total / n if closed else np.linspace(0.0, total, n)
-    out = np.column_stack([np.interp(targets, cum, ring[:, k]) for k in range(3)])
+        # A path that already ends on its first point gets a zero last
+        # step, which no target reaches.
+        paths = np.concatenate([paths, paths[:, :1]], axis=1)
+    with np.errstate(invalid="ignore"):  # non-finite paths are flagged first
+        steps = np.linalg.norm(np.diff(paths, axis=1), axis=2)
+    cum = np.concatenate([np.zeros((len(paths), 1)), np.cumsum(steps, axis=1)], axis=1)
+    finite = np.isfinite(paths).all(axis=(1, 2))
+    bad = np.array([~finite, np.full(len(paths), n < n_min), same, cum[:, -1] <= 0])
+    if bad.any():
+        raise DegenerateGeometryError(
+            (
+                "path contains non-finite values",
+                f"{'closed' if closed else 'open'} resampling needs n >= {n_min}",
+                "path has consecutive duplicate points",
+                ("closed " if closed else "") + "path has zero length",
+            )[bad[:, bad.any(axis=0).argmax()].argmax()]
+        )
+    out = np.empty((len(paths), n, 3))
+    # One np.interp per path and coordinate: interp on concatenated
+    # paths rounds differently.
+    for p, c, o in zip(paths, cum, out):
+        targets = np.arange(n) * c[-1] / n if closed else np.linspace(0.0, c[-1], n)
+        for k in range(3):
+            o[:, k] = np.interp(targets, c, p[:, k])
     if not closed:
-        out[0] = ring[0]
-        out[-1] = ring[-1]
-    return out
+        out[:, 0] = paths[:, 0]
+        out[:, -1] = paths[:, -1]
+    return out[0] if single else out
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -355,28 +376,6 @@ def _project(rel: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.concatenate([rel @ e1[:, :, None], rel @ e2[:, :, None]], axis=2)
 
 
-def plane_frame(normal) -> tuple[np.ndarray, np.ndarray]:
-    """``plane_frames`` of one normal."""
-    n = np.asarray(normal, dtype=float).reshape(1, 3)
-    if _norms(n)[0] <= 0:
-        raise DegenerateGeometryError("plane normal must be nonzero")
-    e1, e2 = plane_frames(n)
-    return e1[0], e2[0]
-
-
-def best_fit_plane(points) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares plane through points: returns (centroid, unit normal).
-
-    The normal sign is fixed so its largest-magnitude component is
-    positive, which keeps the result deterministic.
-    """
-    pts = _as_points(points)
-    if len(pts) < 3:
-        raise DegenerateGeometryError("plane fit needs at least 3 points")
-    centroids, normals, _ = fit_planes(pts[None])
-    return centroids[0], normals[0]
-
-
 def _shoelace(uv: np.ndarray):
     """Signed area of a 2D ring (m, 2), or of each ring of a stack (..., m, 2)."""
     nxt = np.concatenate((uv[..., 1:, :], uv[..., :1, :]), axis=-2)
@@ -424,39 +423,11 @@ def ring_is_simple(uv: np.ndarray):
     return ~(straddle & (~collinear | overlap)).any(axis=-1)
 
 
-def project_ring(points, centroid=None, normal=None) -> np.ndarray:
-    """In-plane (u, v) coordinates of ring points in the best-fit plane."""
-    pts = _as_points(points)
-    if centroid is None or normal is None:
-        centroid, normal = best_fit_plane(pts)
-    e1, e2 = plane_frame(normal)
-    return _project((pts - centroid)[None], e1[None], e2[None])[0]
-
-
 def ring_areas(rings: np.ndarray) -> np.ndarray:
     """Enclosed area of each ring of a stack (N, m, 3) in its best-fit
     plane, by the shoelace rule; the rings are not checked."""
     _, normals, rel = fit_planes(rings)
     return np.abs(_shoelace(_project(rel, *plane_frames(normals))))
-
-
-def section_area(section) -> float:
-    """Enclosed area of a planar ring, by the shoelace rule.
-
-    Accepts a CrossSection or an (n, 3) point array.  The ring is
-    projected onto its best-fit plane; self-intersecting rings raise
-    InvalidContourError.  The result is non-negative and invariant
-    under rigid motion.
-    """
-    if isinstance(section, CrossSection):
-        return section.area()
-    pts = _as_points(section)
-    if len(pts) < 3:
-        raise InvalidContourError("a ring needs at least 3 points")
-    uv = project_ring(pts)
-    if not ring_is_simple(uv):
-        raise InvalidContourError("ring is self-intersecting")
-    return abs(float(_shoelace(uv)))
 
 
 def canonical_indices(uv: np.ndarray) -> np.ndarray:
@@ -582,44 +553,55 @@ def cross_sections(contours, centers, stations, faults=None) -> tuple:
     return tuple(sections)
 
 
-def ellipse_section(
-    center,
-    normal,
-    a: float,
-    b: float,
-    orientation=None,
-    station: float = 0.0,
-    dense: int = 720,
-) -> CrossSection:
-    """Elliptical cross-section sampled at n equal arc-length points.
+def ellipse_sections(centers, normals, a, b, orientation=None, stations=None) -> tuple:
+    """Elliptical CrossSections centred on centers (N, 3) in the planes
+    of normals (N, 3), at stations (N,), 0 by default.
 
-    ``a`` is the semi-axis along ``orientation`` (projected into the
-    section plane), ``b`` the perpendicular in-plane semi-axis.  With no
-    orientation given, the major axis takes the plane's horizontal
-    direction.  Points start at the +orientation vertex and run
-    counterclockwise about the normal.
+    ``a`` is the semi-axis along ``orientation`` (projected into each
+    section plane), ``b`` the perpendicular in-plane semi-axis; a, b and
+    orientation are shared or given per section.  With no orientation
+    given, the major axis takes the plane's horizontal direction.  Each
+    ring holds RING_POINTS points at equal arc length along a 720-point
+    ellipse, starting at the +orientation vertex and running
+    counterclockwise about the normal.  The first section with a bad
+    a, b, normal or orientation raises, once the ones before it are
+    built and checked.
     """
-    if not (a >= b > 0):
-        raise DegenerateGeometryError("ellipse needs a >= b > 0")
-    c = np.asarray(center, dtype=float).reshape(3)
-    n = np.asarray(normal, dtype=float).reshape(3)
-    norm = np.linalg.norm(n)
-    if norm <= 0:
-        raise DegenerateGeometryError("section normal must be nonzero")
-    n = n / norm
-    if orientation is None:
-        e1, e2 = plane_frame(n)
-    else:
-        o = np.asarray(orientation, dtype=float).reshape(3)
-        e1 = o - (o @ n) * n
-        nrm = np.linalg.norm(e1)
-        if nrm <= 1e-12:
-            raise DegenerateGeometryError("orientation is parallel to the normal")
-        e1 = e1 / nrm
-        e2 = np.cross(n, e1)
-    theta = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
-    dense_ring = c + np.outer(a * np.cos(theta), e1) + np.outer(b * np.sin(theta), e2)
-    ring = resample_arclength(dense_ring, RING_POINTS, closed=True)
-    uv = np.column_stack([(ring - c) @ e1, (ring - c) @ e2])
-    ring = ring[canonical_indices(uv)]
-    return CrossSection(contour=ring, center=c, station=station)
+    c = np.asarray(centers, dtype=float).reshape(-1, 3)
+    n = np.asarray(normals, dtype=float).reshape(len(c), 3)
+    a, b = (np.broadcast_to(np.asarray(v, dtype=float), len(c)) for v in (a, b))
+    stations = np.zeros(len(c)) if stations is None else np.asarray(stations, dtype=float)
+    norm = _norms(n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # faulty rows are cut off below
+        n = n / norm[:, None]
+        if orientation is None:
+            e1, e2 = plane_frames(n)
+            nrm = np.ones(len(c))
+        else:
+            o = np.asarray(orientation, dtype=float)
+            # vecdot, not the matrix-vector n @ o: that moves the last bit.
+            e1 = o - np.vecdot(n, o)[:, None] * n
+            nrm = _norms(e1)
+            e1 = e1 / nrm[:, None]
+            e2 = np.cross(n, e1)
+    faults = np.array([~((a >= b) & (b > 0)), norm <= 0, nrm <= 1e-12])
+    k = int(faults.any(axis=0).argmax()) if faults.any() else len(c)
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    dense = (
+        c[:k, None]
+        + (a[:k, None] * np.cos(theta))[..., None] * e1[:k, None]
+        + (b[:k, None] * np.sin(theta))[..., None] * e2[:k, None]
+    )
+    rings = resample_arclength(dense, RING_POINTS, closed=True)
+    uv = _project(rings - c[:k, None], e1[:k], e2[:k])
+    rings = np.take_along_axis(rings, canonical_indices(uv)[..., None], axis=1)
+    sections = cross_sections(rings, c[:k], stations[:k])
+    if k < len(c):
+        raise DegenerateGeometryError(
+            (
+                "ellipse needs a >= b > 0",
+                "section normal must be nonzero",
+                "orientation is parallel to the normal",
+            )[faults[:, k].argmax()]
+        )
+    return sections

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, StageError
-from .geometry import Box
+from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
 from .reconstruct import (
     build_composite_mesh,
     build_surface_mesh,
@@ -111,7 +111,7 @@ class ReconstructConfig:
 class ValidateConfig:
     n_samples: int = 200
     n_bins: int = 20
-    voxel_size_um: float = 20.0
+    voxel_size_um: float = DEFAULT_VOXEL_SIZE_UM
 
 
 def _default_weave() -> WeaveSpec:
@@ -486,6 +486,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunManifest:
     report.  Returns the manifest (also written as manifest.json).
     """
     run = RunContext(config, out_dir)
+    # A manifest left by an earlier run must not outlive a failed rerun.
+    (run.out / "manifest.json").unlink(missing_ok=True)
     enabled = {"compact": config.compaction.enabled, "degrade": config.degrade.enabled}
     for name in STAGES:
         if enabled.get(name, True):

@@ -24,6 +24,7 @@ from .errors import (
     MeshIntegrityError,
 )
 from .geometry import (
+    RING_POINTS,
     Box,
     BSplineCurve,
     _norms,
@@ -41,8 +42,6 @@ from .segmenter import DetectionSet, SectionDetection
 from .voxelizer import AXIS_XZ, AXIS_YZ, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
 
 log = logging.getLogger(__name__)
-
-RING_N = 10
 
 # Family seen in cross-section by each slicing axis: slices cut the
 # yarns that run perpendicular to them.
@@ -210,7 +209,7 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
                 ].contour.reshape(-1)
             else:
                 flat = spline(idx)
-            contour = flat.reshape(RING_N, 2)
+            contour = flat.reshape(RING_POINTS, 2)
             confidence = 0.5 * (by_index[left].confidence + by_index[right].confidence)
             lab_l, lab_r = by_index[left].true_label, by_index[right].true_label
             det = SectionDetection(
@@ -467,12 +466,12 @@ def enclosed_volume(mesh: QuadSurfaceMesh) -> float:
 
 def _ring_band(s: int) -> np.ndarray:
     """Lateral quads (a + j, a + jn, b + jn, b + j) between S stacked
-    rings of RING_N points, with a = RING_N k, b = a + RING_N and
-    jn = (j + 1) % RING_N; segment k major, ring point j minor."""
-    j = np.arange(RING_N)
-    jn = (j + 1) % RING_N
-    a = RING_N * np.arange(s - 1)[:, None]
-    b = a + RING_N
+    rings of RING_POINTS points, with a = RING_POINTS k, b = a + RING_POINTS and
+    jn = (j + 1) % RING_POINTS; segment k major, ring point j minor."""
+    j = np.arange(RING_POINTS)
+    jn = (j + 1) % RING_POINTS
+    a = RING_POINTS * np.arange(s - 1)[:, None]
+    b = a + RING_POINTS
     return np.stack([a + j, a + jn, b + jn, b + j], axis=-1).reshape(-1, 4)
 
 
@@ -486,10 +485,10 @@ def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
     aligned = yarn.aligned_rings
     quads = _ring_band(len(aligned))
     # Fans about the two end centres over the first and last ring's edges.
-    c0 = np.full(RING_N, RING_N * len(aligned))
+    c0 = np.full(RING_POINTS, RING_POINTS * len(aligned))
     caps = [
-        np.column_stack([c0, quads[:RING_N, [1, 0]]]),  # start cap faces backward
-        np.column_stack([c0 + 1, quads[-RING_N:, [3, 2]]]),  # end cap faces forward
+        np.column_stack([c0, quads[:RING_POINTS, [1, 0]]]),  # start cap faces backward
+        np.column_stack([c0 + 1, quads[-RING_POINTS:, [3, 2]]]),  # end cap faces forward
     ]
     mesh = QuadSurfaceMesh(
         vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers[[0, -1]]]),
@@ -572,7 +571,7 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
     aligned = yarn.aligned_rings
     s = len(aligned)
     band = _ring_band(s)
-    c = np.repeat(RING_N * s + np.arange(s - 1), RING_N)
+    c = np.repeat(RING_POINTS * s + np.arange(s - 1), RING_POINTS)
     mesh = VolumeMesh(
         vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers]),
         wedges=np.column_stack([c, band[:, :2], c + 1, band[:, [3, 2]]]),
@@ -585,7 +584,7 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
         mesh = replace(mesh, wedges=mesh.wedges[:, [0, 2, 1, 3, 5, 4]])
         vols = wedge_volumes(mesh)
     if (vols <= 0).any():
-        seg = int(np.argmax(vols <= 0)) // RING_N
+        seg = int(np.argmax(vols <= 0)) // RING_POINTS
         raise MeshIntegrityError(
             "inverted wedge cell between stations "
             f"{yarn.sections[seg].station:.3f} and {yarn.sections[seg + 1].station:.3f}"

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import _shoelace, canonical_indices, resample_arclength
+from .geometry import RING_POINTS, _shoelace, canonical_indices, resample_arclength
 from .voxelizer import SLICE_AXES, SliceDataset
 
 log = logging.getLogger(__name__)
@@ -153,7 +153,7 @@ def _keypoints_from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = canonical_indices(dense)
     dense = dense[order]
     dense3 = np.column_stack([dense, np.zeros(len(dense))])
-    ring = resample_arclength(dense3, 10, closed=True)[:, :2]
+    ring = resample_arclength(dense3, RING_POINTS, closed=True)[:, :2]
     return ring, ring.mean(axis=0)
 
 

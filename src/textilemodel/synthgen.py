@@ -22,7 +22,7 @@ from .geometry import (
     bspline_fit,
     cross_sections,
     cumulative_length,
-    ellipse_section,
+    ellipse_sections,
     fit_planes,
     plane_frames,
     ring_areas,
@@ -180,11 +180,7 @@ def _interpolating_path(centers: np.ndarray) -> BSplineCurve:
 
 def _build_yarn(yarn_id, family, centers, tangents, a, b, orientation) -> YarnModel:
     path = _interpolating_path(centers)
-    stations = cumulative_length(centers)
-    sections = tuple(
-        ellipse_section(c, t, a, b, orientation=orientation, station=s)
-        for c, t, s in zip(centers, tangents, stations)
-    )
+    sections = ellipse_sections(centers, tangents, a, b, orientation, cumulative_length(centers))
     return YarnModel(yarn_id=yarn_id, family=family, path=path, sections=sections)
 
 

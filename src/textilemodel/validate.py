@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InsufficientDataError
-from .geometry import resample_arclength, ring_areas
+from .geometry import DEFAULT_VOXEL_SIZE_UM, resample_arclength, ring_areas
 from .storage import atomic_open, dump_json
 
 # Densest possible circle packing of a plane region.
@@ -111,7 +111,7 @@ def match_and_assess_paths(
     model,
     yarns,
     n_samples: int = PATH_SAMPLES,
-    voxel_size_um: float = 20.0,
+    voxel_size_um: float = DEFAULT_VOXEL_SIZE_UM,
 ) -> PathReport:
     """Greedy family-wise matching of reconstructed yarns to the model.
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from textilemodel.cli import main
-from textilemodel.geometry import Box, ellipse_section, section_area
+from textilemodel.geometry import Box, ellipse_sections, ring_areas
 from textilemodel.pipeline import PipelineConfig, grid_box, stage_seed
 from textilemodel.reconstruct import (
     build_composite_mesh,
@@ -249,7 +249,7 @@ def test_fiber_volume_fraction_recovers_target_and_flags_fire(clean_chain):
     assert np.all((report.values >= 0.0) & (report.values <= 1.0))
     assert elapsed < 5.0
 
-    sec = ellipse_section(center=(0, 0, 0), normal=(1, 0, 0), a=4.0, b=2.0)
+    (sec,) = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
     area = sec.area()
 
     def case(raw):
@@ -339,7 +339,7 @@ def test_distance_and_area_metrics_match_brute_force_oracles():
         )
         R = np.eye(3) + math.sin(ang) * K + (1 - math.cos(ang)) * (K @ K)
         ring = flat @ R.T + rng.normal(0, 10, 3)
-        err = abs(section_area(ring) - shoelace)
+        err = abs(ring_areas(ring[None])[0] - shoelace)
         worst_area = max(worst_area, err)
         assert err < 1e-9
     print(

@@ -35,6 +35,11 @@ def ellipse_equal_arc_points(a, b, n, dense=200_000):
     return np.column_stack([tx, ty])
 
 
+def ellipse(center, normal, a, b, orientation=None, station=0.0):
+    """One section from the stacked builder."""
+    return geo.ellipse_sections([center], [normal], a, b, orientation, [station])[0]
+
+
 def shoelace_2d(uv):
     u, v = uv[:, 0], uv[:, 1]
     return 0.5 * abs(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
@@ -227,6 +232,17 @@ def outcome(fn, *args):
         return type(err)
 
 
+def is_error(x):
+    return isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], type)
+
+
+def same_result(a, b):
+    """Equal arrays, or the same (type, message) error."""
+    if is_error(a) or is_error(b):
+        return a == b
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
 def same_outcome(a, b):
     if isinstance(a, type) or isinstance(b, type):
         return a is b
@@ -318,7 +334,89 @@ class TestBSplineKernelMatchesScalarReference:
         assert np.array_equal(curve.control_points, ref_fit_controls(pts, degree, n_ctrl))
 
 
+def raised(fn, *args):
+    """The result of fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateGeometryError, InvalidContourError) as err:
+        return type(err), str(err)
+
+
+def ref_resample_arclength(pts, n, closed):
+    """The one-path resampler that the stacked one replaced."""
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateGeometryError("path contains non-finite values")
+    if closed:
+        if n < 3:
+            raise DegenerateGeometryError("closed resampling needs n >= 3")
+        if len(pts) >= 2 and np.all(pts[0] == pts[-1]):
+            pts = pts[:-1]
+        ring = np.vstack([pts, pts[0]])
+    else:
+        if n < 2:
+            raise DegenerateGeometryError("open resampling needs n >= 2")
+        ring = pts
+    if np.any(np.all(ring[1:] == ring[:-1], axis=1)):
+        raise DegenerateGeometryError("path has consecutive duplicate points")
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(ring, axis=0), axis=1))])
+    total = cum[-1]
+    if total <= 0:
+        raise DegenerateGeometryError(("closed " if closed else "") + "path has zero length")
+    targets = np.arange(n) * total / n if closed else np.linspace(0.0, total, n)
+    out = np.column_stack([np.interp(targets, cum, ring[:, k]) for k in range(3)])
+    if not closed:
+        out[0] = ring[0]
+        out[-1] = ring[-1]
+    return out
+
+
+PATH_DEFECTS = ("seam", "signed_seam", "dup", "grid", "tiny", "nan")
+
+
+def random_path(rng, m, defects):
+    """An (m, 3) random walk with some of these defects: "seam" (last
+    point repeats the first), "signed_seam" (the same with -0.0 for
+    0.0), "dup" (a repeated point), "grid" (points on a 2x2x2 grid, so
+    repeats are common), "tiny" (steps whose lengths underflow to 0),
+    "nan" (a non-finite coordinate)."""
+    pts = np.cumsum(rng.normal(size=(m, 3)), axis=0)
+    if "grid" in defects:
+        pts = rng.integers(0, 2, size=(m, 3)).astype(float)
+    if "tiny" in defects:
+        pts *= 1e-170
+    if "dup" in defects and m >= 2:
+        i = rng.integers(m - 1)
+        pts[i + 1] = pts[i]
+    if "seam" in defects:
+        pts[-1] = pts[0]
+    if "signed_seam" in defects:
+        pts[0] = 0.0
+        pts[-1] = [-0.0, 0.0, -0.0]
+    if "nan" in defects:
+        pts[rng.integers(m), rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+    return pts
+
+
+path_stacks = st.integers(1, 12).flatmap(
+    lambda m: st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sets(st.sampled_from(PATH_DEFECTS), max_size=2)),
+        min_size=1,
+        max_size=5,
+    ).map(lambda cases: np.array([random_path(np.random.default_rng(s), m, d) for s, d in cases]))
+)
+
+
 class TestResample:
+    @settings(max_examples=300, deadline=None)
+    @given(paths=path_stacks, n=st.integers(1, 12), closed=st.booleans())
+    def test_stack_matches_the_one_path_reference(self, paths, n, closed):
+        want = [raised(ref_resample_arclength, p, n, closed) for p in paths]
+        for p, w in zip(paths, want):
+            assert same_result(raised(geo.resample_arclength, p, n, closed), w)
+        first = next((w for w in want if is_error(w)), None)
+        got = raised(geo.resample_arclength, paths, n, closed)
+        assert same_result(got, first if first is not None else np.array(want))
+
     def test_open_line_equal_spacing(self):
         pts = np.array([[0.0, 0, 0], [10, 0, 0]])
         out = geo.resample_arclength(pts, 6)
@@ -390,44 +488,45 @@ class TestResample:
 class TestSectionArea:
     def test_unit_square(self):
         ring = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-        assert abs(geo.section_area(ring) - 1.0) < 1e-12
+        assert abs(geo.ring_areas(ring[None])[0] - 1.0) < 1e-12
 
     def test_rigid_motion_invariance(self):
-        ring = geo.ellipse_section([0, 0, 0], [0, 0, 1], 3.0, 1.5).contour
-        a0 = geo.section_area(ring)
-        for seed in (1, 2, 3):
-            moved = rigid_motion(ring, seed)
-            assert abs(geo.section_area(moved) - a0) < 1e-9
+        ring = ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).contour
+        a0 = geo.ring_areas(ring[None])[0]
+        moved = np.array([rigid_motion(ring, seed) for seed in (1, 2, 3)])
+        assert np.abs(geo.ring_areas(moved) - a0).max() < 1e-9
 
     def test_self_intersection_raises(self):
-        bowtie = np.array([[0.0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]])
-        with pytest.raises(InvalidContourError):
-            geo.section_area(bowtie)
+        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).contour)
+        ring[[2, 6]] = ring[[6, 2]]
+        assert not geo.ring_is_simple(ring[:, :2])
+        with pytest.raises(InvalidContourError, match="self-intersecting"):
+            geo.cross_sections(ring[None], ring.mean(axis=0)[None], [0.0])
 
     def test_too_few_points_raises(self):
         with pytest.raises(InvalidContourError):
-            geo.section_area(np.array([[0.0, 0, 0], [1, 0, 0]]))
+            geo.CrossSection(contour=np.array([[0.0, 0, 0], [1, 0, 0]]), center=[0.5, 0, 0])
 
     def test_cross_section_area_equals_array_path(self):
-        sec = geo.ellipse_section([1, 2, 3], [0.3, -0.4, 0.86], 4.0, 2.0)
-        assert sec.area() == geo.section_area(sec) == geo.section_area(np.array(sec.contour))
+        sec = ellipse([1, 2, 3], [0.3, -0.4, 0.86], 4.0, 2.0)
+        assert sec.area() == geo.ring_areas(np.array(sec.contour)[None])[0]
 
     def test_regular_decagon_on_circle_matches_analytic(self):
         # Ten equal-arc points on a circle form a regular decagon with
         # area (5/2) r^2 sin(2 pi / 10).
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], 1.0, 1.0)
+        sec = ellipse([0, 0, 0], [0, 0, 1], 1.0, 1.0)
         analytic = 5.0 * np.sin(np.pi / 5.0) / 2.0 * 1.0**2 * 2.0
-        assert abs(geo.section_area(sec) - 2.938926261462366) < 1e-9
+        assert abs(sec.area() - 2.938926261462366) < 1e-9
         assert abs(analytic - 2.938926261462366) < 1e-12
 
     def test_decagon_on_ellipse_matches_oracle(self):
         # Equal-arc decagon inscribed in an ellipse with a=2, b=1.
         # The inscribed polygon undercuts pi*a*b by about 7.3 percent,
         # so the area is compared against an independent dense oracle.
-        sec = geo.ellipse_section([0, 0, 0], [1, 0, 0], 2.0, 1.0)
+        sec = ellipse([0, 0, 0], [1, 0, 0], 2.0, 1.0)
         oracle_pts = ellipse_equal_arc_points(2.0, 1.0, 10)
         oracle_area = shoelace_2d(oracle_pts)
-        area = geo.section_area(sec)
+        area = sec.area()
         assert abs(area - oracle_area) < 1e-4
         ratio = area / (np.pi * 2.0 * 1.0)
         assert 0.92 < ratio < 0.935
@@ -441,11 +540,11 @@ class TestSectionArea:
         errs = []
         for n in (32, 128, 512):
             ring = geo.resample_arclength(dense, n, closed=True)
-            errs.append(abs(geo.section_area(ring) - target))
+            errs.append(abs(geo.ring_areas(ring[None])[0] - target))
         assert errs[0] > errs[1] > errs[2]
 
     def test_perimeter_matches_oracle(self):
-        sec = geo.ellipse_section([0, 0, 0], [1, 0, 0], 2.0, 1.0)
+        sec = ellipse([0, 0, 0], [1, 0, 0], 2.0, 1.0)
         oracle_pts = ellipse_equal_arc_points(2.0, 1.0, 10)
         closed = np.vstack([oracle_pts, oracle_pts[:1]])
         oracle_perim = np.hypot(*np.diff(closed, axis=0).T[:2]).sum()
@@ -509,17 +608,17 @@ class TestRingIsSimple:
 
 class TestCrossSection:
     def test_valid_construction(self):
-        sec = geo.ellipse_section([1, 2, 3], [0, 1, 0], 4.0, 2.0, station=7.5)
+        sec = ellipse([1, 2, 3], [0, 1, 0], 4.0, 2.0, station=7.5)
         assert sec.station == 7.5
         np.testing.assert_allclose(sec.contour.mean(axis=0), sec.center, atol=1e-9)
 
     def test_center_mismatch_raises(self):
-        ring = geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0).contour
+        ring = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0).contour
         with pytest.raises(InvalidContourError):
             geo.CrossSection(contour=ring, center=np.array([1.0, 0, 0]))
 
     def test_nonplanar_raises(self):
-        ring = np.array(geo.ellipse_section([0, 0, 0], [0, 0, 1], 3.0, 2.0).contour)
+        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 2.0).contour)
         ring[0, 2] += 2.0
         with pytest.raises(InvalidContourError):
             geo.CrossSection(contour=ring, center=ring.mean(axis=0))
@@ -533,7 +632,7 @@ class TestCrossSection:
             geo.CrossSection(contour=ring, center=np.zeros(3))
 
     def test_immutability(self):
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0)
+        sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
         with pytest.raises(ValueError):
             sec.contour[0, 0] = 99.0
 
@@ -541,7 +640,7 @@ class TestCrossSection:
 class TestEllipseSection:
     def test_axis_lengths(self):
         a, b = 5.0, 2.0
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], a, b, orientation=[1, 0, 0])
+        sec = ellipse([0, 0, 0], [0, 0, 1], a, b, orientation=[1, 0, 0])
         rel = sec.contour - sec.center
         assert rel[:, 0].max() <= a + 1e-9
         assert rel[:, 1].max() <= b + 1e-9
@@ -549,7 +648,7 @@ class TestEllipseSection:
         assert abs(rel[0, 0] - a) < 1e-6
 
     def test_counterclockwise_about_normal(self):
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0, orientation=[1, 0, 0])
+        sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0, orientation=[1, 0, 0])
         uv = sec.contour[:, :2]
         assert shoelace_2d(uv) > 0
         signed = 0.5 * np.sum(
@@ -559,18 +658,18 @@ class TestEllipseSection:
 
     def test_invalid_axes_raise(self):
         with pytest.raises(DegenerateGeometryError):
-            geo.ellipse_section([0, 0, 0], [0, 0, 1], 1.0, 2.0)
+            ellipse([0, 0, 0], [0, 0, 1], 1.0, 2.0)
         with pytest.raises(DegenerateGeometryError):
-            geo.ellipse_section([0, 0, 0], [0, 0, 0], 2.0, 1.0)
+            ellipse([0, 0, 0], [0, 0, 0], 2.0, 1.0)
 
     def test_orientation_parallel_to_normal_raises(self):
         with pytest.raises(DegenerateGeometryError):
-            geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0, orientation=[0, 0, 1])
+            ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0, orientation=[0, 0, 1])
 
 
 class TestCanonicalOrdering:
     def test_rotation_of_start_is_normalized(self):
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0)
+        sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
         ring = sec.contour
         uv = ring[:, :2]
         for shift in (1, 3, 7):
@@ -579,7 +678,7 @@ class TestCanonicalOrdering:
             np.testing.assert_allclose(rolled[order], uv, atol=1e-12)
 
     def test_reversed_ring_is_reoriented(self):
-        sec = geo.ellipse_section([0, 0, 0], [0, 0, 1], 2.0, 1.0)
+        sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
         uv = sec.contour[:, :2]
         reversed_uv = uv[::-1]
         order = geo.canonical_indices(reversed_uv)
@@ -596,19 +695,19 @@ class TestCanonicalOrdering:
 
 class TestPlaneHelpers:
     def test_plane_frame_right_handed(self):
-        for normal in ([0, 0, 1], [1, 0, 0], [0.3, -0.4, 0.86], [0, 1, 0]):
-            e1, e2 = geo.plane_frame(normal)
-            n = np.asarray(normal, dtype=float)
-            n = n / np.linalg.norm(n)
-            np.testing.assert_allclose(np.cross(e1, e2), n, atol=1e-9)
-            assert abs(e1 @ n) < 1e-9 and abs(e2 @ n) < 1e-9
+        normals = np.array([[0, 0, 1], [1, 0, 0], [0.3, -0.4, 0.86], [0, 1, 0]])
+        e1, e2 = geo.plane_frames(normals)
+        n = normals / np.linalg.norm(normals, axis=1)[:, None]
+        np.testing.assert_allclose(np.cross(e1, e2), n, atol=1e-9)
+        assert np.abs(np.sum(e1 * n, axis=1)).max() < 1e-9
+        assert np.abs(np.sum(e2 * n, axis=1)).max() < 1e-9
 
     def test_best_fit_plane_recovers_construction(self):
         rng = np.random.default_rng(5)
-        e1, e2 = geo.plane_frame([0.2, 0.5, 0.84])
+        (e1,), (e2,) = geo.plane_frames(np.array([[0.2, 0.5, 0.84]]))
         pts = np.outer(rng.normal(size=40), e1) + np.outer(rng.normal(size=40), e2)
         pts += np.array([3.0, -1.0, 2.0])
-        centroid, normal = geo.best_fit_plane(pts)
+        (centroid,), (normal,), _ = geo.fit_planes(pts[None])
         n_true = np.cross(e1, e2)
         assert abs(abs(normal @ n_true) - 1.0) < 1e-9
         assert np.abs((pts - centroid) @ normal).max() < 1e-9
@@ -694,6 +793,34 @@ def ref_section_fault(ring, center, station):
     return None
 
 
+def ref_ellipse_section(center, normal, a, b, orientation=None, station=0.0):
+    """The one-ring builder that ellipse_sections replaced."""
+    if not (a >= b > 0):
+        raise DegenerateGeometryError("ellipse needs a >= b > 0")
+    c = np.asarray(center, dtype=float).reshape(3)
+    n = np.asarray(normal, dtype=float).reshape(3)
+    norm = np.linalg.norm(n)
+    if norm <= 0:
+        raise DegenerateGeometryError("section normal must be nonzero")
+    n = n / norm
+    if orientation is None:
+        e1, e2 = ref_plane_frame(n)
+    else:
+        o = np.asarray(orientation, dtype=float).reshape(3)
+        e1 = o - (o @ n) * n
+        nrm = np.linalg.norm(e1)
+        if nrm <= 1e-12:
+            raise DegenerateGeometryError("orientation is parallel to the normal")
+        e1 = e1 / nrm
+        e2 = np.cross(n, e1)
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    dense_ring = c + np.outer(a * np.cos(theta), e1) + np.outer(b * np.sin(theta), e2)
+    ring = ref_resample_arclength(dense_ring, geo.RING_POINTS, closed=True)
+    uv = np.column_stack([(ring - c) @ e1, (ring - c) @ e2])
+    ring = ring[ref_canonical_indices(uv)]
+    return geo.CrossSection(contour=ring, center=c, station=station)
+
+
 def ref_canonical_indices(uv):
     top = np.flatnonzero(uv[:, 0] == uv[:, 0].max())
     start = top[np.argmax(uv[top, 1])]
@@ -726,7 +853,7 @@ def random_ring(rng, defects):
             normal = np.array([*rng.uniform(-0.1, 0.1, 2), rng.choice([-1.0, 1.0])])
         else:
             normal = rng.normal(size=3)
-        e1, e2 = geo.plane_frame(normal)
+        e1, e2 = ref_plane_frame(normal)
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 10))
         a, b = rng.uniform(1.0, 6.0, 2)
         ring = np.outer(a * np.cos(theta), e1) + np.outer(b * np.sin(theta), e2)
@@ -797,9 +924,9 @@ class TestRingKernelMatchesScalarReference:
             return
         centroids, normals, rel = geo.fit_planes(rings)
         e1, e2 = geo.plane_frames(normals)
+        uvs = geo._project(rel, e1, e2)
         areas = geo.ring_areas(rings)
-        simple = geo.ring_is_simple(geo.project_ring(rings[0])[None])
-        assert simple.shape == (1,)
+        assert geo.ring_is_simple(uvs[:1]).shape == (1,)
         for k, ring in enumerate(rings):
             c, n = ref_best_fit_plane(ring)
             f1, f2 = ref_plane_frame(n)
@@ -807,11 +934,8 @@ class TestRingKernelMatchesScalarReference:
             assert np.array_equal(centroids[k], c) and np.array_equal(normals[k], n)
             assert np.array_equal(rel[k], ring - c)
             assert np.array_equal(e1[k], f1) and np.array_equal(e2[k], f2)
-            assert np.array_equal(geo.project_ring(ring), uv)
+            assert np.array_equal(uvs[k], uv)
             assert areas[k] == abs(ref_shoelace(uv))
-            # The one-ring wrappers are the same kernel.
-            assert all(map(np.array_equal, geo.best_fit_plane(ring), (c, n)))
-            assert all(map(np.array_equal, geo.plane_frame(n), (f1, f2)))
 
     @settings(max_examples=150, deadline=None)
     @given(ring_stacks)
@@ -867,3 +991,74 @@ class TestRingKernelMatchesScalarReference:
         assert [f is None for f in faults] == [True, False, True]
         built = geo.cross_sections(rings, centers, stations, faults)
         assert [s.station for s in built] == [stations[0], stations[2]]
+
+
+@st.composite
+def ellipse_stacks(draw):
+    """Arguments of ellipse_sections: 1..6 sections with random centres
+    and normals, some horizontal (|n_z| near or past 0.99); a >= b shared
+    or per section; orientation None, shared or per section; stations
+    given or not; and possibly one faulty section (a < b or b = 0, a zero
+    normal, or a normal parallel to the orientation)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    centers = rng.uniform(-50.0, 50.0, (n, 3))
+    normals = rng.normal(size=(n, 3))
+    flat = rng.random(n) < 0.4
+    normals[flat] = np.column_stack(
+        [rng.uniform(-0.1, 0.1, (flat.sum(), 2)), rng.choice([-1.0, 1.0], flat.sum())]
+    )
+    b = rng.uniform(0.2, 5.0, n)
+    a = b * np.where(rng.random(n) < 0.2, 1.0, rng.uniform(1.0, 3.0, n))
+    if draw(st.booleans()):
+        a, b = a[0], b[0]
+    orientation = draw(st.sampled_from([None, "shared", "rows"]))
+    if orientation == "shared":
+        orientation = rng.normal(size=3)
+    elif orientation == "rows":
+        orientation = rng.normal(size=(n, 3))
+    stations = rng.uniform(0.0, 100.0, n) if draw(st.booleans()) else None
+    fault = draw(st.sampled_from([None, "axes", "normal", "parallel"]))
+    i = rng.integers(n)
+    if fault == "axes":
+        a, b = np.broadcast_to(a, n).copy(), np.broadcast_to(b, n).copy()
+        a[i], b[i] = (b[i], a[i] * 1.5) if rng.random() < 0.7 else (a[i], 0.0)
+    elif fault == "normal":
+        normals[i] = 0.0
+    elif fault == "parallel":
+        if orientation is None:
+            orientation = rng.normal(size=3)
+        o = orientation if orientation.ndim == 1 else orientation[i]
+        normals[i] = o * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    return centers, normals, a, b, orientation, stations
+
+
+class TestEllipseSectionsMatchOneRingReference:
+    @settings(max_examples=300, deadline=None)
+    @given(ellipse_stacks())
+    def test_sections_and_errors(self, args):
+        centers, normals, a, b, orientation, stations = args
+        n = len(centers)
+        rows = zip(
+            centers,
+            normals,
+            np.broadcast_to(a, n),
+            np.broadcast_to(b, n),
+            [orientation] * n if orientation is None or orientation.ndim == 1 else orientation,
+            np.zeros(n) if stations is None else stations,
+        )
+        want = []
+        for row in rows:
+            want.append(raised(ref_ellipse_section, *row))
+            if is_error(want[-1]):
+                want = want[-1]
+                break
+        got = raised(geo.ellipse_sections, centers, normals, a, b, orientation, stations)
+        if is_error(want) or is_error(got):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for sec, ref in zip(got, want):
+            assert np.array_equal(sec.contour, ref.contour)
+            assert np.array_equal(sec.center, ref.center)
+            assert type(sec.station) is float and sec.station == ref.station

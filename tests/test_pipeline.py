@@ -755,8 +755,14 @@ class TestCli:
 
     def test_stage_failure_exits_10_plus_stage(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({**SMALL, "voxel_budget": 10000}))
+        cfgp.write_text(json.dumps(SMALL))
+        assert main(["pipeline", "-c", str(cfgp), "-o", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "manifest.json").is_file()
+        capsys.readouterr()
+        # A failed rerun into the same directory leaves no manifest behind.
+        cfgp.write_text(json.dumps({**SMALL, "seed": 4, "voxel_budget": 10000}))
         code = main(["pipeline", "-c", str(cfgp), "-o", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert code == 13  # voxelize is stage 3
         assert "stage 3" in err
+        assert not (tmp_path / "run" / "manifest.json").exists()

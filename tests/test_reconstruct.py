@@ -17,11 +17,11 @@ from textilemodel.errors import (
 )
 from textilemodel.geometry import (
     Box,
-    best_fit_plane,
     bspline_eval,
     bspline_fit,
-    ellipse_section,
-    plane_frame,
+    ellipse_sections,
+    fit_planes,
+    plane_frames,
 )
 from textilemodel.reconstruct import (
     QuadSurfaceMesh,
@@ -210,8 +210,8 @@ class TestLift:
         (track,) = track_yarns(ds, d_gate=5.0)
         yarn = lift_and_fit(track, n_controls=5)
         ts = np.linspace(0, 1, len(yarn.sections))
-        for sec in yarn.sections:
-            n = best_fit_plane(sec.contour)[1]
+        _, normals, _ = fit_planes(np.array([s.contour for s in yarn.sections]))
+        for sec, n in zip(yarn.sections, normals):
             rel = sec.contour - sec.center
             assert np.abs(rel @ n).max() < 1e-9
 
@@ -308,10 +308,8 @@ class TestLift:
 
 def straight_yarn(n_secs=5, a=2.0, b=1.0, length=8.0):
     xs = np.linspace(0.0, length, n_secs)
-    secs = tuple(
-        ellipse_section(center=(x, 0, 0), normal=(1, 0, 0), a=a, b=b, station=x)
-        for x in xs
-    )
+    centers = np.column_stack([xs, np.zeros((n_secs, 2))])
+    secs = ellipse_sections(centers, [(1, 0, 0)] * n_secs, a, b, stations=xs)
     path = bspline_fit(np.array([[0, 0, 0], [length, 0, 0.0]]), degree=1, n_controls=2)
     return ReconstructedYarn(
         family="warp", axis="yz", path=path, sections=secs,
@@ -339,22 +337,20 @@ def curved_yarn(n_secs=12, radius=20.0, sweep=0.8, axes=None, rolls=None, twists
     alignment has work to do.  ``axes`` (a, b) and ``rolls`` per section
     override the defaults; ``twists`` turns each major axis by an angle
     within its section plane."""
+    ths = np.linspace(0.0, sweep, n_secs)
+    ks = range(n_secs)
+    a, b = np.array(
+        axes or [(2.0 + 0.4 * math.sin(k), 1.0 + 0.3 * math.cos(1.7 * k)) for k in ks]
+    ).T
+    normals = np.array([[-math.sin(th), math.cos(th), 0.0] for th in ths])
+    centers = [(radius * math.cos(th), radius * math.sin(th), 0.3 * k) for k, th in enumerate(ths)]
+    orientation = None
+    if twists:
+        e1, e2 = plane_frames(normals)
+        cos, sin = (np.array([[f(t)] for t in twists]) for f in (math.cos, math.sin))
+        orientation = cos * e1 + sin * e2
     secs = []
-    for k, th in enumerate(np.linspace(0.0, sweep, n_secs)):
-        a, b = axes[k] if axes else (2.0 + 0.4 * math.sin(k), 1.0 + 0.3 * math.cos(1.7 * k))
-        normal = np.array([-math.sin(th), math.cos(th), 0.0])
-        orientation = None
-        if twists:
-            e1, e2 = plane_frame(normal)
-            orientation = math.cos(twists[k]) * e1 + math.sin(twists[k]) * e2
-        sec = ellipse_section(
-            center=(radius * math.cos(th), radius * math.sin(th), 0.3 * k),
-            normal=normal,
-            a=a,
-            b=b,
-            orientation=orientation,
-            station=radius * th,
-        )
+    for k, sec in enumerate(ellipse_sections(centers, normals, a, b, orientation, radius * ths)):
         secs.append(
             type(sec)(
                 contour=np.roll(sec.contour, rolls[k] if rolls else (3 * k) % 10, axis=0),
@@ -558,13 +554,12 @@ class TestVolumeMesh:
         assert 0.05 < deficit < 0.08
 
     def test_inverted_cell_names_station(self):
-        s0 = ellipse_section(center=(0, 0, 0), normal=(1, 0, 0), a=3.0, b=2.0, station=0.0)
         t = math.radians(80)
-        s1 = ellipse_section(
-            center=(0.5, 0, 0), normal=(math.cos(t), math.sin(t), 0),
-            a=3.0, b=2.0, station=0.5,
+        s0, s1, s2 = ellipse_sections(
+            [(0, 0, 0), (0.5, 0, 0), (8, 0, 0)],
+            [(1, 0, 0), (math.cos(t), math.sin(t), 0), (1, 0, 0)],
+            a=3.0, b=2.0, stations=[0.0, 0.5, 8.0],
         )
-        s2 = ellipse_section(center=(8, 0, 0), normal=(1, 0, 0), a=3.0, b=2.0, station=8.0)
         path = bspline_fit(np.array([[0, 0, 0], [0.5, 0, 0], [8, 0, 0.0]]), degree=1, n_controls=3)
         yarn = ReconstructedYarn(
             family="warp", axis="yz", path=path,

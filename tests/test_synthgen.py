@@ -65,6 +65,15 @@ class TestGenerateInterlock:
         assert len(model.family("warp")) == 39
         assert len(model.family("weft")) == 36
 
+    def test_one_ellipse_builder_call_per_yarn(self, monkeypatch):
+        calls = []
+        build = sg.ellipse_sections
+        monkeypatch.setattr(
+            sg, "ellipse_sections", lambda *args: calls.append(len(args[0])) or build(*args)
+        )
+        model = sg.generate_interlock(desk_spec())
+        assert calls == [len(y.sections) for y in model.yarns]
+
     def test_ids_unique_start_at_one_warp_first(self, desk_model):
         ids = [y.yarn_id for y in desk_model.yarns]
         assert ids == list(range(1, 17))
@@ -175,8 +184,9 @@ class TestCompaction:
     def test_section_area_preserved(self, desk_model):
         seq = sg.compaction_sequence(desk_model, 0.6 * desk_model.thickness, n_steps=3)
         for y0, yk in zip(desk_model.yarns, seq[-1].yarns):
-            for s0, sk in zip(y0.sections, yk.sections):
-                assert abs(geo.section_area(s0) - geo.section_area(sk)) < 1e-9
+            a0 = geo.ring_areas(np.array([s.contour for s in y0.sections]))
+            ak = geo.ring_areas(np.array([s.contour for s in yk.sections]))
+            assert np.abs(a0 - ak).max() < 1e-9
 
     def test_invalid_targets_raise(self, desk_model):
         with pytest.raises(ConfigError):
@@ -201,10 +211,10 @@ class TestPerturb:
     def test_sections_stay_planar_with_matching_centers(self, desk_model):
         pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=1)
         for yarn in pert.yarns:
-            for sec in yarn.sections:
-                centroid, normal = geo.best_fit_plane(sec.contour)
-                assert np.abs((sec.contour - centroid) @ normal).max() < 1e-9
-                assert np.linalg.norm(sec.contour.mean(axis=0) - sec.center) < 1e-9
+            rings = np.array([s.contour for s in yarn.sections])
+            _, normals, rel = geo.fit_planes(rings)
+            assert np.abs(rel @ normals[:, :, None]).max() < 1e-9
+            assert np.linalg.norm(rings.mean(axis=1) - yarn.centers, axis=1).max() < 1e-9
 
     def test_noise_scale_reasonable(self, desk_model):
         pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=2)
@@ -223,7 +233,7 @@ class TestPerturb:
 class TestFiberSpec:
     def test_target_vf_round_trip(self, desk_model):
         fib = sg.fiber_spec_for_target_vf(desk_model, 0.6, fibers_per_yarn=1000)
-        areas = [geo.section_area(s) for y in desk_model.yarns for s in y.sections]
+        areas = [s.area() for y in desk_model.yarns for s in y.sections]
         vf = fib.fibers_per_yarn * np.pi * fib.fiber_radius**2 / np.mean(areas)
         assert abs(vf - 0.6) < 1e-9
 

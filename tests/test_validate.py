@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from textilemodel.errors import ConfigError, InsufficientDataError
-from textilemodel.geometry import bspline_fit, ellipse_section
+from textilemodel.geometry import bspline_fit, ellipse_sections
 from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock, perturb_model
 from textilemodel.validate import (
     HEX_PACKING_LIMIT,
@@ -116,10 +116,9 @@ class TestMatching:
         path = bspline_fit(
             np.array([[0.0, 0, 200], [30.0, 0, 200]]), degree=1, n_controls=2
         )
-        sections = tuple(
-            ellipse_section(center=(x, 0, 200), normal=(1, 0, 0), a=5.0, b=2.5, station=x)
-            for x in (0.0, 15.0, 30.0)
-        )
+        xs = np.array([0.0, 15.0, 30.0])
+        centers = np.column_stack([xs, np.zeros(3), np.full(3, 200.0)])
+        sections = ellipse_sections(centers, [(1, 0, 0)] * 3, a=5.0, b=2.5, stations=xs)
         stray = type(model.yarns[0])(
             yarn_id=99, family="warp", path=path, sections=sections
         )
@@ -147,7 +146,7 @@ class TestMatching:
 class TestVf:
     @staticmethod
     def section_with_area():
-        sec = ellipse_section(center=(0, 0, 0), normal=(1, 0, 0), a=4.0, b=2.0)
+        (sec,) = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
         return sec, sec.area()
 
     def test_exact_value(self):

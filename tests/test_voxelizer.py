@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from textilemodel import voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
-from textilemodel.geometry import Box, ellipse_section
+from textilemodel.geometry import Box, ellipse_sections
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import (
     GrayVolume,
@@ -80,16 +80,8 @@ class TestPaint:
     @staticmethod
     def cylinder_geom(yarn_id, radius, length, center_yz, n_rings=7):
         xs = np.linspace(0.0, length, n_rings)
-        secs = [
-            ellipse_section(
-                center=(x, center_yz[0], center_yz[1]),
-                normal=(1.0, 0.0, 0.0),
-                a=radius,
-                b=radius,
-                station=x,
-            )
-            for x in xs
-        ]
+        centers = np.column_stack([xs, np.broadcast_to(center_yz, (n_rings, 2))])
+        secs = ellipse_sections(centers, [(1.0, 0.0, 0.0)] * n_rings, radius, radius, stations=xs)
         rings = np.stack([s.contour for s in secs])
         centers = np.array([s.center for s in secs])
         return yarn_id, rings, centers
@@ -483,16 +475,9 @@ class TestRenderMatchesReference:
 def tube_geom(yarn_id, start, direction, length, a, b, n_rings, jitter):
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    secs = [
-        ellipse_section(
-            center=np.asarray(start) + t * direction + j,
-            normal=direction,
-            a=a,
-            b=b,
-            station=t,
-        )
-        for t, j in zip(np.linspace(0.0, length, n_rings), jitter)
-    ]
+    ts = np.linspace(0.0, length, n_rings)
+    centers = [np.asarray(start) + t * direction + j for t, j in zip(ts, jitter)]
+    secs = ellipse_sections(centers, [direction] * n_rings, a, b, stations=ts)
     return yarn_id, np.stack([s.contour for s in secs]), np.array([s.center for s in secs])
 
 
@@ -567,16 +552,13 @@ def on_plane_tubes(draw):
         n_rings = int(rng.integers(2, 6))
         first = rng.integers(-4, 5, size=3) - step * (n_rings // 2)
         b = rng.uniform(1.5, 3.5) * voxel_size
-        secs = [
-            ellipse_section(
-                center=(first + k * step) * voxel_size,
-                normal=step,
-                a=b * rng.uniform(1.0, 1.6),
-                b=b,
-                station=float(k),
-            )
-            for k in range(n_rings)
-        ]
+        secs = ellipse_sections(
+            [(first + k * step) * voxel_size for k in range(n_rings)],
+            [step] * n_rings,
+            a=[b * rng.uniform(1.0, 1.6) for _ in range(n_rings)],
+            b=b,
+            stations=np.arange(n_rings, dtype=float),
+        )
         geoms.append(
             (int(yid), np.stack([s.contour for s in secs]), np.array([s.center for s in secs]))
         )
