@@ -446,7 +446,7 @@ def canonical_indices(uv: np.ndarray) -> np.ndarray:
     return np.where(clockwise[..., None], reverse, order)
 
 
-# Construction checks of a CrossSection, in the order they apply: a ring
+# Construction checks of a section, in the order they apply: a ring
 # takes the first one it fails.
 _FAULTS = (
     (DegenerateGeometryError, "contour contains non-finite values"),
@@ -459,11 +459,10 @@ _FAULTS = (
 
 
 def section_faults(rings: np.ndarray, centers: np.ndarray, stations: np.ndarray) -> list:
-    """Check a stack of would-be CrossSections in one pass.
+    """Check a stack of would-be sections in one pass.
 
     ``rings`` is (N, m, 3), ``centers`` (N, 3) and ``stations`` (N,).
-    Returns, per ring, None or the error its CrossSection construction
-    raises.
+    Returns, per ring, None or the error of the first check it fails.
     """
     n, m = rings.shape[:2]
     bad = np.zeros((len(_FAULTS), n), dtype=bool)
@@ -484,77 +483,52 @@ def section_faults(rings: np.ndarray, centers: np.ndarray, stations: np.ndarray)
     ]
 
 
-@dataclass(frozen=True)
-class CrossSection:
-    """Planar yarn cross-section: a 10-point ring, its center, a station.
+@dataclass(frozen=True, eq=False)
+class Sections:
+    """The planar cross-sections of one yarn, as one read-only stack.
 
-    The center must match the ring centroid and the ring must be planar
-    and simple; violations raise at construction.  ``station`` is the
-    arc-length position of the section along its yarn path.  Stacks of
-    sections are built and checked in one pass by ``cross_sections``.
+    ``rings`` (S, RING_POINTS, 3) holds the contours, ``centers`` (S, 3)
+    their centroids and ``stations`` (S,) their arc-length positions
+    along the yarn path.  Each ring must match its center, be planar and
+    be simple; the stack is checked in one ``section_faults`` pass and
+    the first faulty ring raises its error.
     """
 
-    contour: np.ndarray
-    center: np.ndarray
-    station: float = 0.0
+    rings: np.ndarray
+    centers: np.ndarray
+    stations: np.ndarray
 
     def __post_init__(self):
-        ring = _as_points(self.contour, "contour")
-        center = np.asarray(self.center, dtype=float).reshape(3)
-        fault = section_faults(ring[None], center[None], np.array([self.station]))[0]
-        if fault is not None:
-            raise fault
-        object.__setattr__(self, "contour", _freeze(ring))
-        object.__setattr__(self, "center", _freeze(center))
-        object.__setattr__(self, "station", float(self.station))
-
-    def area(self) -> float:
-        # Construction already checked that the ring is planar and simple.
-        return float(ring_areas(self.contour[None])[0])
-
-
-def cross_sections(contours, centers, stations, faults=None) -> tuple:
-    """CrossSections of a stack: contours (N, m, 3), centers (N, 3) and
-    stations (N,), checked in one ``section_faults`` pass.
-
-    The first faulty ring raises its error.  A caller that already holds
-    this stack's ``section_faults`` passes them as ``faults``; faulty
-    rings are then left out and nothing is checked again.
-    """
-    if len(contours) == 0:
-        return ()
-    if faults is None and len({len(c) for c in contours}) > 1:
-        # Ragged point counts do not stack: check the rings before the
-        # first one of the wrong length, then that ring on its own,
-        # which raises.
-        k = next(k for k, c in enumerate(contours) if len(c) != RING_POINTS)
-        cross_sections(contours[:k], centers[:k], stations[:k])
-        CrossSection(contour=contours[k], center=centers[k], station=stations[k])
-    rings = np.array(contours, dtype=float)
-    if rings.ndim != 3 or rings.shape[2] != 3:
-        raise DegenerateGeometryError(f"contour must have shape (n, 3), got {rings.shape[1:]}")
-    centers = np.array(centers, dtype=float).reshape(len(rings), 3)
-    stations = np.asarray(stations, dtype=float).reshape(len(rings))
-    if faults is None:
-        faults = section_faults(rings, centers, stations)
-        for fault in faults:
+        rings = np.array(self.rings, dtype=float)
+        if len(rings) == 0:
+            rings = rings.reshape(0, RING_POINTS, 3)
+        if rings.ndim != 3 or rings.shape[2] != 3:
+            raise DegenerateGeometryError(f"contour must have shape (n, 3), got {rings.shape[1:]}")
+        centers = np.array(self.centers, dtype=float).reshape(len(rings), 3)
+        stations = np.array(self.stations, dtype=float).reshape(len(rings))
+        for fault in section_faults(rings, centers, stations):
             if fault is not None:
                 raise fault
-    rings.flags.writeable = False
-    centers.flags.writeable = False
-    sections = []
-    for ring, center, station, fault in zip(rings, centers, stations.tolist(), faults):
-        if fault is None:
-            sec = object.__new__(CrossSection)
-            object.__setattr__(sec, "contour", ring)
-            object.__setattr__(sec, "center", center)
-            object.__setattr__(sec, "station", station)
-            sections.append(sec)
-    return tuple(sections)
+        _fill(self, rings, centers, stations)
+
+    def __len__(self) -> int:
+        return len(self.stations)
 
 
-def ellipse_sections(centers, normals, a, b, orientation=None, stations=None) -> tuple:
-    """Elliptical CrossSections centred on centers (N, 3) in the planes
+def _fill(sections: Sections, rings, centers, stations) -> Sections:
+    for name, arr in (("rings", rings), ("centers", centers), ("stations", stations)):
+        object.__setattr__(sections, name, _freeze(arr))
+    return sections
+
+
+def _unchecked_sections(rings, centers, stations) -> Sections:
+    """Sections of float arrays whose rows ``section_faults`` already
+    passed; nothing is checked again."""
+    return _fill(object.__new__(Sections), rings, centers, stations)
+
+
+def ellipse_sections(centers, normals, a, b, orientation=None, stations=None) -> Sections:
+    """Sections of ellipses centred on centers (N, 3) in the planes
     of normals (N, 3), at stations (N,), 0 by default.
 
     ``a`` is the semi-axis along ``orientation`` (projected into each
@@ -595,7 +569,7 @@ def ellipse_sections(centers, normals, a, b, orientation=None, stations=None) ->
     rings = resample_arclength(dense, RING_POINTS, closed=True)
     uv = _project(rings - c[:k, None], e1[:k], e2[:k])
     rings = np.take_along_axis(rings, canonical_indices(uv)[..., None], axis=1)
-    sections = cross_sections(rings, c[:k], stations[:k])
+    sections = Sections(rings, c[:k], stations[:k])
     if k < len(c):
         raise DegenerateGeometryError(
             (

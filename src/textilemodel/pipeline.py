@@ -60,6 +60,7 @@ from .voxelizer import (
     extract_slices,
     render_pseudo_ct,
     save_volume,
+    slice_count,
     voxelize,
 )
 
@@ -433,7 +434,7 @@ def _reconstruct(run: RunContext) -> str:
         )
     box = run.box
     if box is None:
-        centers = np.concatenate([y.centers for y in yarns])
+        centers = np.concatenate([y.sections.centers for y in yarns])
         box = Box.around(centers, margin=4 * cfg.reconstruct.composite_cell)
     comp = build_composite_mesh(
         yarns,
@@ -517,7 +518,7 @@ def read_detection_pair(paths, labels_meta=None):
                         break
             if axis is not None:
                 kwargs["axis"] = axis
-                kwargs["n_slices"] = dims[1] if axis == "xz" else dims[0]
+                kwargs["n_slices"] = slice_count(dims, axis)
             kwargs["voxel_size"] = labels_meta["voxel_size"]
             kwargs["origin"] = labels_meta["origin"]
         dsets.append(read_detections(p, **kwargs))

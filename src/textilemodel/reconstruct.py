@@ -27,14 +27,15 @@ from .geometry import (
     RING_POINTS,
     Box,
     BSplineCurve,
+    Sections,
     _norms,
     _project,
     _shoelace,
+    _unchecked_sections,
     bspline_eval,
     bspline_fit,
     bspline_tangent,
     canonical_indices,
-    cross_sections,
     cumulative_length,
     section_faults,
 )
@@ -239,31 +240,24 @@ class ReconstructedYarn:
     family: str
     axis: str
     path: BSplineCurve
-    sections: tuple
+    sections: Sections
     completed_flags: tuple
 
     def __post_init__(self):
-        sections = tuple(self.sections)
-        if len(sections) < 2:
+        if len(self.sections) < 2:
             raise InsufficientDataError("a yarn needs at least 2 sections")
-        if len(self.completed_flags) != len(sections):
+        if len(self.completed_flags) != len(self.sections):
             raise ConfigError("completed_flags must align with sections")
-        stations = np.array([s.station for s in sections])
-        if np.any(np.diff(stations) <= 0):
+        if np.any(np.diff(self.sections.stations) <= 0):
             raise DegenerateGeometryError("section stations must strictly increase")
-        object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "completed_flags", tuple(bool(f) for f in self.completed_flags))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([s.center for s in self.sections])
 
     @property
     def aligned_rings(self) -> np.ndarray:
         """Section rings, shape (S, n, 3), each cyclically shifted so
         that the summed point distance to the previous aligned ring is
         least."""
-        rings = np.stack([s.contour for s in self.sections])
+        rings = self.sections.rings
         n = rings.shape[1]
         order = (np.arange(n) + self._ring_shifts[:, None]) % n
         return np.take_along_axis(rings, order[:, :, None], axis=1)
@@ -273,7 +267,7 @@ class ReconstructedYarn:
     # frozen dataclass allows; replace() builds a fresh, uncached yarn.
     @cached_property
     def _ring_shifts(self) -> np.ndarray:
-        rings = np.stack([s.contour for s in self.sections])
+        rings = self.sections.rings
         n = rings.shape[1]
         shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row o: shift by o
         best = np.zeros(len(rings), dtype=np.intp)
@@ -381,23 +375,19 @@ def lift_and_fit(
             log.info("dropping invalid section at slice %d", i)
         else:
             flags.append(i in filled)
-    sections = cross_sections(rings, ring_centers, stations, faults)
-
-    if len(sections) < 2:
+    valid = np.array([f is None for f in faults], dtype=bool)
+    rings, ring_centers, stations = rings[valid], ring_centers[valid], stations[valid]
+    if len(stations) < 2:
         raise InsufficientDataError("track collapsed while lifting sections")
-    # Guard against station duplicates from dropped or coincident rings.
-    keep = [0]
-    for k in range(1, len(sections)):
-        if sections[k].station > sections[keep[-1]].station:
-            keep.append(k)
-    sections = [sections[k] for k in keep]
-    flags = [flags[k] for k in keep]
+    # Guard against station duplicates from dropped or coincident rings:
+    # a ring is kept only past every station before it.
+    keep = np.concatenate([[True], stations[1:] > np.maximum.accumulate(stations)[:-1]])
     return ReconstructedYarn(
         family=track.family,
         axis=track.axis,
         path=path,
-        sections=tuple(sections),
-        completed_flags=tuple(flags),
+        sections=_unchecked_sections(rings[keep], ring_centers[keep], stations[keep]),
+        completed_flags=tuple(np.array(flags)[keep]),
     )
 
 
@@ -491,7 +481,7 @@ def build_surface_mesh(yarn: ReconstructedYarn) -> QuadSurfaceMesh:
         np.column_stack([c0 + 1, quads[-RING_POINTS:, [3, 2]]]),  # end cap faces forward
     ]
     mesh = QuadSurfaceMesh(
-        vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers[[0, -1]]]),
+        vertices=np.vstack([aligned.reshape(-1, 3), yarn.sections.centers[[0, -1]]]),
         quads=quads,
         cap_triangles=np.concatenate(caps),
     )
@@ -573,7 +563,7 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
     band = _ring_band(s)
     c = np.repeat(RING_POINTS * s + np.arange(s - 1), RING_POINTS)
     mesh = VolumeMesh(
-        vertices=np.vstack([aligned.reshape(-1, 3), yarn.centers]),
+        vertices=np.vstack([aligned.reshape(-1, 3), yarn.sections.centers]),
         wedges=np.column_stack([c, band[:, :2], c + 1, band[:, [3, 2]]]),
         hexes=(),
         wedge_labels=np.full(len(band), label),
@@ -585,9 +575,9 @@ def build_volume_mesh(yarn: ReconstructedYarn, label: int = 1) -> VolumeMesh:
         vols = wedge_volumes(mesh)
     if (vols <= 0).any():
         seg = int(np.argmax(vols <= 0)) // RING_POINTS
+        stations = yarn.sections.stations
         raise MeshIntegrityError(
-            "inverted wedge cell between stations "
-            f"{yarn.sections[seg].station:.3f} and {yarn.sections[seg + 1].station:.3f}"
+            f"inverted wedge cell between stations {stations[seg]:.3f} and {stations[seg + 1]:.3f}"
         )
     return mesh
 
@@ -611,10 +601,7 @@ def build_composite_mesh(
         raise MeshIntegrityError(
             f"composite grid {dims} = {n_cells} cells exceeds budget {budget}"
         )
-    geoms = (
-        (idx + 1, np.stack([s.contour for s in y.sections]), y.centers)
-        for idx, y in enumerate(yarns)
-    )
+    geoms = ((idx + 1, y.sections.rings, y.sections.centers) for idx, y in enumerate(yarns))
     grid = paint_labels(geoms, dims, bbox.lo, cell_size)
 
     xs = bbox.lo[0] + np.arange(nx + 1) * cell_size

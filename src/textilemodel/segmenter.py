@@ -48,9 +48,9 @@ _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 class SectionDetection:
     """One detected yarn section in one slice.
 
-    ``contour`` holds 10 keypoints in slice pixel coordinates (image
-    axis 0, image axis 1); ``center`` is their centroid.  ``true_label``
-    carries the generating yarn id when known.
+    ``contour`` holds RING_POINTS keypoints in slice pixel coordinates
+    (image axis 0, image axis 1); ``center`` is their centroid.
+    ``true_label`` carries the generating yarn id when known.
     """
 
     axis: str
@@ -62,8 +62,8 @@ class SectionDetection:
 
     def __post_init__(self):
         contour = np.asarray(self.contour, dtype=float)
-        if contour.shape != (10, 2) or not np.all(np.isfinite(contour)):
-            raise ConfigError("detection contour must be a finite (10, 2) array")
+        if contour.shape != (RING_POINTS, 2) or not np.all(np.isfinite(contour)):
+            raise ConfigError(f"detection contour must be a finite ({RING_POINTS}, 2) array")
         center = np.asarray(self.center, dtype=float).reshape(2)
         if self.axis not in SLICE_AXES:
             raise ConfigError(f"axis must be one of {SLICE_AXES}")

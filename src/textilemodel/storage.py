@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BSplineCurve, CrossSection, cross_sections
+from .geometry import RING_POINTS, BSplineCurve, Sections
 from .reconstruct import ReconstructedYarn
 from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 
@@ -90,18 +90,25 @@ def _curve_from_dict(d: dict) -> BSplineCurve:
     )
 
 
-def _section_to_dict(s: CrossSection) -> dict:
-    return {
-        "station": s.station,
-        "center": s.center.tolist(),
-        "contour": s.contour.tolist(),
-    }
+def _sections_to_dicts(s: Sections) -> list:
+    return [
+        {"station": t, "center": c, "contour": r}
+        for t, c, r in zip(s.stations.tolist(), s.centers.tolist(), s.rings.tolist())
+    ]
 
 
-def _sections_from_dicts(ds: list) -> tuple:
-    return cross_sections(
-        [d["contour"] for d in ds], [d["center"] for d in ds], [d["station"] for d in ds]
-    )
+def _sections_from_dicts(ds: list) -> Sections:
+    contours = [d["contour"] for d in ds]
+    centers = [d["center"] for d in ds]
+    stations = [d["station"] for d in ds]
+    if len({len(c) for c in contours}) > 1:
+        # Ragged point counts do not stack: check the rings before the
+        # first one of the wrong length, then that ring on its own,
+        # which raises.
+        k = next(k for k, c in enumerate(contours) if len(c) != RING_POINTS)
+        Sections(contours[:k], centers[:k], stations[:k])
+        Sections(contours[k : k + 1], centers[k : k + 1], stations[k : k + 1])
+    return Sections(contours, centers, stations)
 
 
 def save_model(model: TextileModel, path) -> None:
@@ -133,7 +140,7 @@ def save_model(model: TextileModel, path) -> None:
                 "id": y.yarn_id,
                 "family": y.family,
                 "path": _curve_to_dict(y.path),
-                "sections": [_section_to_dict(s) for s in y.sections],
+                "sections": _sections_to_dicts(y.sections),
             }
             for y in model.yarns
         ],
@@ -198,7 +205,7 @@ def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> No
                 "family": y.family,
                 "axis": y.axis,
                 "path": _curve_to_dict(y.path),
-                "sections": [_section_to_dict(s) for s in y.sections],
+                "sections": _sections_to_dicts(y.sections),
                 "completed": list(y.completed_flags),
                 "boundary_gaps": [list(g) for g in gap],
             }

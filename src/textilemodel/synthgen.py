@@ -17,10 +17,9 @@ from .errors import ConfigError, DegenerateGeometryError, InfeasibleWeaveError
 from .geometry import (
     Box,
     BSplineCurve,
-    CrossSection,
+    Sections,
     bspline_eval,
     bspline_fit,
-    cross_sections,
     cumulative_length,
     ellipse_sections,
     fit_planes,
@@ -108,32 +107,25 @@ class YarnModel:
     yarn_id: int
     family: str
     path: BSplineCurve
-    sections: tuple[CrossSection, ...]
+    sections: Sections
 
     def __post_init__(self):
         if self.yarn_id < 1:
             raise ConfigError("yarn ids start at 1; 0 is the background label")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
-        sections = tuple(self.sections)
-        if len(sections) < 2:
+        if len(self.sections) < 2:
             raise DegenerateGeometryError("a yarn needs at least 2 sections")
-        stations = np.array([s.station for s in sections])
+        stations = self.sections.stations
         if np.any(np.diff(stations) <= 0):
             raise DegenerateGeometryError("section stations must strictly increase")
         total = stations[-1] - stations[0]
         if total <= 0:
             raise DegenerateGeometryError("yarn has zero arc length")
         params = (stations - stations[0]) / total
-        centers = np.array([s.center for s in sections])
         on_path = bspline_eval(self.path, params)
-        if np.linalg.norm(on_path - centers, axis=1).max() > PATH_TOL:
+        if np.linalg.norm(on_path - self.sections.centers, axis=1).max() > PATH_TOL:
             raise DegenerateGeometryError("section centers stray from the yarn path")
-        object.__setattr__(self, "sections", sections)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([s.center for s in self.sections])
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,7 @@ class TextileModel:
         if abs(z_extent - self.thickness) > 1e-6:
             raise ConfigError("thickness must match the bbox z extent")
         for yarn in yarns:
-            contours = np.concatenate([sec.contour for sec in yarn.sections])
-            if not np.all(self.bbox.contains(contours)):
+            if not np.all(self.bbox.contains(yarn.sections.rings.reshape(-1, 3))):
                 raise DegenerateGeometryError(
                     f"yarn {yarn.yarn_id} has keypoints outside the bbox"
                 )
@@ -172,6 +163,11 @@ class TextileModel:
 
     def family(self, family: str) -> tuple[YarnModel, ...]:
         return tuple(y for y in self.yarns if y.family == family)
+
+
+def _keypoints(yarns) -> np.ndarray:
+    """Every ring point of ``yarns``, shape (n, 3)."""
+    return np.concatenate([y.sections.rings.reshape(-1, 3) for y in yarns])
 
 
 def _interpolating_path(centers: np.ndarray) -> BSplineCurve:
@@ -284,7 +280,7 @@ def generate_interlock(
 
     # Tilted end rings can poke past the nominal column extents; grow
     # the box in x/y so every keypoint is inside.  z keeps its margins.
-    kp = np.vstack([s.contour for y in yarns for s in y.sections])
+    kp = _keypoints(yarns)
     lo = np.minimum([0.0, 0.0, 0.0], np.append(kp[:, :2].min(axis=0), 0.0))
     hi = np.maximum([lx, ly, thickness], np.append(kp[:, :2].max(axis=0), thickness))
     bbox = Box(lo, hi)
@@ -309,15 +305,14 @@ def _scale_model(model: TextileModel, planes: list, thickness_k: float) -> Texti
         # Stations shrink with the path; rebuild them from the scaled centers.
         stations = cumulative_length(centers)
         rings = centers[:, None] + (alpha / f) * e1[:, None] + (beta * f) * e2[:, None]
-        sections = cross_sections(rings, centers, stations)
-        yarns.append(YarnModel(yarn.yarn_id, yarn.family, path, sections))
+        yarns.append(YarnModel(yarn.yarn_id, yarn.family, path, Sections(rings, centers, stations)))
 
     lo = np.array(model.bbox.lo)
     hi = np.array(model.bbox.hi)
     lo[2] = z_mid - thickness_k / 2.0
     hi[2] = z_mid + thickness_k / 2.0
     # Widened sections may poke past the original x/y walls.
-    kp = np.vstack([s.contour for y in yarns for s in y.sections])
+    kp = _keypoints(yarns)
     lo[:2] = np.minimum(lo[:2], kp[:, :2].min(axis=0))
     hi[:2] = np.maximum(hi[:2], kp[:, :2].max(axis=0))
     return TextileModel(
@@ -347,8 +342,7 @@ def compaction_sequence(
     # Every step scales the input model, so its section planes are shared.
     planes = []
     for yarn in model.yarns:
-        rings = np.array([s.contour for s in yarn.sections])
-        centers = np.array([s.center for s in yarn.sections])
+        rings, centers = yarn.sections.rings, yarn.sections.centers
         e1, e2 = plane_frames(fit_planes(rings)[1])
         rel = rings - centers[:, None]
         planes.append((centers, e1, e2, rel @ e1[:, :, None], rel @ e2[:, :, None]))
@@ -380,15 +374,12 @@ def perturb_model(
     rng = np.random.default_rng(seed)
     yarns = []
     for yarn in model.yarns:
-        rings = []
-        for sec in yarn.sections:
-            ring = np.array(sec.contour)
+        rings = np.array(yarn.sections.rings)
+        for ring in rings:  # one section's draws after another
             if center_sigma > 0:
-                ring = ring + rng.normal(0.0, center_sigma, 3)
+                ring += rng.normal(0.0, center_sigma, 3)
             if contour_sigma > 0:
-                ring = ring + rng.normal(0.0, contour_sigma, ring.shape)
-            rings.append(ring)
-        rings = np.array(rings)
+                ring += rng.normal(0.0, contour_sigma, ring.shape)
         _, normals, rel = fit_planes(rings)
         rings = rings - (rel @ normals[:, :, None]) * normals[:, None]
         centers = rings.mean(axis=1)
@@ -399,10 +390,10 @@ def perturb_model(
             )
         path = _interpolating_path(centers)
         yarns.append(
-            YarnModel(yarn.yarn_id, yarn.family, path, cross_sections(rings, centers, stations))
+            YarnModel(yarn.yarn_id, yarn.family, path, Sections(rings, centers, stations))
         )
     bbox = model.bbox
-    kp = np.vstack([s.contour for y in yarns for s in y.sections])
+    kp = _keypoints(yarns)
     lo = np.minimum(np.array(bbox.lo), kp.min(axis=0))
     hi = np.maximum(np.array(bbox.hi), kp.max(axis=0))
     lo[2] = min(lo[2], bbox.lo[2])
@@ -424,9 +415,7 @@ def fiber_spec_for_target_vf(
     of the model's sections equal to ``target_vf``."""
     if not (0 < target_vf <= 1):
         raise ConfigError("target_vf must lie in (0, 1]")
-    areas = np.concatenate(
-        [ring_areas(np.array([s.contour for s in y.sections])) for y in model.yarns]
-    )
+    areas = np.concatenate([ring_areas(y.sections.rings) for y in model.yarns])
     mean_area = float(np.mean(areas))
     radius = math.sqrt(target_vf * mean_area / (math.pi * fibers_per_yarn))
     return FiberSpec(fiber_radius=radius, fibers_per_yarn=fibers_per_yarn)

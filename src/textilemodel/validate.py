@@ -158,36 +158,11 @@ def match_and_assess_paths(
     )
 
 
-@dataclass(frozen=True)
-class VfValue:
-    value: float
-    raw: float
-    capped: bool
-    over_hex_limit: bool
-
-
 def _raw_vf(area, fibers):
-    """n * pi * r^2 / A for one area or an array of them."""
+    """n * pi * r^2 / A for each section area A."""
     if np.any(area <= 0):
         raise InsufficientDataError("section area must be positive")
     return fibers.fibers_per_yarn * math.pi * fibers.fiber_radius**2 / area
-
-
-def fiber_volume_fraction(section, fibers) -> VfValue:
-    """Intra-yarn fiber volume fraction of one cross-section.
-
-    Vf = n * pi * r^2 / A, clamped to 1.  ``capped`` marks a clamp,
-    ``over_hex_limit`` marks values beyond the hexagonal packing bound
-    pi / (2 sqrt 3); both indicate the section is implausibly small for
-    its fiber count.
-    """
-    raw = _raw_vf(section.area(), fibers)
-    return VfValue(
-        value=min(1.0, raw),
-        raw=raw,
-        capped=raw > 1.0,
-        over_hex_limit=raw > HEX_PACKING_LIMIT,
-    )
 
 
 @dataclass(frozen=True)
@@ -230,7 +205,13 @@ class VfReport:
 
 
 def vf_distribution(yarns, fibers, n_bins: int = 20) -> VfReport:
-    """Per-section Vf histogram over ``yarns`` (model or reconstructed)."""
+    """Per-section Vf histogram over ``yarns`` (model or reconstructed).
+
+    Vf = n * pi * r^2 / A, clamped to 1.  ``n_capped`` counts clamps,
+    ``n_over_hex_limit`` values beyond the hexagonal packing bound
+    pi / (2 sqrt 3); both mark sections implausibly small for their
+    fiber count.
+    """
     if n_bins < 1:
         raise ConfigError("n_bins must be positive")
     yarns = list(yarns)
@@ -241,8 +222,7 @@ def vf_distribution(yarns, fibers, n_bins: int = 20) -> VfReport:
     n_capped = 0
     n_over = 0
     for y in yarns:
-        # fiber_volume_fraction per section, with one area kernel call per yarn.
-        raw = _raw_vf(ring_areas(np.array([s.contour for s in y.sections])), fibers)
+        raw = _raw_vf(ring_areas(y.sections.rings), fibers)
         vals = np.minimum(1.0, raw)
         n_capped += int(np.count_nonzero(raw > 1.0))
         n_over += int(np.count_nonzero(raw > HEX_PACKING_LIMIT))

@@ -410,10 +410,7 @@ def voxelize(
         raise BudgetExceededError(
             f"grid {dims[0]}x{dims[1]}x{dims[2]} = {n_vox} voxels exceeds budget {budget}"
         )
-    geoms = (
-        (y.yarn_id, np.stack([s.contour for s in y.sections]), y.centers)
-        for y in model.yarns
-    )
+    geoms = ((y.yarn_id, y.sections.rings, y.sections.centers) for y in model.yarns)
     data = paint_labels(geoms, dims, model.bbox.lo, voxel_size)
     label_map = {y.yarn_id: y.family for y in model.yarns}
     return LabelVolume(

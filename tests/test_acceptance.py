@@ -35,12 +35,7 @@ from textilemodel.synthgen import (
     generate_interlock,
     with_fibers,
 )
-from textilemodel.validate import (
-    fiber_volume_fraction,
-    hausdorff,
-    match_and_assess_paths,
-    vf_distribution,
-)
+from textilemodel.validate import hausdorff, match_and_assess_paths, vf_distribution
 from textilemodel.voxelizer import compute_dims, extract_slices, slice_count, voxelize
 
 from test_voxelizer import ref_serial_paint_labels
@@ -227,10 +222,7 @@ def test_composite_mesh_labels_match_the_serial_painter(clean_chain):
     elapsed = time.perf_counter() - t0
 
     dims = compute_dims(box, cell)
-    geoms = [
-        (i + 1, np.stack([s.contour for s in y.sections]), y.centers)
-        for i, y in enumerate(yarns)
-    ]
+    geoms = [(i + 1, y.sections.rings, y.sections.centers) for i, y in enumerate(yarns)]
     ref = ref_serial_paint_labels(geoms, dims, box.lo, cell)
     assert np.array_equal(mesh.hex_labels, ref.reshape(-1))
     assert set(np.unique(mesh.hex_labels)) == set(range(len(yarns) + 1))
@@ -249,19 +241,19 @@ def test_fiber_volume_fraction_recovers_target_and_flags_fire(clean_chain):
     assert np.all((report.values >= 0.0) & (report.values <= 1.0))
     assert elapsed < 5.0
 
-    (sec,) = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
-    area = sec.area()
+    sec = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
+    area = ring_areas(sec.rings)[0]
 
     def case(raw):
         r = math.sqrt(raw * area / (math.pi * 100))
-        return fiber_volume_fraction(sec, FiberSpec(fiber_radius=r, fibers_per_yarn=100))
+        one = SimpleNamespace(sections=sec)
+        rep = vf_distribution([one], FiberSpec(fiber_radius=r, fibers_per_yarn=100))
+        return rep.values[0], rep.n_capped, rep.n_over_hex_limit
 
-    capped = case(1.05)
-    assert capped.value == 1.0 and capped.capped and capped.over_hex_limit
-    over = case(0.95)
-    assert not over.capped and over.over_hex_limit and over.value == pytest.approx(0.95)
-    clean = case(0.85)
-    assert not clean.capped and not clean.over_hex_limit
+    assert case(1.05) == (1.0, 1, 1)
+    value, n_capped, n_over = case(0.95)
+    assert (n_capped, n_over) == (0, 1) and value == pytest.approx(0.95)
+    assert case(0.85)[1:] == (0, 0)
     print(
         f"\nfiber volume fraction: mean {report.mean:.4f} in [0.55, 0.65], "
         f"{len(report.values)} sections all in [0, 1], cap and hex-limit "

@@ -1,0 +1,98 @@
+"""The benchmark harness against the package it traces.
+
+``perfbench/op.py`` wraps package functions by name and its counters
+read their parameters and results by name (``dset``, ``track``,
+``model``, ``yarns``, ``path``, ``len(result.sections)``).  These tests
+run the harness self-test and trace a small pipeline and one
+``lift_and_fit`` through the harness's own hook table, so a renamed
+function, parameter or result attribute fails here and not first in a
+benchmark run.
+"""
+
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import textilemodel.reconstruct as rc
+from textilemodel.pipeline import config_from_dict, run_pipeline
+
+from test_pipeline import SMALL, straight_dset
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Every counter that a hook of op.hooks() adds.
+COUNTERS = {
+    "voxelizer.voxels",
+    "segmenter.detections",
+    "segmenter.filter_in",
+    "segmenter.kept",
+    "reconstruct.tracks",
+    "reconstruct.filled_slices",
+    "reconstruct.sections_dropped",
+    "reconstruct.wedges",
+    "reconstruct.hexes",
+    "validate.paths",
+    "pipeline.hash_bytes",
+}
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """perfbench's ``op`` and ``spans`` modules, imported as the harness does."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import op
+        import spans
+    finally:
+        sys.path.remove(str(BENCH))
+    return op, spans
+
+
+def test_harness_self_test_passes():
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_traced_pipeline_fills_every_counter_and_layer_metric(harness, tmp_path):
+    op, spans = harness
+    # Meshes on (the default), so every counter's stage runs.
+    cfg = config_from_dict(SMALL)
+    rec = spans.Recorder()
+    with spans.traced(rec, op.hooks(), op.PACKAGE), rec.span("op") as op_idx:
+        manifest = run_pipeline(cfg, tmp_path)
+    assert COUNTERS <= set(rec.counts)
+    assert rec.counts["validate.paths"] == 4 + 4  # model yarns plus reconstructed ones
+    assert rec.counts["pipeline.hash_bytes"] == sum(f["bytes"] for f in manifest.files)
+    metrics = op.layer_metrics(rec, op_idx, tmp_path)
+    for name in ("synthgen.generate_s", "segmenter.detect_s", "reconstruct.fit_s",
+                 "reconstruct.volume_mesh_s", "validate.vf_s", "storage.write_s"):
+        assert metrics[name] > 0, name
+    assert metrics["reconstruct.tracks"] == 4
+    assert all(np.isfinite(v) for v in metrics.values())
+
+
+def test_traced_lift_and_fit_counts_dropped_sections(harness):
+    op, spans = harness
+    # Slice 9 holds a folded decagon, which lift_and_fit drops.
+    dset = straight_dset()
+    ring = dset.per_slice[9][0].contour[[0, 1, 6, 3, 4, 5, 2, 7, 8, 9]]
+    per_slice = list(dset.per_slice)
+    per_slice[9] = [dataclasses.replace(per_slice[9][0], contour=ring, center=ring.mean(axis=0))]
+    dset = dataclasses.replace(dset, per_slice=per_slice)
+    (track,) = rc.track_yarns(dset, d_gate=6.0)
+    rec = spans.Recorder()
+    with spans.traced(rec, op.hooks(), op.PACKAGE):
+        yarn = rc.lift_and_fit(track)
+    assert [s.name for s in rec.spans if s.parent is None] == ["reconstruct.fit"]
+    assert len(yarn.sections) == len(track.entries) - 1
+    assert rec.counts["reconstruct.sections_dropped"] == 1

@@ -1,5 +1,7 @@
 """Geometry primitives: splines, resampling, ring areas, cross sections."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from textilemodel.errors import (
     InsufficientDataError,
     InvalidContourError,
 )
+from textilemodel.storage import _sections_from_dicts
 
 
 def rigid_motion(points, seed=7):
@@ -36,8 +39,31 @@ def ellipse_equal_arc_points(a, b, n, dense=200_000):
 
 
 def ellipse(center, normal, a, b, orientation=None, station=0.0):
-    """One section from the stacked builder."""
-    return geo.ellipse_sections([center], [normal], a, b, orientation, [station])[0]
+    """A one-section stack from the stacked builder."""
+    return geo.ellipse_sections([center], [normal], a, b, orientation, [station])
+
+
+@dataclass(frozen=True)
+class RefCrossSection:
+    """The one-ring section that Sections replaced: one ring, its
+    center and station, checked on construction."""
+
+    contour: np.ndarray
+    center: np.ndarray
+    station: float = 0.0
+
+    def __post_init__(self):
+        ring = geo._as_points(self.contour, "contour")
+        center = np.asarray(self.center, dtype=float).reshape(3)
+        fault = geo.section_faults(ring[None], center[None], np.array([self.station]))[0]
+        if fault is not None:
+            raise fault
+        object.__setattr__(self, "contour", geo._freeze(ring))
+        object.__setattr__(self, "center", geo._freeze(center))
+        object.__setattr__(self, "station", float(self.station))
+
+    def area(self) -> float:
+        return float(geo.ring_areas(self.contour[None])[0])
 
 
 def shoelace_2d(uv):
@@ -491,32 +517,33 @@ class TestSectionArea:
         assert abs(geo.ring_areas(ring[None])[0] - 1.0) < 1e-12
 
     def test_rigid_motion_invariance(self):
-        ring = ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).contour
+        ring = ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).rings[0]
         a0 = geo.ring_areas(ring[None])[0]
         moved = np.array([rigid_motion(ring, seed) for seed in (1, 2, 3)])
         assert np.abs(geo.ring_areas(moved) - a0).max() < 1e-9
 
     def test_self_intersection_raises(self):
-        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).contour)
+        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 1.5).rings[0])
         ring[[2, 6]] = ring[[6, 2]]
         assert not geo.ring_is_simple(ring[:, :2])
         with pytest.raises(InvalidContourError, match="self-intersecting"):
-            geo.cross_sections(ring[None], ring.mean(axis=0)[None], [0.0])
+            geo.Sections(ring[None], ring.mean(axis=0)[None], [0.0])
 
     def test_too_few_points_raises(self):
         with pytest.raises(InvalidContourError):
-            geo.CrossSection(contour=np.array([[0.0, 0, 0], [1, 0, 0]]), center=[0.5, 0, 0])
+            geo.Sections([[[0.0, 0, 0], [1, 0, 0]]], [[0.5, 0, 0]], [0.0])
 
     def test_cross_section_area_equals_array_path(self):
         sec = ellipse([1, 2, 3], [0.3, -0.4, 0.86], 4.0, 2.0)
-        assert sec.area() == geo.ring_areas(np.array(sec.contour)[None])[0]
+        ref = RefCrossSection(sec.rings[0], sec.centers[0], sec.stations[0])
+        assert ref.area() == geo.ring_areas(sec.rings)[0]
 
     def test_regular_decagon_on_circle_matches_analytic(self):
         # Ten equal-arc points on a circle form a regular decagon with
         # area (5/2) r^2 sin(2 pi / 10).
         sec = ellipse([0, 0, 0], [0, 0, 1], 1.0, 1.0)
         analytic = 5.0 * np.sin(np.pi / 5.0) / 2.0 * 1.0**2 * 2.0
-        assert abs(sec.area() - 2.938926261462366) < 1e-9
+        assert abs(geo.ring_areas(sec.rings)[0] - 2.938926261462366) < 1e-9
         assert abs(analytic - 2.938926261462366) < 1e-12
 
     def test_decagon_on_ellipse_matches_oracle(self):
@@ -526,7 +553,7 @@ class TestSectionArea:
         sec = ellipse([0, 0, 0], [1, 0, 0], 2.0, 1.0)
         oracle_pts = ellipse_equal_arc_points(2.0, 1.0, 10)
         oracle_area = shoelace_2d(oracle_pts)
-        area = sec.area()
+        area = geo.ring_areas(sec.rings)[0]
         assert abs(area - oracle_area) < 1e-4
         ratio = area / (np.pi * 2.0 * 1.0)
         assert 0.92 < ratio < 0.935
@@ -548,7 +575,7 @@ class TestSectionArea:
         oracle_pts = ellipse_equal_arc_points(2.0, 1.0, 10)
         closed = np.vstack([oracle_pts, oracle_pts[:1]])
         oracle_perim = np.hypot(*np.diff(closed, axis=0).T[:2]).sum()
-        ring = np.vstack([sec.contour, sec.contour[:1]])
+        ring = np.vstack([sec.rings[0], sec.rings[0, :1]])
         perim = np.linalg.norm(np.diff(ring, axis=0), axis=1).sum()
         assert abs(perim - oracle_perim) < 1e-4
 
@@ -609,19 +636,20 @@ class TestRingIsSimple:
 class TestCrossSection:
     def test_valid_construction(self):
         sec = ellipse([1, 2, 3], [0, 1, 0], 4.0, 2.0, station=7.5)
-        assert sec.station == 7.5
-        np.testing.assert_allclose(sec.contour.mean(axis=0), sec.center, atol=1e-9)
+        assert len(sec) == 1 and sec.stations.tolist() == [7.5]
+        assert sec.rings.shape == (1, geo.RING_POINTS, 3) and sec.centers.shape == (1, 3)
+        np.testing.assert_allclose(sec.rings[0].mean(axis=0), sec.centers[0], atol=1e-9)
 
     def test_center_mismatch_raises(self):
-        ring = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0).contour
+        rings = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0).rings
         with pytest.raises(InvalidContourError):
-            geo.CrossSection(contour=ring, center=np.array([1.0, 0, 0]))
+            geo.Sections(rings, [[1.0, 0, 0]], [0.0])
 
     def test_nonplanar_raises(self):
-        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 2.0).contour)
+        ring = np.array(ellipse([0, 0, 0], [0, 0, 1], 3.0, 2.0).rings[0])
         ring[0, 2] += 2.0
         with pytest.raises(InvalidContourError):
-            geo.CrossSection(contour=ring, center=ring.mean(axis=0))
+            geo.Sections(ring[None], ring.mean(axis=0)[None], [0.0])
 
     def test_wrong_point_count_raises(self):
         theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
@@ -629,19 +657,20 @@ class TestCrossSection:
             [2 * np.cos(theta), np.sin(theta), np.zeros_like(theta)]
         )
         with pytest.raises(InvalidContourError):
-            geo.CrossSection(contour=ring, center=np.zeros(3))
+            geo.Sections(ring[None], np.zeros((1, 3)), [0.0])
 
     def test_immutability(self):
         sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
-        with pytest.raises(ValueError):
-            sec.contour[0, 0] = 99.0
+        for arr in (sec.rings, sec.centers, sec.stations):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
 
 
 class TestEllipseSection:
     def test_axis_lengths(self):
         a, b = 5.0, 2.0
         sec = ellipse([0, 0, 0], [0, 0, 1], a, b, orientation=[1, 0, 0])
-        rel = sec.contour - sec.center
+        rel = sec.rings[0] - sec.centers[0]
         assert rel[:, 0].max() <= a + 1e-9
         assert rel[:, 1].max() <= b + 1e-9
         # First point sits at the +orientation vertex.
@@ -649,7 +678,7 @@ class TestEllipseSection:
 
     def test_counterclockwise_about_normal(self):
         sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0, orientation=[1, 0, 0])
-        uv = sec.contour[:, :2]
+        uv = sec.rings[0, :, :2]
         assert shoelace_2d(uv) > 0
         signed = 0.5 * np.sum(
             uv[:, 0] * np.roll(uv[:, 1], -1) - np.roll(uv[:, 0], -1) * uv[:, 1]
@@ -670,8 +699,7 @@ class TestEllipseSection:
 class TestCanonicalOrdering:
     def test_rotation_of_start_is_normalized(self):
         sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
-        ring = sec.contour
-        uv = ring[:, :2]
+        uv = sec.rings[0, :, :2]
         for shift in (1, 3, 7):
             rolled = np.roll(uv, shift, axis=0)
             order = geo.canonical_indices(rolled)
@@ -679,7 +707,7 @@ class TestCanonicalOrdering:
 
     def test_reversed_ring_is_reoriented(self):
         sec = ellipse([0, 0, 0], [0, 0, 1], 2.0, 1.0)
-        uv = sec.contour[:, :2]
+        uv = sec.rings[0, :, :2]
         reversed_uv = uv[::-1]
         order = geo.canonical_indices(reversed_uv)
         np.testing.assert_allclose(reversed_uv[order], uv, atol=1e-12)
@@ -732,7 +760,7 @@ class TestBox:
 
 
 # Scalar references for the ring kernel: the one-ring plane fit, frame,
-# projection, shoelace and CrossSection checks that the stacked kernel
+# projection, shoelace and one-ring section checks that the stacked kernel
 # replaced.  The kernel must match them bit for bit.
 def ref_cross3(a, b):
     return np.array(
@@ -776,7 +804,7 @@ def ref_shoelace(uv):
 
 
 def ref_section_fault(ring, center, station):
-    """(error type, message) of the one-ring CrossSection checks, or None."""
+    """(error type, message) of the one-ring section checks, or None."""
     if not np.all(np.isfinite(ring)):
         return DegenerateGeometryError, "contour contains non-finite values"
     if len(ring) != geo.RING_POINTS:
@@ -818,7 +846,7 @@ def ref_ellipse_section(center, normal, a, b, orientation=None, station=0.0):
     ring = ref_resample_arclength(dense_ring, geo.RING_POINTS, closed=True)
     uv = np.column_stack([(ring - c) @ e1, (ring - c) @ e2])
     ring = ring[ref_canonical_indices(uv)]
-    return geo.CrossSection(contour=ring, center=c, station=station)
+    return RefCrossSection(contour=ring, center=c, station=station)
 
 
 def ref_canonical_indices(uv):
@@ -940,28 +968,32 @@ class TestRingKernelMatchesScalarReference:
     @settings(max_examples=150, deadline=None)
     @given(ring_stacks)
     def test_cross_section_and_bulk_builder_raise_the_reference_error(self, cases):
+        # Sections accepts a stack exactly when the one-ring reference
+        # accepts every ring, and otherwise raises the reference error of
+        # the first faulty ring.
         rings, centers, stations = build_stack(cases)
         want = [ref_section_fault(*row) for row in zip(rings, centers, stations)]
-        for row, w in zip(zip(rings, centers, stations), want):
+        refs = [raised(RefCrossSection, *row) for row in zip(rings, centers, stations)]
+        for ref, w in zip(refs, want):
             if w is None:
-                sec = geo.CrossSection(*row)
-                assert sec.area() == abs(ref_shoelace(ref_project_ring(row[0], *ref_best_fit_plane(row[0]))))
+                uv = ref_project_ring(ref.contour, *ref_best_fit_plane(ref.contour))
+                assert ref.area() == abs(ref_shoelace(uv))
             else:
-                with pytest.raises(w[0]) as err:
-                    geo.CrossSection(*row)
-                assert str(err.value) == w[1]
+                assert ref == w
         first = next((w for w in want if w is not None), None)
-        if first is None:
-            built = geo.cross_sections(rings, centers, stations)
-            assert len(built) == len(rings)
-            for sec, row in zip(built, zip(rings, centers, stations)):
-                assert np.array_equal(sec.contour, row[0]) and np.array_equal(sec.center, row[1])
-                assert type(sec.station) is float and sec.station == row[2]
-                assert not sec.contour.flags.writeable
-        else:
-            with pytest.raises(first[0]) as err:
-                geo.cross_sections(rings, centers, stations)
-            assert str(err.value) == first[1]
+        got = raised(geo.Sections, list(rings), centers.tolist(), stations.tolist())
+        if first is not None:
+            assert got == first
+            return
+        assert len(got) == len(rings)
+        assert np.array_equal(got.rings, [r.contour for r in refs])
+        assert np.array_equal(got.centers, [r.center for r in refs])
+        assert got.stations.tolist() == [r.station for r in refs]
+        assert [a.shape for a in (got.rings, got.centers, got.stations)] == [
+            rings.shape, centers.shape, stations.shape
+        ]
+        for arr in (got.rings, got.centers, got.stations):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
     @settings(max_examples=300, deadline=None)
     @given(grid_ring_stacks)
@@ -977,20 +1009,23 @@ class TestRingKernelMatchesScalarReference:
         assert all(np.array_equal(geo.canonical_indices(r), w) for r, w in zip(uv, want))
 
     def test_ragged_stack_raises_the_first_fault_in_order(self):
+        # Ragged contour lists come from files: the section reader checks
+        # them ring by ring in file order.
         rings, centers, stations = build_stack([(1, set()), (2, {"fold"}), (3, set())])
-        contours = [rings[0], rings[1], rings[2][:9]]
-        with pytest.raises(InvalidContourError, match="self-intersecting"):
-            geo.cross_sections(contours, centers, stations)
-        with pytest.raises(InvalidContourError, match="must have 10 points"):
-            geo.cross_sections([rings[0], rings[2][:9], rings[1]], centers, stations)
-        assert geo.cross_sections([], [], []) == ()
 
-    def test_faulty_rings_are_left_out_when_faults_are_given(self):
-        rings, centers, stations = build_stack([(1, set()), (2, {"fold"}), (3, set())])
-        faults = geo.section_faults(rings, centers, stations)
-        assert [f is None for f in faults] == [True, False, True]
-        built = geo.cross_sections(rings, centers, stations, faults)
-        assert [s.station for s in built] == [stations[0], stations[2]]
+        def read(contours):
+            return _sections_from_dicts(
+                [
+                    {"contour": np.asarray(r).tolist(), "center": c.tolist(), "station": float(t)}
+                    for r, c, t in zip(contours, centers, stations)
+                ]
+            )
+
+        with pytest.raises(InvalidContourError, match="self-intersecting"):
+            read([rings[0], rings[1], rings[2][:9]])
+        with pytest.raises(InvalidContourError, match="must have 10 points"):
+            read([rings[0], rings[2][:9], rings[1]])
+        assert len(geo.Sections([], [], [])) == 0
 
 
 @st.composite
@@ -1058,7 +1093,6 @@ class TestEllipseSectionsMatchOneRingReference:
             assert got == want
             return
         assert len(got) == len(want)
-        for sec, ref in zip(got, want):
-            assert np.array_equal(sec.contour, ref.contour)
-            assert np.array_equal(sec.center, ref.center)
-            assert type(sec.station) is float and sec.station == ref.station
+        assert np.array_equal(got.rings, [ref.contour for ref in want])
+        assert np.array_equal(got.centers, [ref.center for ref in want])
+        assert got.stations.tolist() == [ref.station for ref in want]

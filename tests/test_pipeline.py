@@ -286,9 +286,9 @@ class TestModelStorage:
             assert a.yarn_id == b.yarn_id and a.family == b.family
             np.testing.assert_array_equal(a.path.control_points, b.path.control_points)
             np.testing.assert_array_equal(a.path.knots, b.path.knots)
-            for sa, sb in zip(a.sections, b.sections):
-                np.testing.assert_array_equal(sa.contour, sb.contour)
-                assert sa.station == sb.station
+            np.testing.assert_array_equal(a.sections.rings, b.sections.rings)
+            np.testing.assert_array_equal(a.sections.centers, b.sections.centers)
+            np.testing.assert_array_equal(a.sections.stations, b.sections.stations)
         assert again.thickness == model.thickness
 
     def test_wrong_kind_is_rejected(self, tmp_path):
@@ -370,9 +370,7 @@ class TestYarnStorage:
             assert a.family == b.family and a.axis == b.axis
             np.testing.assert_array_equal(a.path.control_points, b.path.control_points)
             assert len(a.sections) == len(b.sections)
-            np.testing.assert_array_equal(
-                a.sections[0].contour, b.sections[0].contour
-            )
+            np.testing.assert_array_equal(a.sections.rings, b.sections.rings)
             assert a.completed_flags == b.completed_flags
         assert gaps == [list(map(list, t.boundary_gaps)) for t in tracks] or gaps == [
             t.boundary_gaps for t in tracks
@@ -386,19 +384,21 @@ class TestYarnStorage:
         self, straight_yarns, tmp_path, short, message
     ):
         ys, _ = straight_yarns
-        p = tmp_path / "yarns.json"
-        save_yarns(ys, p, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
-        d = json.loads(p.read_text())
-        secs = d["yarns"][0]["sections"]
-        c = secs[5]["contour"]
-        c[2], c[6] = c[6], c[2]  # folded
-        secs[9]["center"][0] += 1.0  # off its centroid
-        if short is not None:
-            secs[short]["contour"] = secs[short]["contour"][:9]
-        p.write_text(json.dumps(d))
-        with pytest.raises(InvalidContourError) as err:
-            load_yarns(p)
-        assert str(err.value) == message
+        yarns_path, model_path = tmp_path / "yarns.json", tmp_path / "model.json"
+        save_yarns(ys, yarns_path, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
+        save_model(toy_model(), model_path)
+        for p, load in ((yarns_path, load_yarns), (model_path, load_model)):
+            d = json.loads(p.read_text())
+            secs = d["yarns"][0]["sections"]
+            c = secs[5]["contour"]
+            c[2], c[6] = c[6], c[2]  # folded
+            secs[9]["center"][0] += 1.0  # off its centroid
+            if short is not None:
+                secs[short]["contour"] = secs[short]["contour"][:9]
+            p.write_text(json.dumps(d))
+            with pytest.raises(InvalidContourError) as err:
+                load(p)
+            assert str(err.value) == message, load.__name__
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         p = tmp_path / "odd.json"
@@ -766,3 +766,39 @@ class TestCli:
         assert code == 13  # voxelize is stage 3
         assert "stage 3" in err
         assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_stage_failure_exits_10_plus_its_index(
+        self, stage, tmp_path, capsys, monkeypatch
+    ):
+        import textilemodel.pipeline as pipeline
+
+        def fail(run):
+            raise RuntimeError(f"injected into {stage}")
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCTIONS, stage, fail)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({**STAGEWISE_CASES["compaction"], **STAGEWISE_CASES["degrade"]}))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")  # left by an earlier run
+        k = stage_index(stage)
+        assert main(["pipeline", "-c", str(cfgp), "-o", str(out)]) == 10 + k
+        err = capsys.readouterr().err
+        assert f"stage {k} ({stage}) failed: injected into {stage}" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, code", [("voxelize", 13), ("validate", 18)])
+    def test_short_contour_in_a_file_exits_with_the_reading_stage(
+        self, command, code, straight_yarns, tmp_path, capsys
+    ):
+        model, yarns = tmp_path / "model.json", tmp_path / "yarns.json"
+        save_model(toy_model(), model)
+        save_yarns(straight_yarns[0], yarns, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
+        bad = model if command == "voxelize" else yarns
+        d = json.loads(bad.read_text())
+        d["yarns"][0]["sections"][2]["contour"].pop()
+        bad.write_text(json.dumps(d))
+        args = ["-m", str(model)] + (["-y", str(yarns)] if command == "validate" else [])
+        assert main([command, *args, "-o", str(tmp_path / "out")]) == code
+        assert "error: contour must have 10 points" in capsys.readouterr().err

@@ -17,11 +17,13 @@ from textilemodel.errors import (
 )
 from textilemodel.geometry import (
     Box,
+    Sections,
     bspline_eval,
     bspline_fit,
     ellipse_sections,
     fit_planes,
     plane_frames,
+    ring_areas,
 )
 from textilemodel.reconstruct import (
     QuadSurfaceMesh,
@@ -193,7 +195,7 @@ class TestLift:
             origin=np.array([100.0, 200.0, 300.0]),
         )
         yarn = lift_and_fit(track, n_controls=4)
-        centers = yarn.centers
+        centers = yarn.sections.centers
         assert centers[0] == pytest.approx([100 + 0.5 * 2, 200 + 10.5 * 2, 300 + 8.5 * 2])
         assert centers[-1] == pytest.approx([100 + 11.5 * 2, 200 + 10.5 * 2, 300 + 8.5 * 2])
 
@@ -203,17 +205,16 @@ class TestLift:
         yarn = lift_and_fit(track, n_controls=4)
         assert yarn.family == "weft"
         # slice index runs along y; u is x, v is z
-        assert yarn.centers[0] == pytest.approx([10.5, 0.5, 8.5])
+        assert yarn.sections.centers[0] == pytest.approx([10.5, 0.5, 8.5])
 
     def test_sections_are_orthogonal_to_path(self):
         ds = make_set([lambda i: (10 + 0.5 * i, 8 + 0.2 * i)], 24)
         (track,) = track_yarns(ds, d_gate=5.0)
         yarn = lift_and_fit(track, n_controls=5)
-        ts = np.linspace(0, 1, len(yarn.sections))
-        _, normals, _ = fit_planes(np.array([s.contour for s in yarn.sections]))
-        for sec, n in zip(yarn.sections, normals):
-            rel = sec.contour - sec.center
-            assert np.abs(rel @ n).max() < 1e-9
+        rings, centers = yarn.sections.rings, yarn.sections.centers
+        _, normals, _ = fit_planes(rings)
+        rel = rings - centers[:, None]
+        assert np.abs(rel @ normals[:, :, None]).max() < 1e-9
 
     def test_only_contour_errors_drop_a_section(self, monkeypatch):
         import textilemodel.reconstruct as rc
@@ -258,13 +259,13 @@ class TestLift:
         assert len(yarn.sections) == 14
         # The kept centres are the lifted detection centres of the other slices.
         kept = [i for i in range(16) if i not in (5, 9)]
-        assert np.array_equal(yarn.centers[:, 0], np.array(kept) + 0.5)
+        assert np.array_equal(yarn.sections.centers[:, 0], np.array(kept) + 0.5)
 
     def test_stations_are_arc_lengths(self):
         ds = make_set([lambda i: (10.0 + 2.0 * i, 8.0)], 16)
         (track,) = track_yarns(ds, d_gate=5.0)
         yarn = lift_and_fit(track, n_controls=4)
-        stations = np.array([s.station for s in yarn.sections])
+        stations = yarn.sections.stations
         # straight line: slice step 1 in x plus drift 2 in u -> sqrt 5
         assert np.allclose(np.diff(stations), math.sqrt(5.0), atol=1e-6)
         assert stations[0] == pytest.approx(0.0, abs=1e-9)
@@ -303,7 +304,7 @@ class TestLift:
         yarn = lift_and_fit(track)
         assert len(yarn.sections) == 11
         # first kept section sits on the slice-1 plane
-        assert yarn.sections[0].center[0] == pytest.approx(1.5)
+        assert yarn.sections.centers[0, 0] == pytest.approx(1.5)
 
 
 def straight_yarn(n_secs=5, a=2.0, b=1.0, length=8.0):
@@ -323,9 +324,8 @@ def reversed_rings(yarn):
         family=yarn.family,
         axis=yarn.axis,
         path=yarn.path,
-        sections=tuple(
-            type(s)(contour=s.contour[::-1], center=s.center, station=s.station)
-            for s in yarn.sections
+        sections=Sections(
+            yarn.sections.rings[:, ::-1], yarn.sections.centers, yarn.sections.stations
         ),
         completed_flags=yarn.completed_flags,
     )
@@ -349,26 +349,21 @@ def curved_yarn(n_secs=12, radius=20.0, sweep=0.8, axes=None, rolls=None, twists
         e1, e2 = plane_frames(normals)
         cos, sin = (np.array([[f(t)] for t in twists]) for f in (math.cos, math.sin))
         orientation = cos * e1 + sin * e2
-    secs = []
-    for k, sec in enumerate(ellipse_sections(centers, normals, a, b, orientation, radius * ths)):
-        secs.append(
-            type(sec)(
-                contour=np.roll(sec.contour, rolls[k] if rolls else (3 * k) % 10, axis=0),
-                center=sec.center,
-                station=sec.station,
-            )
-        )
-    centers = np.array([s.center for s in secs])
+    secs = ellipse_sections(centers, normals, a, b, orientation, radius * ths)
+    rings = [
+        np.roll(ring, rolls[k] if rolls else (3 * k) % 10, axis=0)
+        for k, ring in enumerate(secs.rings)
+    ]
     return ReconstructedYarn(
-        family="warp", axis="yz", path=bspline_fit(centers, degree=3, n_controls=4),
-        sections=tuple(secs), completed_flags=(False,) * n_secs,
+        family="warp", axis="yz", path=bspline_fit(secs.centers, degree=3, n_controls=4),
+        sections=Sections(rings, secs.centers, secs.stations), completed_flags=(False,) * n_secs,
     )
 
 
 # Per-ring scalar reference for ReconstructedYarn.aligned_rings: each
 # cyclic offset scored in its own pass against the previous aligned ring.
 def ref_aligned_rings(yarn):
-    rings = np.stack([s.contour for s in yarn.sections])
+    rings = yarn.sections.rings
     s, n, _ = rings.shape
     offsets = np.zeros(s, dtype=int)
     for k in range(1, s):
@@ -432,7 +427,7 @@ class TestSurfaceMesh:
     def test_straight_tube_volume_exact(self):
         yarn = straight_yarn(a=2.0, b=1.0, length=8.0)
         mesh = build_surface_mesh(yarn)
-        area = yarn.sections[0].area()
+        area = ring_areas(yarn.sections.rings)[0]
         assert enclosed_volume(mesh) == pytest.approx(area * 8.0, rel=1e-12)
 
     def test_reversed_rings_still_positive(self):
@@ -442,24 +437,18 @@ class TestSurfaceMesh:
 
     def test_alignment_absorbs_cyclic_relabeling(self):
         yarn = straight_yarn(n_secs=4)
+        rings = np.array(yarn.sections.rings)
+        rings[1] = np.roll(rings[1], 3, axis=0)
         rolled = ReconstructedYarn(
             family=yarn.family,
             axis=yarn.axis,
             path=yarn.path,
-            sections=(
-                yarn.sections[0],
-                type(yarn.sections[1])(
-                    contour=np.roll(yarn.sections[1].contour, 3, axis=0),
-                    center=yarn.sections[1].center,
-                    station=yarn.sections[1].station,
-                ),
-            )
-            + yarn.sections[2:],
+            sections=Sections(rings, yarn.sections.centers, yarn.sections.stations),
             completed_flags=yarn.completed_flags,
         )
         aligned = rolled.aligned_rings
         # undoes np.roll(+3)
-        assert np.array_equal(aligned[1], np.roll(rolled.sections[1].contour, -3, axis=0))
+        assert np.array_equal(aligned[1], np.roll(rolled.sections.rings[1], -3, axis=0))
         v0 = enclosed_volume(build_surface_mesh(yarn))
         v1 = enclosed_volume(build_surface_mesh(rolled))
         assert v1 == pytest.approx(v0, rel=1e-12)
@@ -555,7 +544,7 @@ class TestVolumeMesh:
 
     def test_inverted_cell_names_station(self):
         t = math.radians(80)
-        s0, s1, s2 = ellipse_sections(
+        sections = ellipse_sections(
             [(0, 0, 0), (0.5, 0, 0), (8, 0, 0)],
             [(1, 0, 0), (math.cos(t), math.sin(t), 0), (1, 0, 0)],
             a=3.0, b=2.0, stations=[0.0, 0.5, 8.0],
@@ -563,7 +552,7 @@ class TestVolumeMesh:
         path = bspline_fit(np.array([[0, 0, 0], [0.5, 0, 0], [8, 0, 0.0]]), degree=1, n_controls=3)
         yarn = ReconstructedYarn(
             family="warp", axis="yz", path=path,
-            sections=(s0, s1, s2), completed_flags=(False,) * 3,
+            sections=sections, completed_flags=(False,) * 3,
         )
         with pytest.raises(MeshIntegrityError, match=r"stations 0\.000 and 0\.500"):
             build_volume_mesh(yarn)
@@ -581,7 +570,7 @@ class TestCompositeMesh:
         labs = set(np.unique(mesh.hex_labels))
         assert labs == {0, 1}
         inside = int((mesh.hex_labels == 1).sum())
-        area = yarn.sections[0].area()
+        area = ring_areas(yarn.sections.rings)[0]
         assert abs(inside - area * 8.0) / (area * 8.0) < 0.25  # coarse cells
 
     def test_budget_enforced(self):
@@ -600,7 +589,7 @@ def ref_surface_mesh(yarn):
     """(mesh, flipped) built face by face."""
     aligned = yarn.aligned_rings
     s = len(aligned)
-    centers = np.array([sec.center for sec in yarn.sections])
+    centers = yarn.sections.centers
     vertices = np.vstack([aligned.reshape(-1, 3), centers[0], centers[-1]])
     c0, c1 = 10 * s, 10 * s + 1
     quads = []
@@ -622,7 +611,7 @@ def ref_surface_mesh(yarn):
 def ref_volume_mesh(yarn, label):
     """(mesh, flipped) built cell by cell."""
     s = len(yarn.sections)
-    vertices = np.vstack([yarn.aligned_rings.reshape(-1, 3), yarn.centers])
+    vertices = np.vstack([yarn.aligned_rings.reshape(-1, 3), yarn.sections.centers])
     c = 10 * s
     wedges = []
     for k in range(s - 1):
@@ -663,9 +652,11 @@ def ref_hexes(nx, ny, nz):
 
 
 def first_sections(yarn, s):
+    secs = yarn.sections
     return ReconstructedYarn(
         family=yarn.family, axis=yarn.axis, path=yarn.path,
-        sections=yarn.sections[:s], completed_flags=yarn.completed_flags[:s],
+        sections=Sections(secs.rings[:s], secs.centers[:s], secs.stations[:s]),
+        completed_flags=yarn.completed_flags[:s],
     )
 
 

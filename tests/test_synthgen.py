@@ -82,17 +82,16 @@ class TestGenerateInterlock:
 
     def test_sections_on_path_and_ordered(self, desk_model):
         for yarn in desk_model.yarns:
-            stations = np.array([s.station for s in yarn.sections])
+            stations = yarn.sections.stations
             assert np.all(np.diff(stations) > 0)
             params = (stations - stations[0]) / (stations[-1] - stations[0])
             on_path = geo.bspline_eval(yarn.path, params)
-            err = np.linalg.norm(on_path - yarn.centers, axis=1).max()
+            err = np.linalg.norm(on_path - yarn.sections.centers, axis=1).max()
             assert err < 1e-9
 
     def test_keypoints_inside_bbox(self, desk_model):
         for yarn in desk_model.yarns:
-            for sec in yarn.sections:
-                assert np.all(desk_model.bbox.contains(sec.contour))
+            assert np.all(desk_model.bbox.contains(yarn.sections.rings.reshape(-1, 3)))
 
     def test_first_yarn_outside_the_bbox_is_named(self, desk_model):
         # Trim the box on +y: the high-y warps and every weft poke out.
@@ -101,7 +100,7 @@ class TestGenerateInterlock:
         first = next(
             y.yarn_id
             for y in desk_model.yarns
-            if any(not np.all(box.contains(s.contour)) for s in y.sections)
+            if not np.all(box.contains(y.sections.rings.reshape(-1, 3)))
         )
         assert 1 < first < 9
         message = rf"^yarn {first} has keypoints outside the bbox$"
@@ -118,12 +117,12 @@ class TestGenerateInterlock:
         assert desk_model.thickness == 80.0
 
     def test_warp_crimp_amplitude_realized(self, desk_model):
-        zs = desk_model.family("warp")[0].centers[:, 2]
+        zs = desk_model.family("warp")[0].sections.centers[:, 2]
         assert abs(np.ptp(zs) - 2 * 7.0) < 0.05
 
     def test_weft_straight(self, desk_model):
         for yarn in desk_model.family("weft"):
-            c = yarn.centers
+            c = yarn.sections.centers
             assert np.ptp(c[:, 0]) < 1e-9
             assert np.ptp(c[:, 2]) < 1e-9
 
@@ -131,11 +130,11 @@ class TestGenerateInterlock:
         spec = sg.WeaveSpec(1, 1, (1,), (1,), (40.0, 40.0), 0.0, 6.0, 3.0)
         model = sg.generate_interlock(spec)
         assert len(model.yarns) == 2
-        warp, weft = model.family("warp")[0], model.family("weft")[0]
-        assert np.ptp(warp.centers[:, 2]) == 0.0
-        assert np.ptp(weft.centers[:, 2]) == 0.0
-        d_warp = warp.centers[-1] - warp.centers[0]
-        d_weft = weft.centers[-1] - weft.centers[0]
+        warp, weft = (model.family(f)[0].sections.centers for f in ("warp", "weft"))
+        assert np.ptp(warp[:, 2]) == 0.0
+        assert np.ptp(weft[:, 2]) == 0.0
+        d_warp = warp[-1] - warp[0]
+        d_weft = weft[-1] - weft[0]
         cosang = d_warp @ d_weft / np.linalg.norm(d_warp) / np.linalg.norm(d_weft)
         assert abs(cosang) < 1e-12
 
@@ -153,9 +152,8 @@ class TestGenerateInterlock:
         m1 = sg.generate_interlock(desk_spec(), n_sections_warp=8, n_sections_weft=8)
         m2 = sg.generate_interlock(desk_spec(), n_sections_warp=8, n_sections_weft=8)
         for a, b in zip(m1.yarns, m2.yarns):
-            assert np.array_equal(a.centers, b.centers)
-            for sa, sb in zip(a.sections, b.sections):
-                assert np.array_equal(sa.contour, sb.contour)
+            assert np.array_equal(a.sections.centers, b.sections.centers)
+            assert np.array_equal(a.sections.rings, b.sections.rings)
 
 
 class TestCompaction:
@@ -177,15 +175,15 @@ class TestCompaction:
         for k, mk in enumerate(seq):
             f = mk.thickness / desk_model.thickness
             for y0, yk in zip(desk_model.yarns, mk.yarns):
-                c0, ck = y0.centers, yk.centers
+                c0, ck = y0.sections.centers, yk.sections.centers
                 np.testing.assert_allclose(ck[:, :2], c0[:, :2], atol=1e-9)
                 np.testing.assert_allclose(ck[:, 2], zm + f * (c0[:, 2] - zm), atol=1e-9)
 
     def test_section_area_preserved(self, desk_model):
         seq = sg.compaction_sequence(desk_model, 0.6 * desk_model.thickness, n_steps=3)
         for y0, yk in zip(desk_model.yarns, seq[-1].yarns):
-            a0 = geo.ring_areas(np.array([s.contour for s in y0.sections]))
-            ak = geo.ring_areas(np.array([s.contour for s in yk.sections]))
+            a0 = geo.ring_areas(y0.sections.rings)
+            ak = geo.ring_areas(yk.sections.rings)
             assert np.abs(a0 - ak).max() < 1e-9
 
     def test_invalid_targets_raise(self, desk_model):
@@ -197,6 +195,26 @@ class TestCompaction:
             sg.compaction_sequence(desk_model, desk_model.thickness * 0.5, 0)
 
 
+def ref_perturbed_rings(model, contour_sigma, center_sigma, seed):
+    """Per-yarn rings of perturb_model, drawn one section at a time in
+    the order of the one-ring loop it replaced."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for yarn in model.yarns:
+        rings = []
+        for ring in yarn.sections.rings:
+            ring = np.array(ring)
+            if center_sigma > 0:
+                ring = ring + rng.normal(0.0, center_sigma, 3)
+            if contour_sigma > 0:
+                ring = ring + rng.normal(0.0, contour_sigma, ring.shape)
+            rings.append(ring)
+        rings = np.array(rings)
+        _, normals, rel = geo.fit_planes(rings)
+        out.append(rings - (rel @ normals[:, :, None]) * normals[:, None])
+    return out
+
+
 class TestPerturb:
     def test_zero_sigma_returns_input(self, desk_model):
         assert sg.perturb_model(desk_model, 0.0, 0.0, seed=3) is desk_model
@@ -205,23 +223,30 @@ class TestPerturb:
         p1 = sg.perturb_model(desk_model, 0.4, 0.1, seed=9)
         p2 = sg.perturb_model(desk_model, 0.4, 0.1, seed=9)
         p3 = sg.perturb_model(desk_model, 0.4, 0.1, seed=10)
-        assert np.array_equal(p1.yarns[0].sections[5].contour, p2.yarns[0].sections[5].contour)
-        assert not np.array_equal(p1.yarns[0].sections[5].contour, p3.yarns[0].sections[5].contour)
+        assert np.array_equal(p1.yarns[0].sections.rings[5], p2.yarns[0].sections.rings[5])
+        assert not np.array_equal(p1.yarns[0].sections.rings[5], p3.yarns[0].sections.rings[5])
+
+    @pytest.mark.parametrize("sigmas", [(0.4, 0.0), (0.0, 0.3), (0.4, 0.1)])
+    def test_draws_match_the_per_section_reference(self, desk_model, sigmas):
+        pert = sg.perturb_model(desk_model, *sigmas, seed=5)
+        ref = ref_perturbed_rings(desk_model, *sigmas, seed=5)
+        for yarn, rings in zip(pert.yarns, ref):
+            assert np.array_equal(yarn.sections.rings, rings)
+            assert np.array_equal(yarn.sections.centers, rings.mean(axis=1))
 
     def test_sections_stay_planar_with_matching_centers(self, desk_model):
         pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=1)
         for yarn in pert.yarns:
-            rings = np.array([s.contour for s in yarn.sections])
+            rings = yarn.sections.rings
             _, normals, rel = geo.fit_planes(rings)
             assert np.abs(rel @ normals[:, :, None]).max() < 1e-9
-            assert np.linalg.norm(rings.mean(axis=1) - yarn.centers, axis=1).max() < 1e-9
+            assert np.linalg.norm(rings.mean(axis=1) - yarn.sections.centers, axis=1).max() < 1e-9
 
     def test_noise_scale_reasonable(self, desk_model):
         pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=2)
         drifts = [
-            np.linalg.norm(np.asarray(s1.contour) - np.asarray(s0.contour), axis=1).max()
+            np.linalg.norm(y1.sections.rings - y0.sections.rings, axis=2).max()
             for y0, y1 in zip(desk_model.yarns, pert.yarns)
-            for s0, s1 in zip(y0.sections, y1.sections)
         ]
         assert 0.3 < max(drifts) < 4.0
 
@@ -233,7 +258,7 @@ class TestPerturb:
 class TestFiberSpec:
     def test_target_vf_round_trip(self, desk_model):
         fib = sg.fiber_spec_for_target_vf(desk_model, 0.6, fibers_per_yarn=1000)
-        areas = [s.area() for y in desk_model.yarns for s in y.sections]
+        areas = np.concatenate([geo.ring_areas(y.sections.rings) for y in desk_model.yarns])
         vf = fib.fibers_per_yarn * np.pi * fib.fiber_radius**2 / np.mean(areas)
         assert abs(vf - 0.6) < 1e-9
 

@@ -2,18 +2,19 @@
 
 import json
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from textilemodel.errors import ConfigError, InsufficientDataError
-from textilemodel.geometry import bspline_fit, ellipse_sections
+from textilemodel.geometry import bspline_fit, ellipse_sections, ring_areas
 from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock, perturb_model
 from textilemodel.validate import (
     HEX_PACKING_LIMIT,
     PathReport,
-    fiber_volume_fraction,
     hausdorff,
     match_and_assess_paths,
     vf_distribution,
@@ -143,39 +144,60 @@ class TestMatching:
         assert text.splitlines()[0].split() == ["family", "ref", "yarn", "fwd", "bwd", "sym", "sym", "um"]
 
 
-class TestVf:
-    @staticmethod
-    def section_with_area():
-        (sec,) = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
-        return sec, sec.area()
+@dataclass(frozen=True)
+class RefVfValue:
+    value: float
+    raw: float
+    capped: bool
+    over_hex_limit: bool
 
+
+def ref_fiber_volume_fraction(ring, fibers) -> RefVfValue:
+    """The one-section Vf that vf_distribution replaced:
+    n * pi * r^2 / A of one ring, clamped to 1, with its flags."""
+    area = float(ring_areas(ring[None])[0])
+    if area <= 0:
+        raise InsufficientDataError("section area must be positive")
+    raw = fibers.fibers_per_yarn * math.pi * fibers.fiber_radius**2 / area
+    return RefVfValue(
+        value=min(1.0, raw),
+        raw=raw,
+        capped=raw > 1.0,
+        over_hex_limit=raw > HEX_PACKING_LIMIT,
+    )
+
+
+def one_section_vf(raw=None, fiber_radius=None):
+    """vf_distribution over one 4 x 2 elliptical section, with the fiber
+    radius given or chosen so that 100 fibers make Vf = ``raw``."""
+    sec = ellipse_sections([(0, 0, 0)], [(1, 0, 0)], a=4.0, b=2.0)
+    area = ring_areas(sec.rings)[0]
+    if fiber_radius is None:
+        fiber_radius = math.sqrt(raw * area / (math.pi * 100))
+    rep = vf_distribution([SimpleNamespace(sections=sec)], FiberSpec(fiber_radius, 100))
+    return rep, area
+
+
+class TestVf:
     def test_exact_value(self):
-        sec, area = self.section_with_area()
-        fibers = FiberSpec(fiber_radius=0.1, fibers_per_yarn=100)
-        vf = fiber_volume_fraction(sec, fibers)
-        assert vf.value == pytest.approx(100 * math.pi * 0.01 / area, rel=1e-12)
-        assert not vf.capped and not vf.over_hex_limit
+        rep, area = one_section_vf(fiber_radius=0.1)
+        assert rep.values[0] == pytest.approx(100 * math.pi * 0.01 / area, rel=1e-12)
+        assert rep.n_capped == rep.n_over_hex_limit == 0
 
     def test_cap_flag(self):
-        sec, area = self.section_with_area()
-        r = math.sqrt(1.05 * area / (math.pi * 100))  # raw = 1.05
-        vf = fiber_volume_fraction(sec, FiberSpec(fiber_radius=r, fibers_per_yarn=100))
-        assert vf.value == 1.0 and vf.capped and vf.over_hex_limit
-        assert vf.raw == pytest.approx(1.05, rel=1e-9)
+        rep, _ = one_section_vf(raw=1.05)
+        assert rep.values.tolist() == [1.0]
+        assert rep.n_capped == rep.n_over_hex_limit == 1
 
     def test_hex_limit_flag_without_cap(self):
-        sec, area = self.section_with_area()
-        r = math.sqrt(0.95 * area / (math.pi * 100))  # raw = 0.95
-        vf = fiber_volume_fraction(sec, FiberSpec(fiber_radius=r, fibers_per_yarn=100))
-        assert not vf.capped and vf.over_hex_limit
-        assert vf.value == pytest.approx(0.95, rel=1e-9)
+        rep, _ = one_section_vf(raw=0.95)
+        assert rep.n_capped == 0 and rep.n_over_hex_limit == 1
+        assert rep.values[0] == pytest.approx(0.95, rel=1e-9)
         assert HEX_PACKING_LIMIT == pytest.approx(math.pi / (2 * math.sqrt(3)))
 
     def test_below_hex_limit_clean(self):
-        sec, area = self.section_with_area()
-        r = math.sqrt(0.85 * area / (math.pi * 100))
-        vf = fiber_volume_fraction(sec, FiberSpec(fiber_radius=r, fibers_per_yarn=100))
-        assert not vf.capped and not vf.over_hex_limit
+        rep, _ = one_section_vf(raw=0.85)
+        assert rep.n_capped == rep.n_over_hex_limit == 0
 
 
 class TestVfDistribution:
@@ -191,7 +213,7 @@ class TestVfDistribution:
 
     def test_flag_counters(self):
         model = tiny_model()
-        area = min(s.area() for y in model.yarns for s in y.sections)
+        area = min(ring_areas(y.sections.rings).min() for y in model.yarns)
         r = math.sqrt(2.0 * area / (math.pi * 100))  # raw >= 2 everywhere
         rep = vf_distribution(model.yarns, FiberSpec(fiber_radius=r, fibers_per_yarn=100))
         assert rep.n_capped == len(rep.values)
@@ -202,10 +224,13 @@ class TestVfDistribution:
         # Noisy rings spread the areas, and a radius that puts Vf = 1 at
         # the median area makes capped, over-hex-limit and plain sections.
         model = perturb_model(tiny_model(), contour_sigma=0.3, seed=3)
-        areas = [s.area() for y in model.yarns for s in y.sections]
+        areas = np.concatenate([ring_areas(y.sections.rings) for y in model.yarns])
         fibers = FiberSpec(fiber_radius=math.sqrt(np.median(areas) / (math.pi * 100)), fibers_per_yarn=100)
         rep = vf_distribution(model.yarns, fibers)
-        loop = [[fiber_volume_fraction(s, fibers) for s in y.sections] for y in model.yarns]
+        loop = [
+            [ref_fiber_volume_fraction(ring, fibers) for ring in y.sections.rings]
+            for y in model.yarns
+        ]
         flat = [vf for per_yarn in loop for vf in per_yarn]
         assert np.array_equal(rep.values, [vf.value for vf in flat])
         assert rep.per_yarn_mean == tuple(float(np.mean([vf.value for vf in p])) for p in loop)

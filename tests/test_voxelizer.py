@@ -82,9 +82,7 @@ class TestPaint:
         xs = np.linspace(0.0, length, n_rings)
         centers = np.column_stack([xs, np.broadcast_to(center_yz, (n_rings, 2))])
         secs = ellipse_sections(centers, [(1.0, 0.0, 0.0)] * n_rings, radius, radius, stations=xs)
-        rings = np.stack([s.contour for s in secs])
-        centers = np.array([s.center for s in secs])
-        return yarn_id, rings, centers
+        return yarn_id, secs.rings, secs.centers
 
     def test_cylinder_volume_matches_ring_tube(self):
         # The painted solid is the loft of the 10-vertex rings, so the
@@ -478,7 +476,7 @@ def tube_geom(yarn_id, start, direction, length, a, b, n_rings, jitter):
     ts = np.linspace(0.0, length, n_rings)
     centers = [np.asarray(start) + t * direction + j for t, j in zip(ts, jitter)]
     secs = ellipse_sections(centers, [direction] * n_rings, a, b, stations=ts)
-    return yarn_id, np.stack([s.contour for s in secs]), np.array([s.center for s in secs])
+    return yarn_id, secs.rings, secs.centers
 
 
 def tilted_tube(rng, yarn_id, direction, mid, voxel_size):
@@ -559,9 +557,7 @@ def on_plane_tubes(draw):
             b=b,
             stations=np.arange(n_rings, dtype=float),
         )
-        geoms.append(
-            (int(yid), np.stack([s.contour for s in secs]), np.array([s.center for s in secs]))
-        )
+        geoms.append((int(yid), secs.rings, secs.centers))
     return geoms, dims, origin, voxel_size
 
 
@@ -740,10 +736,7 @@ class TestPeakMemory:
 
     def test_paint_peak_near_its_labels(self):
         model = desk_model()
-        geoms = [
-            (y.yarn_id, np.stack([s.contour for s in y.sections]), y.centers)
-            for y in model.yarns
-        ]
+        geoms = [(y.yarn_id, y.sections.rings, y.sections.centers) for y in model.yarns]
         dims = compute_dims(model.bbox, 1.0)
         labels, peak = traced_peak(paint_labels, geoms, dims, model.bbox.lo, 1.0)
         assert peak < 2.5 * labels.nbytes
