@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -57,7 +56,6 @@ from .voxelizer import (
     DEFAULT_VOXEL_BUDGET,
     LabelVolume,
     RenderParams,
-    extract_slices,
     render_pseudo_ct,
     save_volume,
     slice_count,
@@ -375,7 +373,7 @@ def _segment(run: RunContext) -> str:
     run.detections = {}
     notes = []
     for axis in run.axes:
-        ds = detect_batch(extract_slices(run.labels, axis), min_area=cfg.reconstruct.min_area)
+        ds = detect_batch(run.labels, axis, min_area=cfg.reconstruct.min_area)
         ds = filter_transverse(ds, max_aspect=cfg.reconstruct.max_aspect)
         write_detections(ds, run.path(f"detections_{axis}.jsonl"))
         run.detections[f"detections_{axis}"] = ds
@@ -505,21 +503,13 @@ def read_detection_pair(paths, labels_meta=None):
     and exact slice counts; without it both default and trailing empty
     slices are inferred from the records.
     """
+    if labels_meta is None:
+        return [read_detections(p) for p in paths]
     dsets = []
     for p in paths:
-        kwargs = {}
-        if labels_meta is not None:
-            dims = labels_meta["dims"]
-            axis = None
-            with open(p) as fh:
-                for line in fh:
-                    if line.strip():
-                        axis = json.loads(line)["axis"]
-                        break
-            if axis is not None:
-                kwargs["axis"] = axis
-                kwargs["n_slices"] = slice_count(dims, axis)
-            kwargs["voxel_size"] = labels_meta["voxel_size"]
-            kwargs["origin"] = labels_meta["origin"]
-        dsets.append(read_detections(p, **kwargs))
+        ds = read_detections(p, voxel_size=labels_meta["voxel_size"], origin=labels_meta["origin"])
+        try:
+            dsets.append(dataclasses.replace(ds, n_slices=slice_count(labels_meta["dims"], ds.axis)))
+        except ConfigError as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
     return dsets

@@ -39,7 +39,7 @@ from .geometry import (
     cumulative_length,
     section_faults,
 )
-from .segmenter import DetectionSet, SectionDetection
+from .segmenter import _ROW_FIELDS, DetectionSet
 from .voxelizer import AXIS_XZ, AXIS_YZ, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
 
 log = logging.getLogger(__name__)
@@ -51,43 +51,36 @@ AXIS_FAMILY = {AXIS_YZ: "warp", AXIS_XZ: "weft"}
 
 @dataclass(frozen=True)
 class YarnTrack:
-    """A chain of detections across consecutive slices of one axis."""
+    """A chain of detections across the slices of one axis.
+
+    ``entries`` holds the chain's rows, at most one per slice and in
+    slice order; their set carries the axis and the slice geometry.
+    """
 
     family: str
-    axis: str
-    entries: tuple
+    entries: DetectionSet
     gaps: tuple
     boundary_gaps: tuple
-    voxel_size: float
-    origin: np.ndarray
     filled: tuple = ()
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if len(entries) == 0:
+        if len(self.entries) == 0:
             raise InsufficientDataError("a track needs at least one entry")
-        indices = [i for i, _ in entries]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if np.any(np.diff(self.entries.slice_index) <= 0):
             raise ConfigError("track entries must be ordered by slice index")
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "gaps", tuple(tuple(g) for g in self.gaps))
         object.__setattr__(self, "boundary_gaps", tuple(tuple(g) for g in self.boundary_gaps))
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(3))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.entries])
+        return self.entries.slice_index
 
 
 def _missing_runs(indices: np.ndarray) -> list:
-    runs = []
-    for a, b in zip(indices, indices[1:]):
-        if b - a > 1:
-            runs.append((int(a) + 1, int(b) - 1))
-    return runs
+    return [(int(a) + 1, int(b) - 1) for a, b in zip(indices, indices[1:]) if b - a > 1]
 
 
 def track_yarns(
@@ -115,50 +108,39 @@ def track_yarns(
     if not 0.0 <= min_span <= 1.0:
         raise ConfigError("min_span must be in [0, 1]")
     family = AXIS_FAMILY[dset.axis]
-    active: list[dict] = []
-    done: list[dict] = []
+    n = dset.n_slices
+    bounds = np.searchsorted(dset.slice_index, np.arange(n + 1)).tolist()
+    # A track is its list of rows; its center is its last row's.
+    active: list[list] = []
+    done: list[list] = []
 
-    for i, dets in enumerate(dset.per_slice):
-        still = []
-        for tr in active:
-            if i - tr["last"] > max_gap:
-                done.append(tr)
-            else:
-                still.append(tr)
-        active = still
-
-        pairs = []
-        for ti, tr in enumerate(active):
-            delta = i - tr["last"]
-            for di, det in enumerate(dets):
-                dist = float(np.linalg.norm(det.center - tr["center"]))
-                if dist <= d_gate * delta:
-                    pairs.append((dist, ti, di))
-        pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-        used_t: set = set()
+    for i in range(n):
+        done.extend(rows for rows in active if i - dset.slice_index[rows[-1]] > max_gap)
+        active = [rows for rows in active if i - dset.slice_index[rows[-1]] <= max_gap]
+        lo, hi = bounds[i], bounds[i + 1]
         used_d: set = set()
-        for dist, ti, di in pairs:
-            if ti in used_t or di in used_d:
-                continue
-            used_t.add(ti)
-            used_d.add(di)
-            tr = active[ti]
-            tr["entries"].append((i, dets[di]))
-            tr["center"] = dets[di].center
-            tr["last"] = i
-        for di, det in enumerate(dets):
-            if di not in used_d:
-                active.append(
-                    {"entries": [(i, det)], "center": det.center, "last": i}
-                )
+        if active and hi > lo:
+            last = np.array([rows[-1] for rows in active])
+            d = dset.centers[None, lo:hi] - dset.centers[last][:, None]
+            dist = _norms(d)
+            ti, di = np.nonzero(dist <= d_gate * (i - dset.slice_index[last])[:, None])
+            order = np.lexsort((di, ti, dist[ti, di]))
+            used_t: set = set()
+            for t, k in zip(ti[order].tolist(), di[order].tolist()):
+                if t in used_t or k in used_d:
+                    continue
+                used_t.add(t)
+                used_d.add(k)
+                active[t].append(lo + k)
+        active.extend([lo + k] for k in range(hi - lo) if k not in used_d)
     done.extend(active)
 
-    n = dset.n_slices
     tracks = []
-    for tr in done:
-        if len(tr["entries"]) < min_length:
+    for rows in done:
+        if len(rows) < min_length:
             continue
-        indices = np.array([i for i, _ in tr["entries"]])
+        entries = dset.take(np.array(rows))
+        indices = entries.slice_index
         first, last = int(indices[0]), int(indices[-1])
         if last - first + 1 < min_span * n:
             continue
@@ -170,15 +152,12 @@ def track_yarns(
         tracks.append(
             YarnTrack(
                 family=family,
-                axis=dset.axis,
-                entries=tuple(tr["entries"]),
+                entries=entries,
                 gaps=tuple(_missing_runs(indices)),
                 boundary_gaps=tuple(boundary),
-                voxel_size=dset.voxel_size,
-                origin=np.array(dset.origin),
             )
         )
-    tracks.sort(key=lambda t: (t.entries[0][0], tuple(t.entries[0][1].center)))
+    tracks.sort(key=lambda t: (int(t.indices[0]), tuple(t.entries.centers[0])))
     return tracks
 
 
@@ -192,42 +171,41 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
     """
     if not track.gaps:
         return track
-    observed = track.indices
-    channels = np.stack([det.contour.reshape(-1) for _, det in track.entries])
+    entries = track.entries
+    observed = entries.slice_index
+    channels = entries.contours.reshape(len(entries), -1)
     spline = CubicSpline(observed, channels, axis=0) if len(observed) >= 4 else None
-    by_index = dict(track.entries)
 
+    parts = [[getattr(entries, name)] for name in _ROW_FIELDS]
     filled = []
     for start, end in track.gaps:
-        run = list(range(start, end + 1))
-        left = max(i for i in observed if i < start)
-        right = min(i for i in observed if i > end)
-        for idx in run:
-            if end - start == 0 or spline is None:
-                t = (idx - left) / (right - left)
-                flat = (1 - t) * by_index[left].contour.reshape(-1) + t * by_index[
-                    right
-                ].contour.reshape(-1)
-            else:
-                flat = spline(idx)
-            contour = flat.reshape(RING_POINTS, 2)
-            confidence = 0.5 * (by_index[left].confidence + by_index[right].confidence)
-            lab_l, lab_r = by_index[left].true_label, by_index[right].true_label
-            det = SectionDetection(
-                axis=track.axis,
-                slice_index=idx,
-                contour=contour,
-                center=contour.mean(axis=0),
-                confidence=float(confidence),
-                true_label=lab_l if lab_l == lab_r else None,
-            )
-            by_index[idx] = det
-            filled.append(idx)
+        run = np.arange(start, end + 1)
+        right = np.searchsorted(observed, end)
+        left = right - 1
+        if end - start == 0 or spline is None:
+            t = ((run - observed[left]) / (observed[right] - observed[left]))[:, None]
+            flat = (1 - t) * channels[left] + t * channels[right]
+        else:
+            flat = spline(run)
+        contours = flat.reshape(len(run), RING_POINTS, 2)
+        confidence = 0.5 * (entries.confidence[left] + entries.confidence[right])
+        lab_l, lab_r = entries.true_label[left], entries.true_label[right]
+        rows = (
+            run,
+            contours,
+            contours.mean(axis=1),
+            np.full(len(run), confidence),
+            np.full(len(run), lab_l if lab_l == lab_r else -1),
+        )
+        for part, arr in zip(parts, rows):
+            part.append(arr)
+        filled.extend(run.tolist())
 
-    entries = tuple(sorted(by_index.items()))
+    merged = [np.concatenate(part) for part in parts]
+    order = np.argsort(merged[0], kind="stable")
     return replace(
         track,
-        entries=entries,
+        entries=replace(entries, **{name: arr[order] for name, arr in zip(_ROW_FIELDS, merged)}),
         gaps=(),
         filled=tuple(sorted(set(track.filled) | set(filled))),
     )
@@ -280,16 +258,17 @@ class ReconstructedYarn:
         return best
 
 
-def _lift(track: YarnTrack, contour: np.ndarray, slice_index) -> np.ndarray:
+def _lift(dset: DetectionSet, contour: np.ndarray, slice_index) -> np.ndarray:
     """World points of pixel points ``contour`` (n, 2) on slice
-    ``slice_index``: one index for all points or one per point."""
-    vs = track.voxel_size
-    o = track.origin
+    ``slice_index`` of ``dset``: one index for all points or one per
+    point."""
+    vs = dset.voxel_size
+    o = dset.origin
     along = (np.asarray(slice_index) + 0.5) * vs
     u = contour[:, 0]
     v = contour[:, 1]
     z = o[2] + (v + 0.5) * vs
-    if track.axis == AXIS_YZ:
+    if dset.axis == AXIS_YZ:
         y = o[1] + (u + 0.5) * vs
         x = np.broadcast_to(o[0] + along, y.shape)
     else:
@@ -326,12 +305,11 @@ def lift_and_fit(
     the fitted axis.  All rings of the track are lifted, projected and
     checked as one stack.
     """
-    contours = np.array([det.contour for _, det in track.entries])
-    trim = _trim_end_slivers(np.abs(_shoelace(contours)), keep_min=degree + 1)
-    entries = track.entries[trim]
-    contours = contours[trim]
-    slices = np.array([i for i, _ in entries])
-    centers = _lift(track, np.array([det.center for _, det in entries]), slices)
+    entries = track.entries
+    trim = _trim_end_slivers(np.abs(_shoelace(entries.contours)), keep_min=degree + 1)
+    contours = entries.contours[trim]
+    slices = entries.slice_index[trim]
+    centers = _lift(entries, entries.centers[trim], slices)
     if n_controls is None:
         n_controls = max(degree + 1, len(centers) // 4)
     n_controls = min(n_controls, len(centers))
@@ -345,7 +323,7 @@ def lift_and_fit(
     stations = np.interp(params, dense_t, cumulative_length(bspline_eval(path, dense_t)))
 
     n, m = contours.shape[:2]
-    rings = _lift(track, contours.reshape(-1, 2), np.repeat(slices, m)).reshape(n, m, 3)
+    rings = _lift(entries, contours.reshape(-1, 2), np.repeat(slices, m)).reshape(n, m, 3)
     ring_centers = rings.mean(axis=1)
     tangents = bspline_tangent(path, params)
     rel = rings - ring_centers[:, None]
@@ -368,7 +346,7 @@ def lift_and_fit(
     invalid = dict(zip(live.tolist(), faults))
     filled = set(track.filled)
     flags = []
-    for k, (i, _) in enumerate(entries):
+    for k, i in enumerate(slices.tolist()):
         if degenerate[k]:
             log.info("dropping degenerate section at slice %d", i)
         elif invalid[k] is not None:
@@ -384,7 +362,7 @@ def lift_and_fit(
     keep = np.concatenate([[True], stations[1:] > np.maximum.accumulate(stations)[:-1]])
     return ReconstructedYarn(
         family=track.family,
-        axis=track.axis,
+        axis=entries.axis,
         path=path,
         sections=_unchecked_sections(rings[keep], ring_centers[keep], stations[keep]),
         completed_flags=tuple(np.array(flags)[keep]),

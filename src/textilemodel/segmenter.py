@@ -20,8 +20,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import RING_POINTS, _shoelace, canonical_indices, resample_arclength
-from .voxelizer import SLICE_AXES, SliceDataset
+from .geometry import RING_POINTS, _freeze, canonical_indices, resample_arclength
+from .voxelizer import AXIS_YZ, SLICE_AXES
 
 log = logging.getLogger(__name__)
 
@@ -44,73 +44,85 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
 
-@dataclass(frozen=True)
-class SectionDetection:
-    """One detected yarn section in one slice.
+_CONTOUR_FAULT = f"detection contour must be a finite ({RING_POINTS}, 2) array"
+_CENTER_FAULT = "detection center must be a (2,) array"
 
-    ``contour`` holds RING_POINTS keypoints in slice pixel coordinates
-    (image axis 0, image axis 1); ``center`` is their centroid.
-    ``true_label`` carries the generating yarn id when known.
+
+@dataclass(frozen=True, eq=False)
+class DetectionSet:
+    """The detections of every slice of one axis, as read-only row arrays.
+
+    Row k is one detection on slice ``slice_index[k]``: ``contours[k]``
+    holds its RING_POINTS keypoints in slice pixel coordinates (image
+    axis 0, image axis 1), ``centers[k]`` their centroid,
+    ``confidence[k]`` a score in [0, 1] and ``true_label[k]`` the
+    generating yarn id, or -1 when unknown.  Rows are sorted by slice
+    and keep the detector's order (label, then component) within one.
+    Construction checks every row in one pass; the first faulty row
+    raises its error.
     """
 
     axis: str
-    slice_index: int
-    contour: np.ndarray
-    center: np.ndarray
-    confidence: float = 1.0
-    true_label: int | None = None
-
-    def __post_init__(self):
-        contour = np.asarray(self.contour, dtype=float)
-        if contour.shape != (RING_POINTS, 2) or not np.all(np.isfinite(contour)):
-            raise ConfigError(f"detection contour must be a finite ({RING_POINTS}, 2) array")
-        center = np.asarray(self.center, dtype=float).reshape(2)
-        if self.axis not in SLICE_AXES:
-            raise ConfigError(f"axis must be one of {SLICE_AXES}")
-        if self.slice_index < 0:
-            raise ConfigError("slice_index must be non-negative")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ConfigError("confidence must lie in [0, 1]")
-        contour.flags.writeable = False
-        center.flags.writeable = False
-        object.__setattr__(self, "contour", contour)
-        object.__setattr__(self, "center", center)
-
-    def area(self) -> float:
-        return abs(_shoelace(self.contour))
-
-
-@dataclass(frozen=True)
-class DetectionSet:
-    """Detections for every slice of one axis, empty lists included."""
-
-    axis: str
-    per_slice: tuple
+    n_slices: int
     voxel_size: float
     origin: np.ndarray
+    slice_index: np.ndarray
+    contours: np.ndarray
+    centers: np.ndarray
+    confidence: np.ndarray
+    true_label: np.ndarray
 
     def __post_init__(self):
         if self.axis not in SLICE_AXES:
             raise ConfigError(f"axis must be one of {SLICE_AXES}")
-        per_slice = tuple(tuple(dets) for dets in self.per_slice)
-        for idx, dets in enumerate(per_slice):
-            for det in dets:
-                if det.slice_index != idx:
-                    raise ConfigError("detection filed under the wrong slice")
-        object.__setattr__(self, "per_slice", per_slice)
-        origin = np.asarray(self.origin, dtype=float).reshape(3)
-        object.__setattr__(self, "origin", origin)
+        slice_index = np.array(self.slice_index, dtype=np.int64)
+        n = len(slice_index)
+        contours = np.array(self.contours, dtype=float)
+        if contours.shape != (n, RING_POINTS, 2):
+            raise ConfigError(_CONTOUR_FAULT)
+        centers = np.array(self.centers, dtype=float)
+        confidence = np.array(self.confidence, dtype=float)
+        true_label = np.array(self.true_label, dtype=np.int64)
+        if centers.shape != (n, 2) or confidence.shape != (n,) or true_label.shape != (n,):
+            raise ConfigError("every detection needs one center, confidence and true_label")
+        faults = np.column_stack([
+            ~np.isfinite(contours).all(axis=(1, 2)),
+            slice_index < 0,
+            ~((confidence >= 0.0) & (confidence <= 1.0)),
+            slice_index >= self.n_slices,
+        ])
+        bad = np.flatnonzero(faults.any(axis=1))
+        if bad.size:
+            k = bad[0]
+            messages = (
+                _CONTOUR_FAULT,
+                "slice_index must be non-negative",
+                "confidence must lie in [0, 1]",
+                f"slice_index {slice_index[k]} outside dataset",
+            )
+            raise ConfigError(messages[faults[k].argmax()])
+        if np.any(np.diff(slice_index) < 0):
+            raise ConfigError("detections must be sorted by slice")
+        if self.n_slices < 0:
+            raise ConfigError("n_slices must be non-negative")
+        object.__setattr__(self, "n_slices", int(self.n_slices))
+        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(3))
+        rows = (slice_index, contours, centers, confidence, true_label)
+        for name, arr in zip(_ROW_FIELDS, rows):
+            object.__setattr__(self, name, _freeze(arr))
 
-    @property
-    def n_slices(self) -> int:
-        return len(self.per_slice)
-
-    def all(self):
-        for dets in self.per_slice:
-            yield from dets
+    def __len__(self) -> int:
+        return len(self.slice_index)
 
     def count(self) -> int:
-        return sum(len(d) for d in self.per_slice)
+        return len(self)
+
+    def take(self, rows) -> DetectionSet:
+        """The set of the rows ``rows`` (indices or a mask) only."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
+
+
+_ROW_FIELDS = ("slice_index", "contours", "centers", "confidence", "true_label")
 
 
 def trace_boundary(mask: np.ndarray) -> np.ndarray:
@@ -149,12 +161,11 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     return ends[order[loop], 0] / 2.0 - 1.0  # back to pixel coordinates
 
 
-def _keypoints_from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _keypoints_from_dense(dense: np.ndarray) -> np.ndarray:
     order = canonical_indices(dense)
     dense = dense[order]
     dense3 = np.column_stack([dense, np.zeros(len(dense))])
-    ring = resample_arclength(dense3, RING_POINTS, closed=True)[:, :2]
-    return ring, ring.mean(axis=0)
+    return resample_arclength(dense3, RING_POINTS, closed=True)[:, :2]
 
 
 def detect_sections(
@@ -162,15 +173,16 @@ def detect_sections(
     axis: str = "xz",
     slice_index: int = 0,
     min_area: int = DEFAULT_MIN_AREA,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray]:
     """Detect every labeled yarn section in one label slice.
 
     Connected components (8-connectivity) are evaluated per label;
     components smaller than ``min_area`` pixels are skipped and logged.
-    Returns detections ordered by label, then component.
+    Returns the keypoint rings (k, RING_POINTS, 2) and their labels
+    (k,), ordered by label, then component.
     """
     image = np.asarray(image)
-    out = []
+    rings, labels = [], []
     if image.ndim != 2:
         raise ConfigError("slice image must be 2D")
     eight = np.ones((3, 3), dtype=bool)
@@ -193,31 +205,35 @@ def detect_sections(
             filled = ndimage.binary_fill_holes(comp)
             dense = trace_boundary(filled)
             dense += [window[0].start, window[1].start]
-            ring, center = _keypoints_from_dense(dense)
-            out.append(
-                SectionDetection(
-                    axis=axis,
-                    slice_index=slice_index,
-                    contour=ring,
-                    center=center,
-                    confidence=1.0,
-                    true_label=int(lab),
-                )
-            )
-    return out
+            rings.append(_keypoints_from_dense(dense))
+            labels.append(lab)
+    return np.array(rings).reshape(-1, RING_POINTS, 2), np.array(labels, dtype=np.int64)
 
 
-def detect_batch(dataset: SliceDataset, min_area: int = DEFAULT_MIN_AREA) -> DetectionSet:
-    """Run the oracle detector over every slice of a dataset."""
-    per_slice = [
-        detect_sections(img, axis=dataset.axis, slice_index=i, min_area=min_area)
-        for i, img in enumerate(dataset.slices)
+def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> DetectionSet:
+    """Run the oracle detector over every slice of a label volume.
+
+    Slice i of ``yz`` is the image ``data[i, :, :]`` and slice j of
+    ``xz`` is ``data[:, j, :]``; both are views of the volume.
+    """
+    if axis not in SLICE_AXES:
+        raise ConfigError(f"axis must be one of {SLICE_AXES}")
+    images = volume.data if axis == AXIS_YZ else np.moveaxis(volume.data, 1, 0)
+    found = [
+        detect_sections(img, axis=axis, slice_index=i, min_area=min_area)
+        for i, img in enumerate(images)
     ]
+    contours = np.concatenate([rings for rings, _ in found])
     return DetectionSet(
-        axis=dataset.axis,
-        per_slice=per_slice,
-        voxel_size=dataset.voxel_size,
-        origin=np.array(dataset.origin),
+        axis=axis,
+        n_slices=len(images),
+        voxel_size=volume.voxel_size,
+        origin=volume.origin,
+        slice_index=np.repeat(np.arange(len(found)), [len(labels) for _, labels in found]),
+        contours=contours,
+        centers=contours.mean(axis=1),
+        confidence=np.ones(len(contours)),
+        true_label=np.concatenate([labels for _, labels in found]),
     )
 
 
@@ -242,46 +258,23 @@ class DegradeParams:
 def degrade(dset: DetectionSet, params: DegradeParams) -> DetectionSet:
     """Apply dropout and Gaussian keypoint jitter to oracle detections.
 
-    Deterministic for a given seed.  Jittered centers are recomputed as
-    keypoint centroids; confidences are resampled uniformly between the
-    floor and 1.
+    Deterministic for a given seed: each row in turn draws its dropout,
+    then its jitter, then its confidence.  Jittered centers are
+    recomputed as keypoint centroids; confidences are resampled
+    uniformly between the floor and 1.
     """
     rng = np.random.default_rng(params.seed)
-    per_slice = []
-    for dets in dset.per_slice:
-        kept = []
-        for det in dets:
-            if params.dropout_rate > 0 and rng.random() < params.dropout_rate:
-                continue
-            contour = np.asarray(det.contour)
-            if params.jitter_sigma > 0:
-                contour = contour + rng.normal(0.0, params.jitter_sigma, contour.shape)
-            confidence = params.confidence_floor + (1.0 - params.confidence_floor) * rng.random()
-            kept.append(
-                replace(
-                    det,
-                    contour=contour,
-                    center=contour.mean(axis=0),
-                    confidence=float(confidence),
-                )
-            )
-        per_slice.append(kept)
-    return DetectionSet(
-        axis=dset.axis,
-        per_slice=per_slice,
-        voxel_size=dset.voxel_size,
-        origin=np.array(dset.origin),
-    )
-
-
-def detection_aspect(det: SectionDetection) -> float:
-    """Elongation of the keypoint cloud: sqrt of the PCA eigenvalue ratio."""
-    rel = det.contour - det.contour.mean(axis=0)
-    cov = rel.T @ rel / len(rel)
-    evals = np.linalg.eigvalsh(cov)
-    if evals[0] <= 1e-12:
-        return np.inf
-    return float(np.sqrt(evals[1] / evals[0]))
+    kept, noise, confidence = [], [], []
+    for k in range(len(dset)):
+        if params.dropout_rate > 0 and rng.random() < params.dropout_rate:
+            continue
+        kept.append(k)
+        if params.jitter_sigma > 0:
+            noise.append(rng.normal(0.0, params.jitter_sigma, (RING_POINTS, 2)))
+        confidence.append(params.confidence_floor + (1.0 - params.confidence_floor) * rng.random())
+    out = dset.take(np.array(kept, dtype=np.intp))
+    contours = out.contours + np.array(noise) if noise else out.contours
+    return replace(out, contours=contours, centers=contours.mean(axis=1), confidence=confidence)
 
 
 def filter_transverse(dset: DetectionSet, max_aspect: float = 6.0) -> DetectionSet:
@@ -289,20 +282,16 @@ def filter_transverse(dset: DetectionSet, max_aspect: float = 6.0) -> DetectionS
 
     A slice plane cuts the perpendicular yarn family into compact
     blobs and the parallel family into long bands; the keypoint aspect
-    ratio separates the two reliably.
+    ratio (sqrt of the PCA eigenvalue ratio) separates the two
+    reliably.  Flat keypoint clouds count as infinitely elongated.
     """
     if max_aspect <= 1.0:
         raise ConfigError("max_aspect must exceed 1")
-    per_slice = [
-        [det for det in dets if detection_aspect(det) <= max_aspect]
-        for dets in dset.per_slice
-    ]
-    return DetectionSet(
-        axis=dset.axis,
-        per_slice=per_slice,
-        voxel_size=dset.voxel_size,
-        origin=np.array(dset.origin),
-    )
+    rel = dset.contours - dset.contours.mean(axis=1, keepdims=True)
+    evals = np.linalg.eigvalsh(np.swapaxes(rel, 1, 2) @ rel / RING_POINTS)
+    flat = evals[:, 0] <= 1e-12
+    aspect = np.sqrt(evals[:, 1] / np.where(flat, 1.0, evals[:, 0]))
+    return dset.take(~flat & (aspect <= max_aspect))
 
 
 def write_detections(dset: DetectionSet, path) -> Path:
@@ -311,63 +300,93 @@ def write_detections(dset: DetectionSet, path) -> Path:
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = zip(*(getattr(dset, name).tolist() for name in _ROW_FIELDS))
     with atomic_open(path) as fh:
-        for det in dset.all():
+        for slice_index, contour, center, confidence, label in rows:
             rec = {
-                "axis": det.axis,
-                "slice_index": det.slice_index,
-                "contour": [[float(u), float(v)] for u, v in det.contour],
-                "center": [float(det.center[0]), float(det.center[1])],
-                "confidence": det.confidence,
-                "true_label": det.true_label,
+                "axis": dset.axis,
+                "slice_index": slice_index,
+                "contour": contour,
+                "center": center,
+                "confidence": confidence,
+                "true_label": None if label < 0 else label,
             }
             fh.write(json.dumps(rec) + "\n")
     return path
 
 
+def _float_field(path, lines, records, key, shape, message) -> np.ndarray:
+    """``rec[key]`` of every record as one float array (N, *shape).  The
+    first value of another shape raises ``message`` at its file line."""
+    values = [rec[key] for rec in records]
+    try:
+        arr = np.array(values, dtype=float)
+        if arr.shape[1:] == shape:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    for value, line_no in zip(values, lines):
+        try:
+            if np.array(value, dtype=float).shape == shape:
+                continue
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{path}:{line_no}: {message}")
+    raise ConfigError(f"{path}: {message}")
+
+
 def read_detections(
     path,
     n_slices: int | None = None,
-    axis: str | None = None,
     voxel_size: float = 1.0,
     origin=(0.0, 0.0, 0.0),
 ) -> DetectionSet:
-    """Load a JSON-lines detection file.
+    """Load a JSON-lines detection file, one record per detection.
 
-    The slice count and axis are taken from the records when not given;
-    trailing empty slices need an explicit ``n_slices``.
+    The records must share one slice axis.  The slice count is one past
+    the largest slice index unless ``n_slices`` is given, so trailing
+    empty slices need it.  A malformed record raises ConfigError naming
+    the file and, where the record is known, its line.
     """
-    records = []
+    parsed, labels = [], []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            parsed.append((line_no, json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
-    if axis is None:
-        axes = {r["axis"] for r in records}
-        if len(axes) != 1:
-            raise ConfigError(f"{path}: cannot infer a unique slice axis ({axes or 'no records'})")
-        axis = axes.pop()
-    if n_slices is None:
-        n_slices = max((r["slice_index"] for r in records), default=-1) + 1
-    per_slice = [[] for _ in range(n_slices)]
-    for r in records:
-        det = SectionDetection(
-            axis=r["axis"],
-            slice_index=int(r["slice_index"]),
-            contour=np.array(r["contour"], dtype=float),
-            center=np.array(r["center"], dtype=float),
-            confidence=float(r.get("confidence", 1.0)),
-            true_label=r.get("true_label"),
+    for line_no, rec in parsed:
+        where = f"{path}:{line_no}"
+        for key in ("axis", "slice_index", "contour", "center"):
+            if not isinstance(rec, dict) or key not in rec:
+                raise ConfigError(f"{where}: detection record lacks {key!r}")
+        if type(rec["slice_index"]) is not int:
+            raise ConfigError(f"{where}: slice_index must be an integer")
+        label = rec.get("true_label")
+        if label is not None and (type(label) is not int or label < 0):
+            raise ConfigError(f"{where}: true_label must be a non-negative integer or null")
+        labels.append(-1 if label is None else label)
+    lines, records = zip(*parsed) if parsed else ((), ())
+    axes = {rec["axis"] for rec in records}
+    if len(axes) != 1:
+        raise ConfigError(f"{path}: cannot infer a unique slice axis ({axes or 'no records'})")
+    slice_index = np.array([rec["slice_index"] for rec in records])
+    order = np.argsort(slice_index, kind="stable")
+    fields = {
+        "contours": _float_field(path, lines, records, "contour", (RING_POINTS, 2), _CONTOUR_FAULT),
+        "centers": _float_field(path, lines, records, "center", (2,), _CENTER_FAULT),
+        "confidence": np.array([rec.get("confidence", 1.0) for rec in records], dtype=float),
+        "true_label": np.array(labels),
+    }
+    try:
+        return DetectionSet(
+            axis=axes.pop(),
+            n_slices=slice_index.max() + 1 if n_slices is None else n_slices,
+            voxel_size=voxel_size,
+            origin=origin,
+            slice_index=slice_index[order],
+            **{name: arr[order] for name, arr in fields.items()},
         )
-        if det.slice_index >= n_slices:
-            raise ConfigError(f"{path}: slice_index {det.slice_index} outside dataset")
-        per_slice[det.slice_index].append(det)
-    return DetectionSet(
-        axis=axis,
-        per_slice=per_slice,
-        voxel_size=voxel_size,
-        origin=np.asarray(origin, dtype=float),
-    )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Voxel label volumes, pseudo-CT rendering and 2.5D slicing.
+"""Voxel label volumes and pseudo-CT rendering.
 
 A label volume samples the textile on a regular grid: voxel (i, j, k)
 covers the cell starting at ``origin + (i, j, k) * voxel_size`` and its
@@ -102,32 +102,6 @@ class GrayVolume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
-
-
-@dataclass(frozen=True)
-class SliceDataset:
-    """A volume cut into parallel 2D slices along one axis.
-
-    ``slices[i]`` is the image at slice index i; image axis 0 is the
-    first in-plane volume axis (x for xz slices, y for yz slices) and
-    image axis 1 is z.  Slicing is lossless: ``restack`` rebuilds the
-    original array bit for bit.
-    """
-
-    axis: str
-    slices: tuple
-    voxel_size: float
-    origin: np.ndarray
-
-    def __post_init__(self):
-        if self.axis not in SLICE_AXES:
-            raise ConfigError(f"axis must be one of {SLICE_AXES}")
-        object.__setattr__(self, "slices", tuple(self.slices))
-        origin = np.asarray(self.origin, dtype=float).reshape(3)
-        object.__setattr__(self, "origin", origin)
-
-    def __len__(self) -> int:
-        return len(self.slices)
 
 
 def _ring_normals(rings: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -416,28 +390,6 @@ def voxelize(
     return LabelVolume(
         data=data, voxel_size=voxel_size, origin=np.array(model.bbox.lo), label_map=label_map
     )
-
-
-def extract_slices(volume, axis: str) -> SliceDataset:
-    """Cut a volume into 2D slices; views, not copies."""
-    data = volume.data
-    if axis == AXIS_XZ:
-        slices = tuple(data[:, j, :] for j in range(data.shape[1]))
-    elif axis == AXIS_YZ:
-        slices = tuple(data[i, :, :] for i in range(data.shape[0]))
-    else:
-        raise ConfigError(f"axis must be one of {SLICE_AXES}")
-    return SliceDataset(
-        axis=axis, slices=slices, voxel_size=volume.voxel_size, origin=np.array(volume.origin)
-    )
-
-
-def restack(dataset: SliceDataset) -> np.ndarray:
-    """Reassemble the 3D array from its slices, bit for bit."""
-    if len(dataset.slices) == 0:
-        raise DegenerateGeometryError("dataset has no slices")
-    stack_axis = 1 if dataset.axis == AXIS_XZ else 0
-    return np.stack(dataset.slices, axis=stack_axis)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from textilemodel.synthgen import (
     with_fibers,
 )
 from textilemodel.validate import hausdorff, match_and_assess_paths, vf_distribution
-from textilemodel.voxelizer import compute_dims, extract_slices, slice_count, voxelize
+from textilemodel.voxelizer import compute_dims, slice_count, voxelize
 
 from test_voxelizer import ref_serial_paint_labels
 
@@ -57,9 +57,7 @@ def clean_chain():
     model = with_fibers(model, fiber_spec_for_target_vf(model, 0.6, 1000))
     vol = voxelize(model, voxel_size=cfg.voxel_size)
     dsets = [
-        filter_transverse(
-            detect_batch(extract_slices(vol, axis), min_area=12), max_aspect=6.0
-        )
+        filter_transverse(detect_batch(vol, axis, min_area=12), max_aspect=6.0)
         for axis in ("yz", "xz")
     ]
     t_detect = time.perf_counter() - t0
@@ -172,7 +170,7 @@ def test_degraded_round_trip_stays_within_3_voxels_and_fills_interior_gaps(
     for tr in tracks:
         # interior gaps are all gone after completion ...
         assert tr.gaps == ()
-        observed = [i for i, _ in tr.entries]
+        observed = tr.indices.tolist()
         assert observed == list(range(observed[0], observed[-1] + 1))
         n_filled += len(tr.filled)
         # ... while boundary gaps stay reported and unfilled

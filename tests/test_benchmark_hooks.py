@@ -3,10 +3,10 @@
 ``perfbench/op.py`` wraps package functions by name and its counters
 read their parameters and results by name (``dset``, ``track``,
 ``model``, ``yarns``, ``path``, ``len(result.sections)``).  These tests
-run the harness self-test and trace a small pipeline and one
-``lift_and_fit`` through the harness's own hook table, so a renamed
-function, parameter or result attribute fails here and not first in a
-benchmark run.
+run the harness self-test and trace a small pipeline, one
+``lift_and_fit`` and the from-detections op's ``textile`` calls through
+the harness's own hook table, so a renamed function, parameter or
+result attribute fails here and not first in a benchmark run.
 """
 
 import dataclasses
@@ -85,10 +85,9 @@ def test_traced_lift_and_fit_counts_dropped_sections(harness):
     op, spans = harness
     # Slice 9 holds a folded decagon, which lift_and_fit drops.
     dset = straight_dset()
-    ring = dset.per_slice[9][0].contour[[0, 1, 6, 3, 4, 5, 2, 7, 8, 9]]
-    per_slice = list(dset.per_slice)
-    per_slice[9] = [dataclasses.replace(per_slice[9][0], contour=ring, center=ring.mean(axis=0))]
-    dset = dataclasses.replace(dset, per_slice=per_slice)
+    contours = dset.contours.copy()
+    contours[9] = contours[9][[0, 1, 6, 3, 4, 5, 2, 7, 8, 9]]
+    dset = dataclasses.replace(dset, contours=contours, centers=contours.mean(axis=1))
     (track,) = rc.track_yarns(dset, d_gate=6.0)
     rec = spans.Recorder()
     with spans.traced(rec, op.hooks(), op.PACKAGE):
@@ -96,3 +95,24 @@ def test_traced_lift_and_fit_counts_dropped_sections(harness):
     assert [s.name for s in rec.spans if s.parent is None] == ["reconstruct.fit"]
     assert len(yarn.sections) == len(track.entries) - 1
     assert rec.counts["reconstruct.sections_dropped"] == 1
+
+
+def test_traced_cli_chain_reads_degrades_and_fills_gaps(harness, tmp_path):
+    op, spans = harness
+    # The from-detections op's own textile calls, on the small fabric's
+    # oracle detections, labels and model.
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    run_pipeline(config_from_dict({**SMALL, "reconstruct": {"write_meshes": False}}), inputs)
+    rec = spans.Recorder()
+    with spans.traced(rec, op.hooks(), op.PACKAGE), rec.span("op") as op_idx:
+        for argv in op.cli_calls(SMALL["seed"], inputs, out):
+            op.run_cli(argv)
+    assert rec.counts["reconstruct.filled_slices"] > 0
+    assert "reconstruct.sections_dropped" in rec.counts
+    assert rec.counts["reconstruct.tracks"] == 4
+    metrics = op.layer_metrics(rec, op_idx, out)
+    for name in ("segmenter.degrade_s", "storage.read_s", "reconstruct.complete_s",
+                 "reconstruct.fit_s"):
+        assert metrics[name] > 0, name
+    # Each degrade call reads one file, reconstruct reads both.
+    assert rec.totals()["storage.read"][1] >= 4

@@ -1,6 +1,5 @@
 """Pipeline orchestration, manifest, persistence formats, and the CLI."""
 
-import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +16,7 @@ from textilemodel.pipeline import (
     PipelineConfig,
     config_from_dict,
     load_config,
+    read_detection_pair,
     run_pipeline,
     stage_index,
     stage_seed,
@@ -29,7 +29,7 @@ from textilemodel.reconstruct import (
     build_volume_mesh,
     reconstruct_yarns,
 )
-from textilemodel.segmenter import DetectionSet, SectionDetection, write_detections
+from textilemodel.segmenter import write_detections
 from textilemodel.storage import (
     atomic_write_text,
     load_model,
@@ -41,6 +41,8 @@ from textilemodel.storage import (
 from textilemodel.synthgen import generate_interlock
 from textilemodel.validate import write_report
 from textilemodel.voxelizer import LabelVolume, save_volume
+
+from test_segmenter import make_dset
 
 SMALL = {
     "seed": 3,
@@ -132,7 +134,7 @@ class TestConfig:
     def test_min_span_must_be_a_fraction(self):
         from textilemodel.reconstruct import track_yarns
 
-        dset = DetectionSet(axis="yz", per_slice=[[]], voxel_size=1.0, origin=(0, 0, 0))
+        dset = make_dset([], np.zeros((0, 10, 2)), n_slices=1, axis="yz")
         with pytest.raises(ConfigError, match="min_span"):
             track_yarns(dset, d_gate=5.0, min_span=1.5)
 
@@ -312,23 +314,11 @@ def disc(center_uv, radius=4.0):
 
 def straight_dset(n_slices=24, extra=None):
     """One straight yarn across every slice, plus optional extra blobs."""
-    per_slice = []
-    for i in range(n_slices):
-        ring = disc((20.0, 30.0))
-        dets = [
-            SectionDetection(
-                axis="yz", slice_index=i, contour=ring, center=ring.mean(axis=0)
-            )
-        ]
-        if extra and i in extra:
-            ring2 = disc(extra[i])
-            dets.append(
-                SectionDetection(
-                    axis="yz", slice_index=i, contour=ring2, center=ring2.mean(axis=0)
-                )
-            )
-        per_slice.append(dets)
-    return DetectionSet(axis="yz", per_slice=per_slice, voxel_size=1.0, origin=(0, 0, 0))
+    extra = extra or {}
+    rows = [(i, disc((20.0, 30.0))) for i in range(n_slices)]
+    rows += [(i, disc(uv)) for i, uv in extra.items()]
+    rows.sort(key=lambda r: r[0])
+    return make_dset([i for i, _ in rows], [ring for _, ring in rows], n_slices=n_slices, axis="yz")
 
 
 class TestSpanFilter:
@@ -454,9 +444,9 @@ class TestAtomicWrites:
 
     def test_write_detections(self, tmp_path):
         good = straight_dset(n_slices=3)
-        dets = [list(d) for d in good.per_slice]
-        dets[1][0] = dataclasses.replace(dets[1][0], true_label=object())  # not JSON
-        bad = dataclasses.replace(good, per_slice=dets)
+        # Rows 0 and 1 are written before row 2's label fails.
+        labels = np.array([1, 2, object()], dtype=object)
+        bad = SimpleNamespace(**{**vars(good), "true_label": labels})
         path = tmp_path / "detections_yz.jsonl"
         self.check_atomic(
             tmp_path, path, lambda: write_detections(good, path), lambda: write_detections(bad, path)
@@ -787,6 +777,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"stage {k} ({stage}) failed: injected into {stage}" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda r: r.pop("contour"), "detection record lacks 'contour'"),
+            (lambda r: r.update(true_label="x"), "true_label must be a non-negative integer"),
+        ],
+    )
+    def test_malformed_detection_record_exits_2(self, corrupt, message, tmp_path, capsys):
+        path = write_detections(straight_dset(n_slices=4), tmp_path / "detections_yz.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        corrupt(records[2])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        for command in ("degrade", "reconstruct"):
+            assert main([command, "-d", str(path), "-o", str(out)]) == 2
+            assert f"config error: {path}:3: {message}" in capsys.readouterr().err
+        assert not (out / "detections_yz_degraded.jsonl").exists()
+
+    def test_detection_pair_takes_slice_counts_from_the_labels(self, tmp_path):
+        path = write_detections(straight_dset(n_slices=4), tmp_path / "det.jsonl")
+        meta = {"dims": [6, 9, 9], "voxel_size": 0.5, "origin": [1.0, 2.0, 3.0]}
+        (ds,) = read_detection_pair([path], meta)
+        assert (ds.n_slices, ds.voxel_size, ds.origin.tolist()) == (6, 0.5, [1.0, 2.0, 3.0])
+        assert read_detection_pair([path])[0].n_slices == 4
+        with pytest.raises(ConfigError, match=r"det\.jsonl: slice_index 3 outside dataset"):
+            read_detection_pair([path], {**meta, "dims": [3, 9, 9]})
 
     @pytest.mark.parametrize("command, code", [("voxelize", 13), ("validate", 18)])
     def test_short_contour_in_a_file_exits_with_the_reading_stage(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from textilemodel.errors import (
     ConfigError,
@@ -18,6 +19,7 @@ from textilemodel.errors import (
 from textilemodel.geometry import (
     Box,
     Sections,
+    _norms,
     bspline_eval,
     bspline_fit,
     ellipse_sections,
@@ -42,9 +44,11 @@ from textilemodel.reconstruct import (
     track_yarns,
     wedge_volumes,
 )
-from textilemodel.segmenter import DetectionSet, SectionDetection
+from textilemodel.segmenter import DetectionSet
 from textilemodel.synthgen import WeaveSpec, generate_interlock
-from textilemodel.voxelizer import extract_slices, voxelize
+from textilemodel.voxelizer import voxelize
+
+from test_segmenter import RefSectionDetection, assert_rows_equal, make_dset, ref_detections
 
 
 def decagon(center, scale=3.0, squash=0.6):
@@ -55,24 +59,19 @@ def decagon(center, scale=3.0, squash=0.6):
 
 def make_set(tracks_uv, n_slices, drop=(), axis="yz"):
     """tracks_uv: list of callables slice_index -> (u, v) blob center."""
-    per_slice = []
-    for i in range(n_slices):
-        dets = []
-        for t_id, fn in enumerate(tracks_uv):
-            if (t_id, i) in drop:
-                continue
-            ring = decagon(fn(i))
-            dets.append(
-                SectionDetection(
-                    axis=axis,
-                    slice_index=i,
-                    contour=ring,
-                    center=ring.mean(axis=0),
-                    true_label=t_id + 1,
-                )
-            )
-        per_slice.append(dets)
-    return DetectionSet(axis=axis, per_slice=per_slice, voxel_size=1.0, origin=np.zeros(3))
+    rows = [
+        (i, decagon(fn(i)), t_id + 1)
+        for i in range(n_slices)
+        for t_id, fn in enumerate(tracks_uv)
+        if (t_id, i) not in drop
+    ]
+    slices, rings, labels = zip(*rows)
+    return make_dset(slices, rings, n_slices=n_slices, axis=axis, true_label=labels)
+
+
+def rows_by_slice(track):
+    """Row number of each slice index of a track's entries."""
+    return {i: k for k, i in enumerate(track.indices.tolist())}
 
 
 class TestTracking:
@@ -88,7 +87,7 @@ class TestTracking:
         tracks = track_yarns(ds, d_gate=6.0)
         assert len(tracks) == 2
         for tr in tracks:
-            labels = {det.true_label for _, det in tr.entries}
+            labels = set(tr.entries.true_label.tolist())
             assert len(labels) == 1
 
     def test_interior_gap_survives_and_is_recorded(self):
@@ -104,7 +103,7 @@ class TestTracking:
         ds = make_set([lambda i: (10.0, 8.0)], 30, drop=drop)
         tracks = track_yarns(ds, d_gate=5.0, max_gap=4)
         assert len(tracks) == 2
-        assert [t.entries[0][0] for t in tracks] == [0, 18]
+        assert [int(t.indices[0]) for t in tracks] == [0, 18]
         # the second piece reports the leading boundary gap
         assert tracks[1].boundary_gaps == ((0, 17),)
 
@@ -147,10 +146,11 @@ class TestCompletion:
         (track,) = track_yarns(ds, d_gate=5.0)
         done = complete_missing(track)
         assert done.gaps == () and done.filled == (4,)
-        by_index = dict(done.entries)
-        expect = 0.5 * (by_index[3].contour + by_index[5].contour)
-        assert np.allclose(by_index[4].contour, expect, atol=1e-12)
-        assert np.allclose(by_index[4].center, by_index[4].contour.mean(axis=0))
+        row = rows_by_slice(done)
+        contours = done.entries.contours
+        expect = 0.5 * (contours[row[3]] + contours[row[5]])
+        assert np.allclose(contours[row[4]], expect, atol=1e-12)
+        assert np.allclose(done.entries.centers[row[4]], contours[row[4]].mean(axis=0))
 
     def test_long_gap_cubic_recovers_quadratic_motion(self):
         fn = lambda i: (10 + 0.05 * i * i, 8.0 + 0.5 * i)
@@ -159,9 +159,9 @@ class TestCompletion:
         (track,) = track_yarns(ds, d_gate=8.0, max_gap=6)
         done = complete_missing(track)
         assert done.filled == (8, 9, 10, 11, 12)
-        by_index = dict(done.entries)
+        row = rows_by_slice(done)
         for i in range(8, 13):
-            assert np.allclose(by_index[i].contour, decagon(fn(i)), atol=1e-9)
+            assert np.allclose(done.entries.contours[row[i]], decagon(fn(i)), atol=1e-9)
 
     def test_boundary_gaps_left_alone(self):
         drop = {(0, 0), (0, 1)}
@@ -170,13 +170,170 @@ class TestCompletion:
         done = complete_missing(track)
         assert done.boundary_gaps == ((0, 1),)
         assert done.filled == ()
-        assert done.entries[0][0] == 2
+        assert done.indices[0] == 2
 
     def test_true_label_propagates_when_unambiguous(self):
         ds = make_set([lambda i: (10.0, 8.0)], 12, drop={(0, 5)})
         (track,) = track_yarns(ds, d_gate=5.0)
         done = complete_missing(track)
-        assert dict(done.entries)[5].true_label == 1
+        assert done.entries.true_label[rows_by_slice(done)[5]] == 1
+
+
+# ------------------------------------------------ per-detection reference
+#
+# The tracker and gap filler as they ran on one detection object at a
+# time.  track_yarns and complete_missing must return the same rows.
+
+
+def ref_track_yarns(dset, d_gate, min_length, max_gap, min_span):
+    """Per-detection tracker: (entries, gaps, boundary_gaps) per track,
+    with entries a list of (slice index, detection)."""
+    dets = ref_detections(dset)
+    active, done = [], []
+    for i in range(dset.n_slices):
+        slice_dets = [d for d in dets if d.slice_index == i]
+        still = []
+        for tr in active:
+            (done if i - tr["last"] > max_gap else still).append(tr)
+        active = still
+        pairs = []
+        for ti, tr in enumerate(active):
+            delta = i - tr["last"]
+            for di, det in enumerate(slice_dets):
+                dist = float(np.linalg.norm(det.center - tr["center"]))
+                if dist <= d_gate * delta:
+                    pairs.append((dist, ti, di))
+        pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+        used_t, used_d = set(), set()
+        for dist, ti, di in pairs:
+            if ti in used_t or di in used_d:
+                continue
+            used_t.add(ti)
+            used_d.add(di)
+            active[ti]["entries"].append((i, slice_dets[di]))
+            active[ti]["center"] = slice_dets[di].center
+            active[ti]["last"] = i
+        for di, det in enumerate(slice_dets):
+            if di not in used_d:
+                active.append({"entries": [(i, det)], "center": det.center, "last": i})
+    done.extend(active)
+    n = dset.n_slices
+    tracks = []
+    for tr in done:
+        indices = [i for i, _ in tr["entries"]]
+        first, last = indices[0], indices[-1]
+        if len(indices) < min_length or last - first + 1 < min_span * n:
+            continue
+        gaps = tuple((a + 1, b - 1) for a, b in zip(indices, indices[1:]) if b - a > 1)
+        boundary = ((0, first - 1),) * (first > 0) + ((last + 1, n - 1),) * (last < n - 1)
+        tracks.append((tr["entries"], gaps, boundary))
+    tracks.sort(key=lambda t: (t[0][0][0], tuple(t[0][0][1].center)))
+    return tracks
+
+
+def ref_complete_missing(entries, gaps):
+    """Per-detection gap filler: the completed entries and filled slices."""
+    if not gaps:
+        return entries, []
+    observed = np.array([i for i, _ in entries])
+    channels = np.stack([det.contour.reshape(-1) for _, det in entries])
+    spline = CubicSpline(observed, channels, axis=0) if len(observed) >= 4 else None
+    by_index = dict(entries)
+    filled = []
+    for start, end in gaps:
+        left = max(i for i in observed if i < start)
+        right = min(i for i in observed if i > end)
+        for idx in range(start, end + 1):
+            if end - start == 0 or spline is None:
+                t = (idx - left) / (right - left)
+                flat = (1 - t) * by_index[left].contour.reshape(-1) + t * by_index[
+                    right
+                ].contour.reshape(-1)
+            else:
+                flat = spline(idx)
+            contour = flat.reshape(10, 2)
+            lab_l, lab_r = by_index[left].true_label, by_index[right].true_label
+            by_index[idx] = RefSectionDetection(
+                axis=entries[0][1].axis,
+                slice_index=idx,
+                contour=contour,
+                center=contour.mean(axis=0),
+                confidence=float(0.5 * (by_index[left].confidence + by_index[right].confidence)),
+                true_label=lab_l if lab_l == lab_r else None,
+            )
+            filled.append(idx)
+    return sorted(by_index.items()), filled
+
+
+@st.composite
+def tracking_cases(draw):
+    """A set of up to 4 drifting blobs with dropouts plus clutter, and
+    tracking parameters.  The gate sits exactly on one realised
+    one-slice center distance half the time, so gating is tested to
+    the bit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_slices = draw(st.integers(3, 30))
+    rows = []
+    for label in range(1, draw(st.integers(1, 4)) + 1):
+        c0, v = rng.uniform(0, 60, 2), rng.normal(size=2)
+        for i in np.flatnonzero(rng.random(n_slices) >= draw(st.sampled_from([0.0, 0.15, 0.4]))):
+            rows.append((int(i), c0 + v * i + rng.normal(scale=0.3, size=2), label))
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append((int(rng.integers(n_slices)), rng.uniform(0, 60, 2), int(rng.integers(-1, 5))))
+    rows.sort(key=lambda r: r[0])
+    ds = make_dset(
+        [r[0] for r in rows],
+        [decagon(c, scale=rng.uniform(1.0, 4.0)) for _, c, _ in rows],
+        n_slices=n_slices,
+        axis=draw(st.sampled_from(["xz", "yz"])),
+        confidence=rng.uniform(0.5, 1.0, len(rows)),
+        true_label=[r[2] for r in rows],
+    )
+    d_gate = draw(st.floats(0.5, 10.0))
+    nxt = [
+        (a, b) for a in range(len(ds)) for b in range(a + 1, len(ds))
+        if ds.slice_index[b] == ds.slice_index[a] + 1
+    ]
+    if nxt and draw(st.booleans()):
+        a, b = nxt[draw(st.integers(0, len(nxt) - 1))]
+        d_gate = float(np.linalg.norm(ds.centers[b] - ds.centers[a])) or d_gate
+    min_length, max_gap = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    return ds, d_gate, min_length, max_gap, draw(st.sampled_from([0.0, 0.3, 0.8]))
+
+
+class TestTrackingOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tracking_cases())
+    def test_tracks_and_fills_match_the_per_detection_reference(self, case):
+        ds, *params = case
+        got = track_yarns(ds, *params)
+        want = ref_track_yarns(ds, *params)
+        assert len(got) == len(want)
+        for track, (entries, gaps, boundary) in zip(got, want):
+            assert_rows_equal(track.entries, [d for _, d in entries])
+            assert (track.gaps, track.boundary_gaps) == (gaps, boundary)
+            done = complete_missing(track)
+            ref_entries, filled = ref_complete_missing(entries, gaps)
+            assert_rows_equal(done.entries, [d for _, d in ref_entries])
+            assert done.filled == tuple(filled) and done.gaps == ()
+
+    def test_gate_holds_at_the_per_pair_norm(self):
+        # On this pair norm(d, axis=1) rounds one ulp above the per-pair
+        # norm that the gate was set from; the track must still join.
+        c0, c1 = [83.98815210314088, 50.94958815215094], [81.757074043535, 48.18936965784196]
+        gate = float(np.linalg.norm(np.subtract(c1, c0)))
+        rings = [decagon(c0), decagon(c1)]
+        ds = DetectionSet("yz", 2, 1.0, (0, 0, 0), [0, 1], rings, [c0, c1], [1.0, 1.0], [-1, -1])
+        (track,) = track_yarns(ds, d_gate=gate, min_length=2)
+        assert track.indices.tolist() == [0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_stacked_distances_match_the_per_pair_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(rng.integers(1, 6), 2)) * 10.0 ** rng.uniform(-3, 3) for _ in "ab")
+        want = [[float(np.linalg.norm(y - x)) for y in b] for x in a]
+        assert np.array_equal(_norms(b[None] - a[:, None]), np.array(want))
 
 
 class TestLift:
@@ -185,14 +342,14 @@ class TestLift:
         # coordinate (u, v) maps to (y, z) the same way.
         ds = make_set([lambda i: (10.0, 8.0)], 12)
         (track,) = track_yarns(ds, d_gate=5.0)
+        entries = dataclasses.replace(
+            track.entries, voxel_size=2.0, origin=np.array([100.0, 200.0, 300.0])
+        )
         track = YarnTrack(
             family=track.family,
-            axis=track.axis,
-            entries=track.entries,
+            entries=entries,
             gaps=track.gaps,
             boundary_gaps=track.boundary_gaps,
-            voxel_size=2.0,
-            origin=np.array([100.0, 200.0, 300.0]),
         )
         yarn = lift_and_fit(track, n_controls=4)
         centers = yarn.sections.centers
@@ -245,10 +402,9 @@ class TestLift:
         ) + np.array([10.0, 8.0])
         folded = decagon((10.0, 8.0))[[0, 1, 6, 3, 4, 5, 2, 7, 8, 9]]
         ds = make_set([lambda i: (10.0, 8.0)], 16)
-        per_slice = [list(dets) for dets in ds.per_slice]
-        for i, ring in ((5, star), (9, folded)):
-            per_slice[i] = [dataclasses.replace(per_slice[i][0], contour=ring, center=ring.mean(axis=0))]
-        ds = dataclasses.replace(ds, per_slice=per_slice)
+        contours = ds.contours.copy()
+        contours[5], contours[9] = star, folded
+        ds = dataclasses.replace(ds, contours=contours, centers=contours.mean(axis=1))
         (track,) = track_yarns(ds, d_gate=5.0)
         with caplog.at_level("INFO", logger="textilemodel.reconstruct"):
             yarn = lift_and_fit(track, n_controls=4)
@@ -285,21 +441,8 @@ class TestLift:
 
     def test_grazing_end_cuts_are_trimmed(self):
         # a tiny first ring is a cap sliver, not a transverse section
-        per_slice = []
-        for i in range(12):
-            scale = 0.4 if i == 0 else 3.0
-            ring = decagon((10.0, 8.0), scale=scale)
-            per_slice.append(
-                [
-                    SectionDetection(
-                        axis="yz", slice_index=i, contour=ring,
-                        center=ring.mean(axis=0),
-                    )
-                ]
-            )
-        ds = DetectionSet(
-            axis="yz", per_slice=per_slice, voxel_size=1.0, origin=np.zeros(3)
-        )
+        rings = [decagon((10.0, 8.0), scale=0.4 if i == 0 else 3.0) for i in range(12)]
+        ds = make_dset(range(12), rings, axis="yz")
         (track,) = track_yarns(ds, d_gate=5.0)
         yarn = lift_and_fit(track)
         assert len(yarn.sections) == 11
@@ -730,7 +873,7 @@ class TestEndToEnd:
 
         model, vol = desk
         dsets = [
-            filter_transverse(detect_batch(extract_slices(vol, ax)), 6.0)
+            filter_transverse(detect_batch(vol, ax), 6.0)
             for ax in ("yz", "xz")
         ]
         yarns, tracks = reconstruct_yarns(dsets, d_gate=9.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from textilemodel import voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
 from textilemodel.geometry import Box, ellipse_sections
+from textilemodel.segmenter import detect_batch, detect_sections
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import (
     GrayVolume,
@@ -19,11 +20,9 @@ from textilemodel.voxelizer import (
     RenderParams,
     _ring_normals,
     compute_dims,
-    extract_slices,
     load_volume,
     paint_labels,
     render_pseudo_ct,
-    restack,
     save_volume,
     slice_count,
     voxelize,
@@ -138,20 +137,20 @@ class TestVoxelize:
 
 
 class TestSlices:
-    def test_restack_is_lossless_both_axes(self, desk_volume):
-        for axis in ("xz", "yz"):
-            ds = extract_slices(desk_volume, axis)
-            assert len(ds) == slice_count(desk_volume.dims, axis)
-            assert np.array_equal(restack(ds), desk_volume.data)
-
     def test_slice_shapes(self, desk_volume):
-        nx, ny, nz = desk_volume.dims
-        assert extract_slices(desk_volume, "xz").slices[0].shape == (nx, nz)
-        assert extract_slices(desk_volume, "yz").slices[0].shape == (ny, nz)
+        # Slice j of xz is the image data[:, j, :], slice i of yz is data[i].
+        for axis, images in (("xz", np.moveaxis(desk_volume.data, 1, 0)), ("yz", desk_volume.data)):
+            ds = detect_batch(desk_volume, axis)
+            assert ds.n_slices == slice_count(desk_volume.dims, axis) == len(images)
+            for i in (0, len(images) // 2):
+                rings, labels = detect_sections(images[i])
+                rows = ds.slice_index == i
+                assert np.array_equal(ds.contours[rows], rings)
+                assert np.array_equal(ds.true_label[rows], labels)
 
     def test_unknown_axis(self, desk_volume):
         with pytest.raises(ConfigError):
-            extract_slices(desk_volume, "xy")
+            detect_batch(desk_volume, "xy")
 
 
 class TestRender:
