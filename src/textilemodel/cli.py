@@ -30,8 +30,8 @@ from .pipeline import (
     stage_index,
 )
 from .segmenter import read_detections
-from .storage import load_model, load_yarns, read_json
-from .voxelizer import compute_dims, load_volume, slice_count
+from .storage import load_model, load_yarns
+from .voxelizer import compute_dims, load_volume, read_sidecar, slice_count
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ def cmd_reconstruct(args) -> int:
     stems = [Path(p).stem for p in args.detections]
     if len(set(stems)) != len(stems):
         raise ConfigError("detections files must have distinct names")
-    labels_meta = read_json(Path(args.labels).with_suffix(".json")) if args.labels else None
+    labels_meta = read_sidecar(args.labels) if args.labels else None
     dsets = read_detection_pair(args.detections, labels_meta)
     box = None
     if labels_meta is not None:

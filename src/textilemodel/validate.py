@@ -30,10 +30,18 @@ def hausdorff(path_a, path_b, n_samples: int = PATH_SAMPLES):
     Both paths are resampled to ``n_samples`` equally spaced points by
     arc length first.  Returns (d_ab, d_ba, d_sym).
     """
+    a, b = _resampled([path_a, path_b], n_samples)
+    return _hausdorff_points(a, b)
+
+
+def _resampled(paths, n_samples: int) -> list:
     if n_samples < 2:
         raise ConfigError("n_samples must be at least 2")
-    a = resample_arclength(path_a, n_samples)
-    b = resample_arclength(path_b, n_samples)
+    return [resample_arclength(p, n_samples) for p in paths]
+
+
+def _hausdorff_points(a, b):
+    """(d_ab, d_ba, d_sym) between two point sets."""
     d = cdist(a, b)
     d_ab = float(d.min(axis=1).max())
     d_ba = float(d.min(axis=0).max())
@@ -117,7 +125,8 @@ def match_and_assess_paths(
 
     Pairs are taken in order of increasing symmetric Hausdorff distance
     until one side of a family runs out; leftovers are reported, never
-    force-matched.
+    force-matched.  Each path is resampled once, and only when its
+    family has paths on both sides.
     """
     yarns = list(yarns)
     matches = []
@@ -126,10 +135,14 @@ def match_and_assess_paths(
     for family in ("warp", "weft"):
         refs = [y for y in model.yarns if y.family == family]
         recs = [(i, y) for i, y in enumerate(yarns) if y.family == family]
+        if not refs or not recs:
+            continue
+        ref_pts = _resampled([y.path for y in refs], n_samples)
+        rec_pts = _resampled([y.path for _, y in recs], n_samples)
         pairs = []
-        for ref in refs:
-            for i, rec in recs:
-                d_ab, d_ba, d_sym = hausdorff(ref.path, rec.path, n_samples)
+        for ref, a in zip(refs, ref_pts):
+            for (i, _), b in zip(recs, rec_pts):
+                d_ab, d_ba, d_sym = _hausdorff_points(a, b)
                 pairs.append((d_sym, d_ab, d_ba, ref.yarn_id, i))
         pairs.sort(key=lambda p: (p[0], p[3], p[4]))
         for d_sym, d_ab, d_ba, ref_id, i in pairs:

@@ -19,7 +19,6 @@ label winning ties, whatever the paint order and block size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -503,7 +502,7 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     ``base_path`` gets the extensions ``.raw`` and ``.json``.  Returns
     the two paths.
     """
-    from .storage import atomic_open, atomic_write_text  # deferred: storage imports this module
+    from .storage import atomic_open, dump_json  # deferred: storage imports this module
 
     base = Path(base_path)
     kind = "labels" if isinstance(volume, LabelVolume) else "gray"
@@ -513,16 +512,32 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     raw_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(raw_path, "wb") as fh:
         volume.data.astype(dtype, copy=False).tofile(fh)
-    atomic_write_text(json_path, json.dumps(_sidecar(volume, kind), indent=2, sort_keys=True))
+    dump_json(_sidecar(volume, kind), json_path)
     return raw_path, json_path
+
+
+def read_sidecar(base_path) -> dict:
+    """The JSON sidecar of a volume written by save_volume.
+
+    Raises ConfigError naming the file if it is not valid JSON, has
+    another schema or lacks a key that readers need.
+    """
+    from .storage import read_json  # deferred: storage imports this module
+
+    path = Path(base_path).with_suffix(".json")
+    meta = read_json(path)
+    if meta.get("schema") != 1:
+        raise ConfigError(f"unsupported volume schema in {path}")
+    for key in ("kind", "dims", "dtype", "voxel_size", "origin"):
+        if key not in meta:
+            raise ConfigError(f"{path}: missing key '{key}'")
+    return meta
 
 
 def load_volume(base_path):
     """Load a volume written by save_volume; inverse up to bit equality."""
     base = Path(base_path)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    if meta.get("schema") != 1:
-        raise ConfigError(f"unsupported volume schema in {base}.json")
+    meta = read_sidecar(base)
     dims = tuple(meta["dims"])
     data = np.fromfile(base.with_suffix(".raw"), dtype=meta["dtype"]).reshape(dims)
     if meta["kind"] == "labels":

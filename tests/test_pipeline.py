@@ -1,11 +1,15 @@
 """Pipeline orchestration, manifest, persistence formats, and the CLI."""
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textilemodel import __version__
 from textilemodel.cli import main
@@ -31,7 +35,8 @@ from textilemodel.reconstruct import (
 )
 from textilemodel.segmenter import write_detections
 from textilemodel.storage import (
-    atomic_write_text,
+    atomic_open,
+    dump_json,
     load_model,
     load_yarns,
     read_json,
@@ -397,6 +402,67 @@ class TestYarnStorage:
             load_yarns(p)
 
 
+# Written by the schema-1 ``indent=2`` writer: a model of 2 yarns with 4
+# sections each, and 1 reconstructed yarn with a filled section and a
+# boundary gap.
+SCHEMA1_INDENTED = Path(__file__).parent / "data" / "schema1_indent2"
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e-310])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _loaded_fields(loaded):
+    """Every value a loaded model or ``load_yarns`` tuple carries, in order."""
+    if isinstance(loaded, tuple):
+        yarns, voxel_size, origin, gaps = loaded
+        head = [voxel_size, origin, gaps]
+    else:
+        yarns = loaded.yarns
+        head = [loaded.spec, loaded.thickness, loaded.bbox.lo, loaded.bbox.hi, loaded.fibers]
+    for y in yarns:
+        s = y.sections
+        head += [getattr(y, "yarn_id", None), y.family, getattr(y, "axis", None),
+                 getattr(y, "completed_flags", None), y.path.degree, y.path.knots,
+                 y.path.control_points, s.rings, s.centers, s.stations]
+    return head
+
+
+class TestJsonLayout:
+    @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_dump_json_bytes_equal_one_shot_compact_dumps(self, payload):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "p.json"
+            dump_json(payload, path)
+            got = path.read_bytes()
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert got == want.encode()
+
+    @pytest.mark.parametrize("name, load", [("model.json", load_model), ("yarns.json", load_yarns)])
+    def test_schema1_indented_files_load_like_their_compact_rewrite(self, name, load, tmp_path):
+        old = SCHEMA1_INDENTED / name
+        assert old.read_text().startswith('{\n  "')
+        new = tmp_path / name
+        dump_json(read_json(old), new)
+        assert new.read_bytes().count(b"\n") == 1
+        a, b = _loaded_fields(load(old)), _loaded_fields(load(new))
+        assert len(a) == len(b) > 10
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+
 class _PartialData:
     """Array stand-in whose ``tofile`` writes some bytes, then fails."""
 
@@ -423,7 +489,8 @@ class TestAtomicWrites:
 
     def test_files_get_the_mode_of_a_plain_open(self, tmp_path):
         (tmp_path / "plain.txt").write_text("x")
-        atomic_write_text(tmp_path / "atomic.txt", "x")
+        with atomic_open(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
         modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
         assert modes["atomic.txt"] == modes["plain.txt"]
 
@@ -777,6 +844,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"stage {k} ({stage}) failed: injected into {stage}" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, corrupt, command, message",
+        [
+            ("model.json", lambda d: [], "validate", "top level is not a JSON object"),
+            ("yarns.json", lambda d: _without(d, "yarns"), "validate", "missing key 'yarns'"),
+            ("model.json", lambda d: {**d, "spec": _without(d["spec"], "n_warp_columns")},
+             "voxelize", "missing key 'n_warp_columns'"),
+            ("labels.json", lambda d: _without(d, "dims"), "render", "missing key 'dims'"),
+            ("labels.json", None, "render", "invalid JSON"),
+        ],
+    )
+    def test_malformed_json_input_exits_2_naming_the_file(
+        self, name, corrupt, command, message, small_run, tmp_path, capsys
+    ):
+        for f in ("model.json", "yarns.json", "labels.json", "labels.raw"):
+            shutil.copy(small_run[0] / f, tmp_path / f)
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2] if corrupt is None else json.dumps(corrupt(json.loads(text))))
+        args = {
+            "validate": ["-m", str(tmp_path / "model.json"), "-y", str(tmp_path / "yarns.json")],
+            "voxelize": ["-m", str(tmp_path / "model.json")],
+            "render": ["--labels", str(tmp_path / "labels")],
+        }[command]
+        assert main([command, *args, "-o", str(tmp_path / "out")]) == 2
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "corrupt, message",

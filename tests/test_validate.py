@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from textilemodel.errors import ConfigError, InsufficientDataError
@@ -14,6 +16,8 @@ from textilemodel.geometry import bspline_fit, ellipse_sections, ring_areas
 from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock, perturb_model
 from textilemodel.validate import (
     HEX_PACKING_LIMIT,
+    PATH_SAMPLES,
+    PathMatch,
     PathReport,
     hausdorff,
     match_and_assess_paths,
@@ -142,6 +146,66 @@ class TestMatching:
         )
         text = report.to_text()
         assert text.splitlines()[0].split() == ["family", "ref", "yarn", "fwd", "bwd", "sym", "sym", "um"]
+
+
+def ref_match_and_assess_paths(model, yarns, n_samples=PATH_SAMPLES, voxel_size_um=1.0):
+    """The per-pair matcher: one ``hausdorff`` call, and so two resamples, per pair."""
+    yarns = list(yarns)
+    matches = []
+    used_ref: set = set()
+    used_rec: set = set()
+    for family in ("warp", "weft"):
+        refs = [y for y in model.yarns if y.family == family]
+        recs = [(i, y) for i, y in enumerate(yarns) if y.family == family]
+        pairs = []
+        for ref in refs:
+            for i, rec in recs:
+                d_ab, d_ba, d_sym = hausdorff(ref.path, rec.path, n_samples)
+                pairs.append((d_sym, d_ab, d_ba, ref.yarn_id, i))
+        pairs.sort(key=lambda p: (p[0], p[3], p[4]))
+        for d_sym, d_ab, d_ba, ref_id, i in pairs:
+            if ref_id in used_ref or i in used_rec:
+                continue
+            used_ref.add(ref_id)
+            used_rec.add(i)
+            matches.append(PathMatch(family, ref_id, i, d_ab, d_ba, d_sym))
+    matches.sort(key=lambda m: (m.family, m.reference_id))
+    return PathReport(
+        matches=tuple(matches),
+        unmatched_reference=tuple(y.yarn_id for y in model.yarns if y.yarn_id not in used_ref),
+        unmatched_yarns=tuple(i for i in range(len(yarns)) if i not in used_rec),
+        voxel_size_um=voxel_size_um,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# (family, path index): paths come from a pool of four, so equal paths,
+# and with them tied distances, are frequent.
+PATH_PICKS = st.lists(st.tuples(st.sampled_from(["warp", "weft"]), st.integers(0, 3)), max_size=6)
+
+
+class TestMatchingMatchesPerPairReference:
+    @given(st.integers(0, 2**16), PATH_PICKS, PATH_PICKS, st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_the_per_pair_loop(self, seed, ref_picks, rec_picks, n_samples):
+        rng = np.random.default_rng(seed)
+        pool = [np.cumsum(rng.normal(size=(int(rng.integers(3, 12)), 3)), axis=0) for _ in range(3)]
+        pool.append(bspline_fit(np.cumsum(rng.normal(size=(12, 3)), axis=0), degree=3, n_controls=6))
+        model = SimpleNamespace(
+            yarns=[
+                SimpleNamespace(yarn_id=2 * k + 1, family=f, path=pool[j])
+                for k, (f, j) in enumerate(ref_picks)
+            ]
+        )
+        recs = [SimpleNamespace(family=f, path=pool[j]) for f, j in rec_picks]
+        got = _outcome(match_and_assess_paths, model, recs, n_samples, 1.0)
+        assert got == _outcome(ref_match_and_assess_paths, model, recs, n_samples, 1.0)
 
 
 @dataclass(frozen=True)
