@@ -33,38 +33,6 @@ def write_obj(mesh: QuadSurfaceMesh, path) -> None:
         fh.writelines("f %d %d %d\n" % tuple(t) for t in _rows(mesh.cap_triangles + 1))
 
 
-def read_obj(path):
-    """Read back an OBJ written by :func:`write_obj`.
-
-    Returns (vertices, quads, triangles) with 0-based indices.
-    """
-    verts = []
-    quads = []
-    tris = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) != 4:
-                    raise ConfigError(f"{path}:{ln}: malformed vertex")
-                verts.append([float(p) for p in parts[1:]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                if len(idx) == 4:
-                    quads.append(idx)
-                elif len(idx) == 3:
-                    tris.append(idx)
-                else:
-                    raise ConfigError(f"{path}:{ln}: only tris and quads supported")
-    return (
-        np.array(verts, dtype=float),
-        np.array(quads, dtype=np.int64).reshape(-1, 4),
-        np.array(tris, dtype=np.int64).reshape(-1, 3),
-    )
-
-
 def write_vtk(mesh: VolumeMesh, path, title: str = "textile volume mesh") -> None:
     """Write a wedge/hex volume mesh as legacy ASCII VTK with cell labels."""
     if "\n" in title:

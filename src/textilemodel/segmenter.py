@@ -1,12 +1,15 @@
-"""Per-slice yarn cross-section detection on label slices.
+"""Yarn cross-section detection on the slices of a label volume.
 
-The detector walks every labeled region of a 2D slice, traces its
-boundary at pixel resolution, and condenses it to ten equal-arc
-keypoints plus their centroid.  It is an oracle: it reads the label
-image directly and stamps each detection with the true label, which
-gives downstream stages a drop-in stand-in for a learned detector.
-Degradation (dropout and keypoint jitter) turns oracle detections into
-realistic imperfect ones.
+The detector finds every labeled region of every slice along one axis,
+traces its boundary at pixel resolution, and condenses it to ten
+equal-arc keypoints plus their centroid.  It works one label at a time
+over the label's 3-D box: one in-plane labelling, one hole fill and one
+marching-squares pass cover every slice of the box, and one ragged
+kernel turns all traced loops into keypoints.  It is an oracle: it
+reads the label volume directly and stamps each detection with the true
+label, which gives downstream stages a drop-in stand-in for a learned
+detector.  Degradation (dropout and keypoint jitter) turns oracle
+detections into realistic imperfect ones.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import RING_POINTS, _freeze, canonical_indices, resample_arclength
+from .geometry import RING_POINTS, _freeze
 from .voxelizer import AXIS_YZ, SLICE_AXES
 
 log = logging.getLogger(__name__)
@@ -42,6 +45,18 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
     _CASE_SEGMENTS[_code, : len(_segments)] = _segments
 # Midpoint of each cell edge relative to corner a, in doubled coordinates.
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
+
+# In-plane structures over a (slice, row, column) stack: 8-connected
+# components and 4-connected hole filling (the 2-D defaults of
+# ndimage.label with a full 3x3 and of binary_fill_holes), neither
+# reaching across slices.
+_IN_PLANE_8 = np.zeros((3, 3, 3), dtype=bool)
+_IN_PLANE_8[1] = True
+_IN_PLANE_4 = np.zeros((3, 3, 3), dtype=bool)
+_IN_PLANE_4[1] = ndimage.generate_binary_structure(2, 1)
+
+TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
+KEYPOINT_BLOCK = 2**15  # padded points per chunk of the keypoint resampler
 
 
 _CONTOUR_FAULT = f"detection contour must be a finite ({RING_POINTS}, 2) array"
@@ -125,115 +140,223 @@ class DetectionSet:
 _ROW_FIELDS = ("slice_index", "contours", "centers", "confidence", "true_label")
 
 
-def trace_boundary(mask: np.ndarray) -> np.ndarray:
-    """Trace the closed boundary of a filled 8-connected region.
+def trace_boundary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace the closed boundary of every filled region of a mask stack.
 
-    Marching squares over the binary mask: the contour passes through
-    the midpoints of pixel-grid edges that separate foreground from
-    background, giving sub-pixel boundary coordinates whose enclosed
-    area tracks the pixel count.  Returns (n, 2) float coordinates in
-    pixel units; the region must be a single component without holes,
-    otherwise DegenerateGeometryError is raised.
+    Marching squares over each slice of the binary stack (s, h, w): the
+    contours pass through the midpoints of pixel-grid edges that
+    separate foreground from background, giving sub-pixel boundary
+    coordinates whose enclosed area tracks the pixel count.  Regions are
+    8-connected within a slice and must have no holes, otherwise
+    DegenerateGeometryError is raised.
+
+    Returns (points, offsets, slices): loop k is the (m, 2) float array
+    ``points[offsets[k]:offsets[k + 1]]`` in slice pixel coordinates on
+    slice ``slices[k]``.  Each loop starts at its smallest point in
+    raster order, the top edge of its region's first pixel, and loops
+    are sorted by (slice, first point).
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or not mask.any():
-        raise DegenerateGeometryError("mask must be a non-empty 2D region")
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
+    stack = np.asarray(stack, dtype=bool)
+    if stack.ndim != 3 or not stack.any():
+        raise DegenerateGeometryError("mask must be a non-empty 3D stack")
+    s, h, w = stack.shape
+    padded = np.zeros((s, h + 2, w + 2), dtype=np.uint8)
+    padded[:, 1:-1, 1:-1] = stack
     # Case code of each cell with corners a b / d c, a as the high bit.
-    code = padded[:-1, :-1] << 3 | padded[:-1, 1:] << 2 | padded[1:, 1:] << 1 | padded[1:, :-1]
-    cells = np.argwhere((code > 0) & (code < 15))
-    edges = _CASE_SEGMENTS[code[cells[:, 0], cells[:, 1]]]
+    code = (
+        padded[:, :-1, :-1] << 3 | padded[:, :-1, 1:] << 2 | padded[:, 1:, 1:] << 1
+        | padded[:, 1:, :-1]
+    )
+    cells = np.flatnonzero((code > 0) & (code < 15))
+    z, i, j = np.unravel_index(cells, code.shape)
+    edges = _CASE_SEGMENTS[code.ravel()[cells]]
+    used = edges[:, :, 0] >= 0
     # Doubled coordinates keep all edge midpoints integral: padded
     # pixel (i, j) center sits at doubled (2(i-1), 2(j-1)).
-    ends = (2 * cells[:, None, None] + _EDGE_MIDPOINTS[edges])[edges[:, :, 0] >= 0]
-    keys = ends[..., 0] * (2 * padded.shape[1]) + ends[..., 1]
+    ends = (2 * np.stack([i, j], axis=1)[:, None, None] + _EDGE_MIDPOINTS[edges])[used]
+    z = np.broadcast_to(z[:, None], used.shape)[used]
+    rows = z[:, None] * (2 * padded.shape[1]) + ends[..., 0]
+    keys = rows * (2 * padded.shape[2]) + ends[..., 1]
     # Every midpoint starts exactly one segment, so a search among the
-    # sorted start keys finds each segment's successor.  The walk starts
-    # at the smallest doubled coordinate.
+    # sorted start keys finds each segment's successor.
     order = np.argsort(keys[:, 0])
-    nxt = np.searchsorted(keys[order, 0], keys[order, 1]).tolist()
-    loop = [0]
-    while (k := nxt[loop[-1]]) != 0 and len(loop) < len(nxt):
-        loop.append(k)
-    if k != 0 or len(loop) != len(nxt):
-        raise DegenerateGeometryError("mask boundary is not a single closed loop")
-    return ends[order[loop], 0] / 2.0 - 1.0  # back to pixel coordinates
+    succ = np.searchsorted(keys[order, 0], keys[order, 1])
+    starts = ends[order, 0]
+    # Pointer jumping (Wyllie 1979): each segment's loop head is the
+    # smallest sorted index on its cycle, the loop's first point.
+    n = len(succ)
+    head, jump = np.arange(n), succ
+    while not np.array_equal(head, head[succ]):
+        head, jump = np.minimum(head, head[jump]), jump[jump]
+    is_head = head == np.arange(n)
+    heads = np.flatnonzero(is_head)
+    # An outer boundary leaves its head leftward; a hole's goes right.
+    if np.any(starts[succ[heads], 1] > starts[heads, 1]):
+        raise DegenerateGeometryError("mask region has a hole")
+    # List ranking: cut each cycle before its head and jump to the cut.
+    last = is_head[succ]
+    nxt = np.where(last, np.arange(n), succ)
+    to_last = (~last).astype(np.int64)
+    while not np.array_equal(nxt[nxt], nxt):
+        to_last += to_last[nxt]
+        nxt = nxt[nxt]
+    loop = np.cumsum(is_head)[head] - 1
+    lengths = np.bincount(loop)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    points = np.empty((n, 2))
+    points[offsets[loop] + lengths[loop] - 1 - to_last] = starts / 2.0 - 1.0  # pixel coordinates
+    return points, offsets, z[order[heads]]
 
 
-def _keypoints_from_dense(dense: np.ndarray) -> np.ndarray:
-    order = canonical_indices(dense)
-    dense = dense[order]
-    dense3 = np.column_stack([dense, np.zeros(len(dense))])
-    return resample_arclength(dense3, RING_POINTS, closed=True)[:, :2]
+def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """RING_POINTS canonical equal-arc keypoints of every traced loop,
+    (R, RING_POINTS, 2).
 
-
-def detect_sections(
-    image: np.ndarray,
-    axis: str = "xz",
-    slice_index: int = 0,
-    min_area: int = DEFAULT_MIN_AREA,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detect every labeled yarn section in one label slice.
-
-    Connected components (8-connectivity) are evaluated per label;
-    components smaller than ``min_area`` pixels are skipped and logged.
-    Returns the keypoint rings (k, RING_POINTS, 2) and their labels
-    (k,), ordered by label, then component.
+    Loop k is ``points[offsets[k]:offsets[k + 1]]`` as trace_boundary
+    returns it.  Row k equals, bit for bit, ``canonical_indices`` and a
+    closed ``resample_arclength`` of that loop: start at the max-u point
+    (ties by max v), go counterclockwise, and sample at spacing
+    L / RING_POINTS.  The signed area decides the direction; on
+    half-integer coordinates it is exact in any summation order.  Arc
+    lengths are summed per loop as one cumsum over rows padded only
+    within length-sorted chunks of at most ``KEYPOINT_BLOCK`` points
+    (or one loop).
     """
-    image = np.asarray(image)
-    rings, labels = [], []
-    if image.ndim != 2:
-        raise ConfigError("slice image must be 2D")
-    eight = np.ones((3, 3), dtype=bool)
-    windows = ndimage.find_objects(image.astype(np.int32))
-    for lab0, window in enumerate(windows):
-        if window is None:
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    loop = np.repeat(np.arange(len(lengths)), lengths)
+    u, v = points[:, 0], points[:, 1]
+    top = np.where(u == np.maximum.reduceat(u, starts)[loop], v, -np.inf)
+    first = np.flatnonzero(top == np.maximum.reduceat(top, starts)[loop]) - starts
+    nxt = np.arange(1, len(points) + 1)
+    nxt[offsets[1:] - 1] = starts
+    ccw = np.add.reduceat(u * v[nxt] - u[nxt] * v, starts) >= 0
+    # Canonical position of every point, then the points in that order.
+    local = np.arange(len(points)) - starts[loop]
+    pos = np.where(ccw[loop], local - first[loop], first[loop] - local) % lengths[loop]
+    ring = np.empty_like(points)
+    ring[starts[loop] + pos] = points
+    step = np.diff(ring, axis=0, append=ring[:1])
+    step[offsets[1:] - 1] = ring[starts] - ring[offsets[1:] - 1]
+    step = np.sqrt(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1])
+    n = RING_POINTS
+    out = np.empty((len(lengths), n, 2))
+    by_length = np.argsort(lengths, kind="stable")
+    for rows in _chunks(lengths[by_length]):
+        rows = by_length[rows]
+        m = lengths[rows][:, None]
+        cols = np.arange(m.max())
+        inside = cols < m
+        idx = np.where(inside, starts[rows][:, None] + cols, 0)
+        cum = np.cumsum(np.where(inside, step[idx], 0.0), axis=1)  # cum[:, t]: arc to point t + 1
+        targets = np.arange(n) * cum[np.arange(len(rows)), m[:, 0] - 1][:, None] / n
+        # np.interp's interval and formula on xp = (0, cum...), fp = ring + first point.
+        k = (np.where(inside, cum, np.inf)[:, None, :] <= targets[:, :, None]).sum(axis=2)
+        x0 = np.where(k > 0, np.take_along_axis(cum, np.maximum(k - 1, 0), axis=1), 0.0)
+        x1 = np.take_along_axis(cum, k, axis=1)
+        base = starts[rows][:, None]
+        f0 = ring[base + k]
+        f1 = ring[base + (k + 1) % m]
+        slope = (f1 - f0) / (x1 - x0)[..., None]
+        at = (x0 == targets)[..., None]
+        out[rows] = np.where(at, f0, slope * (targets - x0)[..., None] + f0)
+    return out
+
+
+def _chunks(lengths: np.ndarray):
+    """Runs of consecutive entries of the ascending ``lengths``, each at
+    most ``KEYPOINT_BLOCK`` once padded to its last entry (or one entry)."""
+    lo = 0
+    while lo < len(lengths):
+        fits = np.arange(1, len(lengths) - lo + 1) * lengths[lo:] <= KEYPOINT_BLOCK
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _detect_label(images, box, lab: int, axis: str, min_area: int):
+    """(slices, labels, contours) of every detection of label ``lab`` in
+    its box ``box`` of the slice stack ``images``, sorted by slice and
+    first pixel."""
+    comps, n = ndimage.label(images[box] == lab, structure=_IN_PLANE_8)
+    area = np.bincount(comps.ravel(), minlength=n + 1)
+    # Components are numbered in (slice, row, column) order of their
+    # first pixel, so each slice holds a run of numbers.
+    runs = np.maximum.accumulate(comps.reshape(len(comps), -1).max(axis=1))
+    comp_slice = np.searchsorted(runs, np.arange(n + 1))
+    keep = area >= min_area
+    keep[0] = False
+    z0, i0, j0 = (sl.start for sl in box)
+    for c in np.flatnonzero(~keep[1:]) + 1:
+        log.info(
+            "skip: axis=%s slice=%d label=%d component below min area (%d < %d px)",
+            axis, z0 + comp_slice[c], lab, area[c], min_area,
+        )
+    filled = ndimage.binary_fill_holes(keep[comps], structure=_IN_PLANE_4)
+    kept_per_slice = np.bincount(comp_slice[keep], minlength=len(comps))
+    step = max(1, TRACE_BLOCK // comps[0].size)
+    found = []
+    for lo in range(0, len(comps), step):
+        hi = min(lo + step, len(comps))
+        if not kept_per_slice[lo:hi].any():
             continue
-        lab = lab0 + 1
-        sub = image[window] == lab
-        comps, n_comp = ndimage.label(sub, structure=eight)
-        for comp_id in range(1, n_comp + 1):
-            comp = comps == comp_id
-            area_px = int(comp.sum())
-            if area_px < min_area:
-                log.info(
-                    "skip: axis=%s slice=%d label=%d component below min area (%d < %d px)",
-                    axis, slice_index, lab, area_px, min_area,
-                )
-                continue
-            filled = ndimage.binary_fill_holes(comp)
-            dense = trace_boundary(filled)
-            dense += [window[0].start, window[1].start]
-            rings.append(_keypoints_from_dense(dense))
-            labels.append(lab)
-    return np.array(rings).reshape(-1, RING_POINTS, 2), np.array(labels, dtype=np.int64)
+        points, offsets, slices = trace_boundary(filled[lo:hi])
+        slices += lo
+        # A kept component inside another one's hole merges into it
+        # under the whole-mask fill: fill those slices per component.
+        merged = np.zeros(len(comps), dtype=bool)
+        merged[lo:hi] = np.bincount(slices - lo, minlength=hi - lo) < kept_per_slice[lo:hi]
+        ok = ~merged[slices]
+        points += [i0, j0]
+        found.append((slices[ok], points[offsets[:-1]][ok], ring_keypoints(points, offsets)[ok]))
+        solo = np.flatnonzero(keep & merged[comp_slice])
+        if solo.size:
+            alone = ndimage.binary_fill_holes(
+                comps[comp_slice[solo]] == solo[:, None, None], structure=_IN_PLANE_4
+            )
+            points, offsets, _ = trace_boundary(alone)
+            points += [i0, j0]
+            found.append((comp_slice[solo], points[offsets[:-1]], ring_keypoints(points, offsets)))
+    if not found:
+        return _NO_ROWS
+    slices, firsts, contours = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((firsts[:, 1], firsts[:, 0], slices))
+    return z0 + slices[order], np.full(len(order), lab), contours[order]
+
+
+_NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, RING_POINTS, 2)))
 
 
 def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> DetectionSet:
-    """Run the oracle detector over every slice of a label volume.
+    """Run the oracle detector over every slice of one axis of a label volume.
 
     Slice i of ``yz`` is the image ``data[i, :, :]`` and slice j of
-    ``xz`` is ``data[:, j, :]``; both are views of the volume.
+    ``xz`` is ``data[:, j, :]``.  Each label is detected in its 3-D box
+    at once: its in-plane 8-connected components, those below
+    ``min_area`` pixels skipped and logged, are filled, traced and
+    condensed to keypoints.  Rows are sorted by slice, label and the
+    component's first pixel in raster order.
     """
     if axis not in SLICE_AXES:
         raise ConfigError(f"axis must be one of {SLICE_AXES}")
     images = volume.data if axis == AXIS_YZ else np.moveaxis(volume.data, 1, 0)
     found = [
-        detect_sections(img, axis=axis, slice_index=i, min_area=min_area)
-        for i, img in enumerate(images)
+        _detect_label(images, box, lab, axis, min_area)
+        for lab, box in enumerate(ndimage.find_objects(images), start=1)
+        if box is not None
     ]
-    contours = np.concatenate([rings for rings, _ in found])
+    slices, labels, contours = (np.concatenate(parts) for parts in zip(_NO_ROWS, *found))
+    order = np.argsort(slices, kind="stable")
+    contours = contours[order]
     return DetectionSet(
         axis=axis,
         n_slices=len(images),
         voxel_size=volume.voxel_size,
         origin=volume.origin,
-        slice_index=np.repeat(np.arange(len(found)), [len(labels) for _, labels in found]),
+        slice_index=slices[order],
         contours=contours,
         centers=contours.mean(axis=1),
         confidence=np.ones(len(contours)),
-        true_label=np.concatenate([labels for _, labels in found]),
+        true_label=labels[order],
     )
 
 

@@ -19,6 +19,7 @@ label winning ties, whatever the paint order and block size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -535,11 +536,22 @@ def read_sidecar(base_path) -> dict:
 
 
 def load_volume(base_path):
-    """Load a volume written by save_volume; inverse up to bit equality."""
+    """Load a volume written by save_volume; inverse up to bit equality.
+
+    A ``.raw`` file whose size is not the sidecar's dims times its dtype
+    size raises ConfigError naming the file.
+    """
     base = Path(base_path)
     meta = read_sidecar(base)
     dims = tuple(meta["dims"])
-    data = np.fromfile(base.with_suffix(".raw"), dtype=meta["dtype"]).reshape(dims)
+    raw_path = base.with_suffix(".raw")
+    want = math.prod(dims) * np.dtype(meta["dtype"]).itemsize
+    got = raw_path.stat().st_size
+    if got != want:
+        raise ConfigError(
+            f"{raw_path}: {got} bytes, but dims {list(dims)} of {meta['dtype']} need {want}"
+        )
+    data = np.fromfile(raw_path, dtype=meta["dtype"]).reshape(dims)
     if meta["kind"] == "labels":
         label_map = {int(k): v for k, v in meta.get("label_map", {}).items()}
         return LabelVolume(

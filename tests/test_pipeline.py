@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from textilemodel import __version__
 from textilemodel.cli import main
 from textilemodel.errors import ConfigError, InvalidContourError
-from textilemodel.meshfiles import read_obj, write_obj, write_vtk
+from textilemodel.meshfiles import write_obj, write_vtk
 from textilemodel.pipeline import (
     STAGES,
     PipelineConfig,
@@ -48,6 +48,39 @@ from textilemodel.validate import write_report
 from textilemodel.voxelizer import LabelVolume, save_volume
 
 from test_segmenter import make_dset
+
+
+def read_obj(path):
+    """Read back an OBJ written by ``write_obj``.
+
+    Returns (vertices, quads, triangles) with 0-based indices.
+    """
+    verts = []
+    quads = []
+    tris = []
+    with open(path) as fh:
+        for ln, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
+                if len(parts) != 4:
+                    raise ConfigError(f"{path}:{ln}: malformed vertex")
+                verts.append([float(p) for p in parts[1:]])
+            elif parts[0] == "f":
+                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                if len(idx) == 4:
+                    quads.append(idx)
+                elif len(idx) == 3:
+                    tris.append(idx)
+                else:
+                    raise ConfigError(f"{path}:{ln}: only tris and quads supported")
+    return (
+        np.array(verts, dtype=float),
+        np.array(quads, dtype=np.int64).reshape(-1, 4),
+        np.array(tris, dtype=np.int64).reshape(-1, 3),
+    )
+
 
 SMALL = {
     "seed": 3,
@@ -871,6 +904,20 @@ class TestCli:
         }[command]
         assert main([command, *args, "-o", str(tmp_path / "out")]) == 2
         assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render", "segment"])
+    @pytest.mark.parametrize("size", [1000, None])
+    def test_raw_of_the_wrong_size_exits_2_naming_it(self, command, size, small_run, tmp_path, capsys):
+        for f in ("labels.json", "labels.raw"):
+            shutil.copy(small_run[0] / f, tmp_path / f)
+        raw = tmp_path / "labels.raw"
+        full = raw.stat().st_size
+        raw.write_bytes(raw.read_bytes()[: full - 2] if size is None else bytes(size))
+        out = tmp_path / "out"
+        assert main([command, "-l", str(tmp_path / "labels"), "-o", str(out)]) == 2
+        got = full - 2 if size is None else size
+        assert f"config error: {raw}: {got} bytes, but dims" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "corrupt, message",

@@ -1,5 +1,6 @@
-"""Contour tracing, per-slice detection, degradation, and detection IO."""
+"""Contour tracing, whole-axis detection, degradation, and detection IO."""
 
+import contextlib
 import json
 import logging
 import math
@@ -7,24 +8,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from textilemodel import segmenter
 from textilemodel.errors import ConfigError, DegenerateGeometryError
+from textilemodel.geometry import canonical_indices, resample_arclength
 from textilemodel.segmenter import (
     DegradeParams,
     DetectionSet,
     degrade,
     detect_batch,
-    detect_sections,
     filter_transverse,
     read_detections,
+    ring_keypoints,
     trace_boundary,
     write_detections,
 )
 from textilemodel.synthgen import WeaveSpec, generate_interlock
-from textilemodel.voxelizer import SLICE_AXES, voxelize
+from textilemodel.voxelizer import AXIS_YZ, SLICE_AXES, LabelVolume, voxelize
 
 
 def shoelace(points):
@@ -52,25 +55,32 @@ def desk_volume():
     return voxelize(generate_interlock(spec), voxel_size=1.0)
 
 
+def one_loop(mask):
+    """The single loop that trace_boundary finds in a one-slice stack."""
+    points, offsets, slices = trace_boundary(mask[None])
+    assert offsets.tolist() == [0, len(points)] and slices.tolist() == [0]
+    return points
+
+
 class TestTraceBoundary:
     def test_single_pixel_is_a_diamond(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        dense = trace_boundary(mask)
+        dense = one_loop(mask)
         assert shoelace(dense) == pytest.approx(0.5)
         assert np.allclose(dense.mean(axis=0), [2.0, 2.0])
 
     def test_rectangle_area_loses_half_pixel_at_corners(self):
         mask = np.zeros((20, 30), dtype=bool)
         mask[4:14, 5:25] = True  # 10 x 20 pixels
-        dense = trace_boundary(mask)
+        dense = one_loop(mask)
         # Midpoint contour = full rectangle minus four corner chamfers.
         assert shoelace(dense) == pytest.approx(10 * 20 - 0.5)
         assert np.allclose(dense.mean(axis=0), [8.5, 14.5], atol=0.1)
 
     def test_closed_and_in_pixel_units(self):
         mask = ellipse_mask((40, 60), (20.0, 30.0), 12.0, 20.0)
-        dense = trace_boundary(mask)
+        dense = one_loop(mask)
         assert np.all(dense[:, 0] >= 7.0) and np.all(dense[:, 0] <= 33.0)
         # consecutive vertices stay adjacent: edge midpoints of one cell
         steps = np.linalg.norm(np.diff(np.vstack([dense, dense[:1]]), axis=0), axis=1)
@@ -78,7 +88,33 @@ class TestTraceBoundary:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            trace_boundary(np.zeros((4, 4), dtype=bool))
+            trace_boundary(np.zeros((1, 4, 4), dtype=bool))
+
+    def test_non_stack_rejected(self):
+        mask = np.ones((4, 4), dtype=bool)
+        with pytest.raises(DegenerateGeometryError):
+            trace_boundary(mask)
+
+
+def ref_trace_loop(mask):
+    """The one-loop tracer that detection used per component: marching
+    squares over a 2D mask, walked in Python from the smallest doubled
+    coordinate; a mask that is not one closed loop raises."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = mask
+    code = padded[:-1, :-1] << 3 | padded[:-1, 1:] << 2 | padded[1:, 1:] << 1 | padded[1:, :-1]
+    cells = np.argwhere((code > 0) & (code < 15))
+    edges = segmenter._CASE_SEGMENTS[code[cells[:, 0], cells[:, 1]]]
+    ends = (2 * cells[:, None, None] + segmenter._EDGE_MIDPOINTS[edges])[edges[:, :, 0] >= 0]
+    keys = ends[..., 0] * (2 * padded.shape[1]) + ends[..., 1]
+    order = np.argsort(keys[:, 0])
+    nxt = np.searchsorted(keys[order, 0], keys[order, 1]).tolist()
+    loop = [0]
+    while (k := nxt[loop[-1]]) != 0 and len(loop) < len(nxt):
+        loop.append(k)
+    if k != 0 or len(loop) != len(nxt):
+        raise DegenerateGeometryError("mask boundary is not a single closed loop")
+    return ends[order[loop], 0] / 2.0 - 1.0
 
 
 def ref_trace_boundary(mask):
@@ -128,7 +164,7 @@ def ref_trace_boundary(mask):
 @st.composite
 def filled_blobs(draw):
     """One 8-connected component of a random grid with its holes filled,
-    as detect_sections passes it to the tracer."""
+    as per-component detection passed it to the tracer."""
     shape = (draw(st.integers(1, 14)), draw(st.integers(1, 14)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = rng.random(shape) < draw(st.floats(0.2, 0.8))
@@ -137,30 +173,67 @@ def filled_blobs(draw):
     return ndimage.binary_fill_holes(comps == draw(st.integers(1, n)))
 
 
+@st.composite
+def filled_stacks(draw):
+    """A random stack of 1-4 slices whose 8-connected components are
+    filled, as detection passes it to the tracer."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.random(shape) < draw(st.floats(0.1, 0.8))
+    return np.array([ndimage.binary_fill_holes(g) for g in grid])
+
+
+def ref_loops(stack):
+    """(slice, loop) of every component of every slice of a filled stack,
+    one reference trace per component, sorted by (slice, first point)."""
+    found = []
+    for z, mask in enumerate(stack):
+        comps, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+        found += [(z, ref_trace_boundary(comps == c)) for c in range(1, n + 1)]
+    return sorted(found, key=lambda zl: (zl[0], *zl[1][0]))
+
+
 class TestTraceBoundaryProperties:
     @settings(max_examples=300, deadline=None)
     @given(filled_blobs())
     def test_matches_reference_tracer_exactly(self, blob):
-        assert np.array_equal(trace_boundary(blob), ref_trace_boundary(blob))
+        assert np.array_equal(one_loop(blob), ref_trace_boundary(blob))
+        assert np.array_equal(one_loop(blob), ref_trace_loop(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(filled_stacks())
+    def test_stack_matches_one_reference_trace_per_component(self, stack):
+        want = ref_loops(stack)
+        if not want:
+            with pytest.raises(DegenerateGeometryError):
+                trace_boundary(stack)
+            return
+        points, offsets, slices = trace_boundary(stack)
+        assert slices.tolist() == [z for z, _ in want]
+        assert np.array_equal(offsets, np.cumsum([0] + [len(loop) for _, loop in want]))
+        assert np.array_equal(points, np.concatenate([loop for _, loop in want]))
 
     @settings(max_examples=300, deadline=None)
     @given(filled_blobs())
     def test_signed_area_is_pixel_count_minus_half(self, blob):
-        dense = trace_boundary(blob)
+        dense = one_loop(blob)
         u, v = dense[:, 0], dense[:, 1]
         assert 0.5 * np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v) == blob.sum() - 0.5
 
-    def test_two_components_rejected(self):
+    def test_two_components_give_two_loops(self):
         mask = np.zeros((6, 6), dtype=bool)
         mask[1, 1] = mask[4, 4] = True
+        points, offsets, slices = trace_boundary(mask[None])
+        assert offsets.tolist() == [0, 4, 8] and slices.tolist() == [0, 0]
+        assert np.allclose(points.reshape(2, 4, 2).mean(axis=1), [[1, 1], [4, 4]])
         with pytest.raises(DegenerateGeometryError):
-            trace_boundary(mask)
+            ref_trace_loop(mask)
 
     def test_holed_region_rejected(self):
         mask = np.ones((5, 5), dtype=bool)
         mask[2, 2] = False
         with pytest.raises(DegenerateGeometryError):
-            trace_boundary(mask)
+            trace_boundary(mask[None])
 
 
 ROW_FIELDS = ("slice_index", "contours", "centers", "confidence", "true_label")
@@ -356,48 +429,261 @@ def decagon_ring(a=3.0, b=2.0):
     return np.column_stack([a * np.cos(th), b * np.sin(th)])
 
 
+# ------------------------------------------------ per-slice reference
+#
+# The per-slice, per-component detector that whole-axis detection
+# replaced.  detect_batch must agree with it byte for byte.
+
+SKIP_MESSAGE = "skip: axis=%s slice=%d label=%d component below min area (%d < %d px)"
+
+
+def ref_keypoints_from_dense(dense):
+    order = canonical_indices(dense)
+    dense = dense[order]
+    dense3 = np.column_stack([dense, np.zeros(len(dense))])
+    return resample_arclength(dense3, 10, closed=True)[:, :2]
+
+
+def ref_detect_sections(image, axis="xz", slice_index=0, min_area=12):
+    """(rings, labels, skip messages) of one label image, by label, then
+    component."""
+    rings, labels, skipped = [], [], []
+    eight = np.ones((3, 3), dtype=bool)
+    for lab0, window in enumerate(ndimage.find_objects(image.astype(np.int32))):
+        if window is None:
+            continue
+        lab = lab0 + 1
+        comps, n_comp = ndimage.label(image[window] == lab, structure=eight)
+        for comp_id in range(1, n_comp + 1):
+            comp = comps == comp_id
+            area_px = int(comp.sum())
+            if area_px < min_area:
+                skipped.append(SKIP_MESSAGE % (axis, slice_index, lab, area_px, min_area))
+                continue
+            dense = ref_trace_loop(ndimage.binary_fill_holes(comp))
+            dense += [window[0].start, window[1].start]
+            rings.append(ref_keypoints_from_dense(dense))
+            labels.append(lab)
+    return np.array(rings).reshape(-1, 10, 2), np.array(labels, dtype=np.int64), skipped
+
+
+def slice_images(volume, axis):
+    return volume.data if axis == AXIS_YZ else np.moveaxis(volume.data, 1, 0)
+
+
+def ref_detect_batch(volume, axis, min_area=12):
+    """(slice_index, contours, true_label, skip messages) of every slice."""
+    found = [
+        ref_detect_sections(image, axis, i, min_area)
+        for i, image in enumerate(slice_images(volume, axis))
+    ]
+    slice_index = np.repeat(np.arange(len(found)), [len(labels) for _, labels, _ in found])
+    contours = np.concatenate([rings for rings, _, _ in found])
+    labels = np.concatenate([labels for _, labels, _ in found])
+    return slice_index, contours, labels, [m for *_, skipped in found for m in skipped]
+
+
+def label_volume(data):
+    return LabelVolume(np.ascontiguousarray(data, dtype=np.uint16), 1.0, (0.0, 0.0, 0.0), {})
+
+
+def detect_image(image, min_area=12):
+    """(rings, labels) that detect_batch finds on one label image."""
+    ds = detect_batch(label_volume(image[None]), AXIS_YZ, min_area=min_area)
+    assert ds.slice_index.tolist() == [0] * len(ds)
+    return ds.contours, ds.true_label
+
+
+@contextlib.contextmanager
+def logged_messages():
+    """The messages that the segmenter logs at INFO inside the block."""
+    messages = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("textilemodel.segmenter")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def assert_matches_reference(volume, min_area):
+    """detect_batch on both axes equals the per-slice reference, byte
+    for byte, and logs the same skip messages."""
+    for axis in SLICE_AXES:
+        with logged_messages() as messages:
+            ds = detect_batch(volume, axis, min_area=min_area)
+        slice_index, contours, labels, skipped = ref_detect_batch(volume, axis, min_area)
+        assert ds.n_slices == len(slice_images(volume, axis))
+        for got, want in ((ds.slice_index, slice_index), (ds.contours, contours),
+                          (ds.centers, contours.mean(axis=1)), (ds.true_label, labels)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sorted(messages) == sorted(skipped)
+
+
 class TestDetectSections:
     def test_ellipse_keypoint_area_near_ideal(self):
         a, b = 20.0, 10.0
         image = ellipse_mask((64, 64), (32.0, 32.0), a, b).astype(np.uint16)
-        rings, labels = detect_sections(image, axis="xz", slice_index=0)
+        rings, labels = detect_image(image)
         assert rings.shape == (1, 10, 2)
         # 10-keypoint ring underestimates the true ellipse by < 10%.
         ratio = shoelace(rings[0]) / (math.pi * a * b)
         assert 0.9 < ratio < 1.0
         assert np.allclose(rings[0].mean(axis=0), [32.0, 32.0], atol=1e-6)
         assert labels.tolist() == [1]
+        assert np.array_equal(rings, ref_detect_sections(image)[0])
 
     def test_two_labels_ordered(self):
         image = np.zeros((40, 40), dtype=np.uint16)
         image[ellipse_mask((40, 40), (10.0, 10.0), 6.0, 4.0)] = 2
         image[ellipse_mask((40, 40), (28.0, 28.0), 6.0, 4.0)] = 1
-        rings, labels = detect_sections(image, axis="xz", slice_index=3)
+        rings, labels = detect_image(image)
         assert labels.tolist() == [1, 2]
         assert np.allclose(rings[0].mean(axis=0), [28.0, 28.0], atol=0.2)
 
     def test_interior_holes_are_filled(self):
         image = ellipse_mask((40, 40), (20.0, 20.0), 10.0, 8.0).astype(np.uint16)
         image[18:23, 18:23] = 0  # puncture
-        (ring,), _ = detect_sections(image, axis="xz", slice_index=0)
-        (full,), _ = detect_sections(
-            ellipse_mask((40, 40), (20.0, 20.0), 10.0, 8.0).astype(np.uint16),
-            axis="xz",
-            slice_index=0,
-        )
+        (ring,), _ = detect_image(image)
+        (full,), _ = detect_image(ellipse_mask((40, 40), (20.0, 20.0), 10.0, 8.0).astype(np.uint16))
         assert shoelace(ring) == pytest.approx(shoelace(full))
 
     def test_min_area_skip_is_logged(self, caplog):
         image = np.zeros((20, 20), dtype=np.uint16)
         image[3:5, 3:5] = 1  # 4 px, below the default 12
+        image[10:12, 3:4] = 1  # 2 px
+        image[10:14, 10:14] = 2  # 16 px, kept
         with caplog.at_level(logging.INFO, logger="textilemodel.segmenter"):
-            rings, labels = detect_sections(image, axis="xz", slice_index=7)
-        assert rings.shape == (0, 10, 2) and labels.shape == (0,)
-        assert any("below min area" in r.message for r in caplog.records)
+            rings, labels = detect_image(image)
+        assert rings.shape == (1, 10, 2) and labels.tolist() == [2]
+        want = ref_detect_sections(image, axis="yz", slice_index=0)[2]
+        got = [r.getMessage() for r in caplog.records if "below min area" in r.getMessage()]
+        assert sorted(got) == sorted(want) and len(want) == 2
 
-    def test_non_2d_rejected(self):
-        with pytest.raises(ConfigError):
-            detect_sections(np.zeros((4, 4, 4), dtype=np.uint16))
+
+# Fixed label images where whole-mask and per-component work differ.
+# A component of label 1 inside the hole of a label-1 ring: a fill of the
+# whole label mask merges the two, a fill per component keeps both.
+NESTED_SAME = np.zeros((11, 11), dtype=np.uint16)
+NESTED_SAME[1:10, 1:10] = 1
+NESTED_SAME[2:9, 2:9] = 0
+NESTED_SAME[4:7, 4:7] = 1
+# The same ring around a label-2 blob: labels never merge.
+NESTED_OTHER = NESTED_SAME.copy()
+NESTED_OTHER[4:7, 4:7] = 2
+# A ring with a diagonal gap: its inside is a hole under the 4-connected
+# fill, but reaches the border through the gap under an 8-connected one.
+DIAGONAL_GAP = np.zeros((9, 9), dtype=np.uint16)
+DIAGONAL_GAP[1:8, 1:8] = 1
+DIAGONAL_GAP[2:7, 2:7] = 0
+DIAGONAL_GAP[1, 1] = 0  # the corner pixel goes: (2, 2) meets the outside diagonally
+
+
+class TestDetectBatchFixtures:
+    @pytest.mark.parametrize("image", [NESTED_SAME, NESTED_OTHER], ids=["same", "other"])
+    def test_nested_component_is_its_own_detection(self, image):
+        rings, labels = detect_image(image, min_area=1)
+        assert len(rings) == 2
+        assert labels.tolist() == sorted(labels.tolist())
+        # The outer ring is filled over the inner component.
+        assert max(shoelace(r) for r in rings) > 40.0
+        assert_matches_reference(label_volume(np.stack([image, image.T, 0 * image])), 1)
+
+    def test_nested_fallback_only_on_its_own_slice(self):
+        ring_only = NESTED_SAME.copy()
+        ring_only[4:7, 4:7] = 0
+        data = np.stack([NESTED_SAME, ring_only, NESTED_SAME[::-1]])
+        assert_matches_reference(label_volume(data), 1)
+
+    def test_diagonal_gap_ring_fills_four_connected(self):
+        (ring,), _ = detect_image(DIAGONAL_GAP, min_area=1)
+        # 7x7 filled square minus the gap corner: the contour encloses
+        # the hole.
+        assert shoelace(ring) > 40.0
+        assert_matches_reference(label_volume(np.stack([DIAGONAL_GAP, DIAGONAL_GAP.T])), 1)
+
+
+@st.composite
+def label_volumes(draw):
+    """Small random label volumes: noise blobs of labels 1, 2 and 4 (3 is
+    absent) touching each other and the border, empty slices, and pasted
+    rings with diagonal gaps and nested components."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = st.integers(1, 16) | st.integers(11, 16)  # often room for a whole patch
+    shape = (draw(st.integers(1, 5)), draw(side), draw(side))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]))
+    data = np.where(rng.random(shape) < density, rng.choice([1, 2, 4], shape), 0)
+    data[rng.random(shape[0]) < 0.2] = 0  # empty slices
+    for _ in range(draw(st.integers(0, 4))):
+        patch = [NESTED_SAME, NESTED_OTHER, DIAGONAL_GAP][rng.integers(3)]
+        patch = np.r_[0, rng.choice([1, 2, 4], 2)][np.rot90(patch, rng.integers(4))]
+        # Whole where the slice is large enough, else cut at the border.
+        z = rng.integers(shape[0])
+        i, j = (rng.integers(max(1, d - p + 1)) for d, p in zip(shape[1:], patch.shape))
+        part = patch[: shape[1] - i, : shape[2] - j]
+        region = data[z, i : i + part.shape[0], j : j + part.shape[1]]
+        region[part > 0] = part[part > 0]
+    return label_volume(data), draw(st.integers(1, 14))
+
+
+@st.composite
+def traced_rings(draw):
+    """(points, offsets, chunk budget): the loops that trace_boundary
+    finds in a random filled stack, moved by a whole-pixel offset, and a
+    keypoint chunk budget between 4 points and twice the longest loop."""
+    stack = draw(filled_stacks())
+    assume(stack.any())
+    points, offsets, _ = trace_boundary(stack)
+    points += [draw(st.integers(-50, 300)), draw(st.integers(-50, 300))]
+    block = draw(st.integers(4, 2 * int(np.diff(offsets).max())))
+    return points, offsets, block
+
+
+def ref_ring_keypoints(points, offsets):
+    return np.array([ref_keypoints_from_dense(points[lo:hi]) for lo, hi in zip(offsets, offsets[1:])])
+
+
+class TestRingKeypoints:
+    @settings(max_examples=300, deadline=None)
+    @given(traced_rings())
+    def test_chunks_match_one_resample_per_ring(self, case):
+        points, offsets, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmenter, "KEYPOINT_BLOCK", block)
+            got = ring_keypoints(points, offsets)
+        assert np.array_equal(got, ref_ring_keypoints(points, offsets))
+
+    def test_ring_longer_than_the_budget_gets_its_own_chunk(self, monkeypatch):
+        stack = np.zeros((2, 30, 30), dtype=bool)
+        stack[0, 2:28, 3:25] = True
+        stack[1, 5:7, 5:7] = stack[1, 10:13, 10:12] = stack[1, 20, 20] = True
+        points, offsets, _ = trace_boundary(stack)
+        lengths = np.diff(offsets)
+        monkeypatch.setattr(segmenter, "KEYPOINT_BLOCK", 16)
+        assert lengths.max() > 16 and sorted(lengths.tolist())[:3] == [4, 8, 10]
+        assert [c.stop - c.start for c in segmenter._chunks(np.sort(lengths))] == [2, 1, 1]
+        assert np.array_equal(ring_keypoints(points, offsets), ref_ring_keypoints(points, offsets))
+
+
+class TestDetectBatchOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(label_volumes())
+    def test_matches_the_per_slice_reference(self, case):
+        volume, min_area = case
+        assert_matches_reference(volume, min_area)
+
+    @settings(max_examples=25, deadline=None)
+    @given(label_volumes(), st.integers(1, 400))
+    def test_slabs_do_not_change_the_rows(self, case, block):
+        volume, min_area = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmenter, "TRACE_BLOCK", block)
+            assert_matches_reference(volume, min_area)
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +734,7 @@ class TestDeskDetection:
             assert np.array_equal(ds.centers, np.array([c.mean(axis=0) for c in ds.contours]))
             for i in (0, 80, ds.n_slices - 1):
                 image = np.take(desk_volume.data, i, axis=1 if axis == "xz" else 0)
-                rings, labels = detect_sections(image)
+                rings, labels, _ = ref_detect_sections(image)
                 rows = ds.slice_index == i
                 assert np.array_equal(ds.contours[rows], rings)
                 assert np.array_equal(ds.true_label[rows], labels)

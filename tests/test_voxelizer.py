@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from textilemodel import voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
 from textilemodel.geometry import Box, ellipse_sections
-from textilemodel.segmenter import detect_batch, detect_sections
+from textilemodel.segmenter import detect_batch
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import (
     GrayVolume,
@@ -27,6 +27,8 @@ from textilemodel.voxelizer import (
     slice_count,
     voxelize,
 )
+
+from test_segmenter import ref_detect_sections
 
 
 def desk_model():
@@ -143,7 +145,7 @@ class TestSlices:
             ds = detect_batch(desk_volume, axis)
             assert ds.n_slices == slice_count(desk_volume.dims, axis) == len(images)
             for i in (0, len(images) // 2):
-                rings, labels = detect_sections(images[i])
+                rings, labels, _ = ref_detect_sections(images[i])
                 rows = ds.slice_index == i
                 assert np.array_equal(ds.contours[rows], rings)
                 assert np.array_equal(ds.true_label[rows], labels)
