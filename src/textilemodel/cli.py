@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except TextileError as exc:

@@ -1,9 +1,9 @@
 """Yarn cross-section detection on the slices of a label volume.
 
 The detector finds every labeled region of every slice along one axis,
-traces its boundary at pixel resolution, and condenses it to ten
+traces its outer boundary at pixel resolution, and condenses it to ten
 equal-arc keypoints plus their centroid.  It works one label at a time
-over the label's 3-D box: one in-plane labelling, one hole fill and one
+over the label's 3-D box: one in-plane labelling and one
 marching-squares pass cover every slice of the box, and one ragged
 kernel turns all traced loops into keypoints.  It is an oracle: it
 reads the label volume directly and stamps each detection with the true
@@ -46,14 +46,10 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
 # Midpoint of each cell edge relative to corner a, in doubled coordinates.
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
-# In-plane structures over a (slice, row, column) stack: 8-connected
-# components and 4-connected hole filling (the 2-D defaults of
-# ndimage.label with a full 3x3 and of binary_fill_holes), neither
-# reaching across slices.
+# In-plane 8-connected components of a (slice, row, column) stack: a
+# full 3x3 on the middle slice, not reaching across slices.
 _IN_PLANE_8 = np.zeros((3, 3, 3), dtype=bool)
 _IN_PLANE_8[1] = True
-_IN_PLANE_4 = np.zeros((3, 3, 3), dtype=bool)
-_IN_PLANE_4[1] = ndimage.generate_binary_structure(2, 1)
 
 TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
 KEYPOINT_BLOCK = 2**15  # padded points per chunk of the keypoint resampler
@@ -141,20 +137,21 @@ _ROW_FIELDS = ("slice_index", "contours", "centers", "confidence", "true_label")
 
 
 def trace_boundary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace the closed boundary of every filled region of a mask stack.
+    """Trace the outer boundary of every region of a mask stack.
 
     Marching squares over each slice of the binary stack (s, h, w): the
     contours pass through the midpoints of pixel-grid edges that
     separate foreground from background, giving sub-pixel boundary
     coordinates whose enclosed area tracks the pixel count.  Regions are
-    8-connected within a slice and must have no holes, otherwise
-    DegenerateGeometryError is raised.
+    8-connected within a slice and the background 4-connected, so a
+    region's outer loop is that of the region with its holes filled;
+    the loops around holes are dropped.
 
     Returns (points, offsets, slices): loop k is the (m, 2) float array
     ``points[offsets[k]:offsets[k + 1]]`` in slice pixel coordinates on
-    slice ``slices[k]``.  Each loop starts at its smallest point in
-    raster order, the top edge of its region's first pixel, and loops
-    are sorted by (slice, first point).
+    slice ``slices[k]``.  Each loop has positive signed area and starts
+    at its smallest point in raster order, the top edge of its region's
+    first pixel; loops are sorted by (slice, first point).
     """
     stack = np.asarray(stack, dtype=bool)
     if stack.ndim != 3 or not stack.any():
@@ -190,9 +187,6 @@ def trace_boundary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         head, jump = np.minimum(head, head[jump]), jump[jump]
     is_head = head == np.arange(n)
     heads = np.flatnonzero(is_head)
-    # An outer boundary leaves its head leftward; a hole's goes right.
-    if np.any(starts[succ[heads], 1] > starts[heads, 1]):
-        raise DegenerateGeometryError("mask region has a hole")
     # List ranking: cut each cycle before its head and jump to the cut.
     last = is_head[succ]
     nxt = np.where(last, np.arange(n), succ)
@@ -202,10 +196,12 @@ def trace_boundary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         nxt = nxt[nxt]
     loop = np.cumsum(is_head)[head] - 1
     lengths = np.bincount(loop)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
     points = np.empty((n, 2))
-    points[offsets[loop] + lengths[loop] - 1 - to_last] = starts / 2.0 - 1.0  # pixel coordinates
-    return points, offsets, z[order[heads]]
+    points[np.cumsum(lengths)[loop] - 1 - to_last] = starts / 2.0 - 1.0  # pixel coordinates
+    # An outer boundary leaves its head leftward; a hole's goes right.
+    outer = starts[succ[heads], 1] < starts[heads, 1]
+    offsets = np.concatenate([[0], np.cumsum(lengths[outer])])
+    return points[np.repeat(outer, lengths)], offsets, z[order[heads[outer]]]
 
 
 def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -213,11 +209,10 @@ def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     (R, RING_POINTS, 2).
 
     Loop k is ``points[offsets[k]:offsets[k + 1]]`` as trace_boundary
-    returns it.  Row k equals, bit for bit, ``canonical_indices`` and a
-    closed ``resample_arclength`` of that loop: start at the max-u point
-    (ties by max v), go counterclockwise, and sample at spacing
-    L / RING_POINTS.  The signed area decides the direction; on
-    half-integer coordinates it is exact in any summation order.  Arc
+    returns it, with positive signed area.  Row k equals, bit for bit,
+    ``canonical_indices`` and a closed ``resample_arclength`` of that
+    loop: start at the max-u point (ties by max v), keep the loop's
+    counterclockwise order, and sample at spacing L / RING_POINTS.  Arc
     lengths are summed per loop as one cumsum over rows padded only
     within length-sorted chunks of at most ``KEYPOINT_BLOCK`` points
     (or one loop).
@@ -227,12 +222,8 @@ def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     u, v = points[:, 0], points[:, 1]
     top = np.where(u == np.maximum.reduceat(u, starts)[loop], v, -np.inf)
     first = np.flatnonzero(top == np.maximum.reduceat(top, starts)[loop]) - starts
-    nxt = np.arange(1, len(points) + 1)
-    nxt[offsets[1:] - 1] = starts
-    ccw = np.add.reduceat(u * v[nxt] - u[nxt] * v, starts) >= 0
     # Canonical position of every point, then the points in that order.
-    local = np.arange(len(points)) - starts[loop]
-    pos = np.where(ccw[loop], local - first[loop], first[loop] - local) % lengths[loop]
+    pos = (np.arange(len(points)) - starts[loop] - first[loop]) % lengths[loop]
     ring = np.empty_like(points)
     ring[starts[loop] + pos] = points
     step = np.diff(ring, axis=0, append=ring[:1])
@@ -291,36 +282,18 @@ def _detect_label(images, box, lab: int, axis: str, min_area: int):
             "skip: axis=%s slice=%d label=%d component below min area (%d < %d px)",
             axis, z0 + comp_slice[c], lab, area[c], min_area,
         )
-    filled = ndimage.binary_fill_holes(keep[comps], structure=_IN_PLANE_4)
-    kept_per_slice = np.bincount(comp_slice[keep], minlength=len(comps))
+    kept = keep[comps]
     step = max(1, TRACE_BLOCK // comps[0].size)
     found = []
     for lo in range(0, len(comps), step):
-        hi = min(lo + step, len(comps))
-        if not kept_per_slice[lo:hi].any():
-            continue
-        points, offsets, slices = trace_boundary(filled[lo:hi])
-        slices += lo
-        # A kept component inside another one's hole merges into it
-        # under the whole-mask fill: fill those slices per component.
-        merged = np.zeros(len(comps), dtype=bool)
-        merged[lo:hi] = np.bincount(slices - lo, minlength=hi - lo) < kept_per_slice[lo:hi]
-        ok = ~merged[slices]
-        points += [i0, j0]
-        found.append((slices[ok], points[offsets[:-1]][ok], ring_keypoints(points, offsets)[ok]))
-        solo = np.flatnonzero(keep & merged[comp_slice])
-        if solo.size:
-            alone = ndimage.binary_fill_holes(
-                comps[comp_slice[solo]] == solo[:, None, None], structure=_IN_PLANE_4
-            )
-            points, offsets, _ = trace_boundary(alone)
+        if kept[lo : lo + step].any():
+            points, offsets, slices = trace_boundary(kept[lo : lo + step])
             points += [i0, j0]
-            found.append((comp_slice[solo], points[offsets[:-1]], ring_keypoints(points, offsets)))
+            found.append((z0 + lo + slices, ring_keypoints(points, offsets)))
     if not found:
         return _NO_ROWS
-    slices, firsts, contours = (np.concatenate(parts) for parts in zip(*found))
-    order = np.lexsort((firsts[:, 1], firsts[:, 0], slices))
-    return z0 + slices[order], np.full(len(order), lab), contours[order]
+    slices, contours = (np.concatenate(parts) for parts in zip(*found))
+    return slices, np.full(len(slices), lab), contours
 
 
 _NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, RING_POINTS, 2)))
@@ -331,10 +304,10 @@ def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> Detecti
 
     Slice i of ``yz`` is the image ``data[i, :, :]`` and slice j of
     ``xz`` is ``data[:, j, :]``.  Each label is detected in its 3-D box
-    at once: its in-plane 8-connected components, those below
-    ``min_area`` pixels skipped and logged, are filled, traced and
-    condensed to keypoints.  Rows are sorted by slice, label and the
-    component's first pixel in raster order.
+    at once: the outer boundary of each of its in-plane 8-connected
+    components, those below ``min_area`` pixels skipped and logged, is
+    traced and condensed to keypoints.  Rows are sorted by slice, label
+    and the component's first pixel in raster order.
     """
     if axis not in SLICE_AXES:
         raise ConfigError(f"axis must be one of {SLICE_AXES}")

@@ -109,8 +109,9 @@ def read_json(path) -> dict:
     return d
 
 
-def _reports_missing_keys(load):
-    """Make ``load(path)`` raise ConfigError naming the file and a key it lacks."""
+def _reports_malformed(load):
+    """Make ``load(path)`` raise ConfigError naming the file and a key it
+    lacks or a value of the wrong type."""
 
     @functools.wraps(load)
     def load_checked(path):
@@ -118,6 +119,8 @@ def _reports_missing_keys(load):
             return load(path)
         except KeyError as exc:
             raise ConfigError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: malformed value ({exc})") from exc
 
     return load_checked
 
@@ -196,7 +199,7 @@ def save_model(model: TextileModel, path) -> None:
     dump_json(payload, path)
 
 
-@_reports_missing_keys
+@_reports_malformed
 def load_model(path) -> TextileModel:
     from .geometry import Box
 
@@ -264,7 +267,7 @@ def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> No
     dump_json(payload, path)
 
 
-@_reports_missing_keys
+@_reports_malformed
 def load_yarns(path):
     """Returns (yarns, voxel_size, origin, boundary_gaps)."""
     d = read_json(path)

@@ -887,6 +887,10 @@ class TestCli:
              "voxelize", "missing key 'n_warp_columns'"),
             ("labels.json", lambda d: _without(d, "dims"), "render", "missing key 'dims'"),
             ("labels.json", None, "render", "invalid JSON"),
+            ("model.json", lambda d: {**d, "spec": []}, "voxelize", "malformed value (list"),
+            ("yarns.json", lambda d: {**d, "yarns": 5}, "validate", "malformed value ('int'"),
+            ("yarns.json", lambda d: {**d, "voxel_size": "big"}, "validate",
+             "malformed value (could not convert"),
         ],
     )
     def test_malformed_json_input_exits_2_naming_the_file(
