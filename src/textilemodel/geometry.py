@@ -327,6 +327,126 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between point sets (n, 3) and (m, 3).
+
+    Summed in the order x, y, z, as scipy's ``cdist`` sums them, so
+    ``np.sqrt`` of any entry, or of any min or max over entries, is
+    bit-identical to ``cdist``'s.  One reused difference buffer keeps
+    the working set at two (n, m) arrays.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for k in (1, 2):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _gtsv(dl, d, du, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonals
+    ``dl``, ``d``, ``du`` for the right-hand sides ``b`` (n, m).
+
+    Follows LAPACK ``dgtsv`` (Anderson et al., LAPACK Users' Guide,
+    1999) operation for operation: Gaussian elimination with partial
+    pivoting, where a row interchange fills the second superdiagonal
+    ``du2``, then back substitution over both superdiagonals.  The
+    factorisation runs on Python floats, the row operations on the rows
+    of a copy of ``b``.
+    """
+    n = len(d)
+    dl, d, du = ([float(v) for v in diag] for diag in (dl, d, du))
+    du2 = [0.0] * n
+    b = np.array(b, dtype=float)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise SingularFitError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] -= fact * b[i]
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            row = b[i] - fact * b[i + 1]
+            b[i] = b[i + 1]
+            b[i + 1] = row
+    if d[-1] == 0.0:
+        raise SingularFitError("singular tridiagonal system")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
+@dataclass(frozen=True)
+class CubicPieces:
+    """Piecewise cubic over the breakpoints ``x`` (n,).
+
+    ``c[k, i]`` (4, n - 1, m) is the coefficient of ``(q - x[i])**(3 - k)``
+    on interval i, as in scipy's ``PPoly``.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, q) -> np.ndarray:
+        """Values (len(q), m) at the points ``q``, evaluated as ``PPoly``
+        does: the interval left of ``q`` (the first or last beyond the
+        ends), then c3 + c2 z + c1 z + c0 z with z built up by repeated
+        multiplication by ``q - x[i]``."""
+        q = np.asarray(q, dtype=float).reshape(-1)
+        i = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, len(self.x) - 2)
+        s = (q - self.x[i])[:, None]
+        c = self.c[:, i]
+        out = 0.0 + c[3]  # PPoly sums from 0.0, which turns -0.0 into 0.0
+        z = s
+        for k in (2, 1, 0):
+            out += c[k] * z
+            z = z * s
+        return out
+
+
+def not_a_knot_spline(x, y) -> CubicPieces:
+    """Interpolating cubic spline with not-a-knot ends through y (n, m) at x (n,).
+
+    Bit-identical to scipy's ``CubicSpline(x, y, axis=0)`` for n >= 4:
+    the same banded system and end rows, solved as LAPACK ``dgtsv``
+    solves it, and the same Hermite coefficients.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or len(x) < 4 or y.shape[:1] != x.shape or y.ndim != 2:
+        raise InsufficientDataError("a not-a-knot spline needs n >= 4 points x (n,) and y (n, m)")
+    dx = np.diff(x)
+    if not (np.all(np.isfinite(x)) and np.all(dx > 0)):
+        raise DegenerateGeometryError("spline abscissae must be finite and strictly increase")
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    s = _gtsv(
+        np.concatenate([dx[1:], [d1]]),
+        np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
+        np.concatenate([[d0], dx[:-1]]),
+        b,
+    )
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return CubicPieces(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+
+
 def fit_planes(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares planes of a ring stack (N, m, 3).
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConfigError,
@@ -37,6 +36,7 @@ from .geometry import (
     bspline_tangent,
     canonical_indices,
     cumulative_length,
+    not_a_knot_spline,
     section_faults,
 )
 from .segmenter import _ROW_FIELDS, DetectionSet
@@ -165,16 +165,16 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
     """Fill interior gaps of a track by keypoint-wise interpolation.
 
     Single-slice gaps interpolate linearly between their neighbours;
-    longer gaps evaluate a cubic spline fitted per keypoint channel
-    over all observed slices.  Boundary gaps are left alone and stay
-    reported on the track; completion never extrapolates.
+    longer gaps evaluate a not-a-knot cubic spline fitted per keypoint
+    channel over all observed slices.  Boundary gaps are left alone and
+    stay reported on the track; completion never extrapolates.
     """
     if not track.gaps:
         return track
     entries = track.entries
     observed = entries.slice_index
     channels = entries.contours.reshape(len(entries), -1)
-    spline = CubicSpline(observed, channels, axis=0) if len(observed) >= 4 else None
+    spline = not_a_knot_spline(observed, channels) if len(observed) >= 4 else None
 
     parts = [[getattr(entries, name)] for name in _ROW_FIELDS]
     filled = []

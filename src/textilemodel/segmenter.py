@@ -306,15 +306,19 @@ def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> Detecti
     ``xz`` is ``data[:, j, :]``.  Each label is detected in its 3-D box
     at once: the outer boundary of each of its in-plane 8-connected
     components, those below ``min_area`` pixels skipped and logged, is
-    traced and condensed to keypoints.  Rows are sorted by slice, label
+    traced and condensed to keypoints.  The label boxes are the
+    volume's, found once for both axes.  Rows are sorted by slice, label
     and the component's first pixel in raster order.
     """
     if axis not in SLICE_AXES:
         raise ConfigError(f"axis must be one of {SLICE_AXES}")
-    images = volume.data if axis == AXIS_YZ else np.moveaxis(volume.data, 1, 0)
+    images, boxes = volume.data, volume.label_boxes
+    if axis != AXIS_YZ:  # (y, x, z) images: swap the first two box axes
+        images = np.moveaxis(images, 1, 0)
+        boxes = [None if box is None else (box[1], box[0], box[2]) for box in boxes]
     found = [
         _detect_label(images, box, lab, axis, min_area)
-        for lab, box in enumerate(ndimage.find_objects(images), start=1)
+        for lab, box in enumerate(boxes, start=1)
         if box is not None
     ]
     slices, labels, contours = (np.concatenate(parts) for parts in zip(_NO_ROWS, *found))
@@ -396,18 +400,16 @@ def write_detections(dset: DetectionSet, path) -> Path:
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # The bytes of json.dumps of each record: the repr of a list of
+    # finite floats is its JSON text, and a negative label is null.
+    line = (
+        f'{{"axis": {json.dumps(dset.axis)}, "slice_index": %d, "contour": %r, '
+        '"center": %r, "confidence": %r, "true_label": %s}\n'
+    )
     rows = zip(*(getattr(dset, name).tolist() for name in _ROW_FIELDS))
     with atomic_open(path) as fh:
         for slice_index, contour, center, confidence, label in rows:
-            rec = {
-                "axis": dset.axis,
-                "slice_index": slice_index,
-                "contour": contour,
-                "center": center,
-                "confidence": confidence,
-                "true_label": None if label < 0 else label,
-            }
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(line % (slice_index, contour, center, confidence, "null" if label < 0 else label))
     return path
 
 

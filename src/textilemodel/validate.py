@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, InsufficientDataError
-from .geometry import DEFAULT_VOXEL_SIZE_UM, resample_arclength, ring_areas
+from .geometry import DEFAULT_VOXEL_SIZE_UM, resample_arclength, ring_areas, squared_distances
 from .storage import atomic_open, dump_json
 
 # Densest possible circle packing of a plane region.
@@ -41,10 +40,12 @@ def _resampled(paths, n_samples: int) -> list:
 
 
 def _hausdorff_points(a, b):
-    """(d_ab, d_ba, d_sym) between two point sets."""
-    d = cdist(a, b)
-    d_ab = float(d.min(axis=1).max())
-    d_ba = float(d.min(axis=0).max())
+    """(d_ab, d_ba, d_sym) between two point sets.  The square root comes
+    after the reductions: it is monotone and correctly rounded, so it
+    changes no result."""
+    d2 = squared_distances(a, b)
+    d_ab = math.sqrt(d2.min(axis=1).max())
+    d_ba = math.sqrt(d2.min(axis=0).max())
     return d_ab, d_ba, max(d_ab, d_ba)
 
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import BudgetExceededError, ConfigError, DegenerateGeometryError
 from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
@@ -80,6 +82,12 @@ class LabelVolume:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
+
+    @cached_property
+    def label_boxes(self) -> list:
+        """``ndimage.find_objects`` of the data: the (x, y, z) index box
+        of label 1, 2, ..., or None for a label that does not occur."""
+        return ndimage.find_objects(self.data)
 
 
 @dataclass(frozen=True)

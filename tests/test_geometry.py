@@ -12,6 +12,7 @@ from textilemodel.errors import (
     DegenerateGeometryError,
     InsufficientDataError,
     InvalidContourError,
+    SingularFitError,
 )
 from textilemodel.storage import _sections_from_dicts
 
@@ -1096,3 +1097,120 @@ class TestEllipseSectionsMatchOneRingReference:
         assert np.array_equal(got.rings, [ref.contour for ref in want])
         assert np.array_equal(got.centers, [ref.center for ref in want])
         assert got.stations.tolist() == [ref.station for ref in want]
+
+
+# scipy stays in the tests as the oracle of the numpy spline kernel:
+# CubicSpline's not-a-knot fit solves its tridiagonal system through
+# solve_banded, which calls LAPACK dgtsv.
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(dl, d, du, b) with small-integer or Gaussian entries: integer
+    ones tie |d| with |dl| and hit zero pivots, Gaussian ones take the
+    row interchange in about half of the steps."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dl, d, du = (rng.integers(-3, 4, size).astype(float) for size in (n - 1, n, n - 1))
+    else:
+        dl, d, du = (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3) for size in (n - 1, n, n - 1))
+    return dl, d, du, rng.normal(size=(n, draw(st.sampled_from([1, 2, 20]))))
+
+
+@st.composite
+def spline_data(draw):
+    """Irregular integer abscissae, n in [4, 300], 1 or 20 channels.
+    Long steps after short ones force dgtsv's row interchange."""
+    n = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.integers(1, draw(st.sampled_from([2, 4, 40])), n - 1)
+    x = draw(st.integers(0, 500)) + np.concatenate([[0], np.cumsum(steps)])
+    y = rng.normal(size=(n, draw(st.sampled_from([1, 20])))) * 10.0 ** rng.uniform(-3, 3)
+    y[rng.random(y.shape) < 0.05] = -0.0
+    return x, y
+
+
+class TestNotAKnotSplineMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(tridiagonal_systems())
+    def test_gtsv_matches_lapack(self, system):
+        from scipy.linalg import LinAlgError, solve_banded
+
+        dl, d, du, b = system
+        ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
+        try:
+            want = solve_banded((1, 1), ab, b)
+        except LinAlgError:
+            with pytest.raises(SingularFitError):
+                geo._gtsv(dl, d, du, b)
+            return
+        assert same_bits(geo._gtsv(dl, d, du, b), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spline_data())
+    def test_coefficients_and_values(self, data):
+        from scipy.interpolate import CubicSpline
+
+        x, y = data
+        want = CubicSpline(x, y, axis=0)
+        got = geo.not_a_knot_spline(x, y)
+        assert same_bits(got.c, want.c)
+        # Every slice between the ends, as gap filling asks, plus
+        # points off the integers and beyond both ends.
+        q = np.r_[np.arange(x[0], x[-1] + 1), x[0] - 2.5, x[-1] + 1.75, (x[:-1] + x[1:]) / 2]
+        assert same_bits(got(q), want(q))
+
+    def test_interchange_branch_is_exercised(self):
+        # After the first elimination step the second pivot is
+        # dx0 + dx1 = 2, below the subdiagonal entry dx2 = 10.
+        from scipy.interpolate import CubicSpline
+
+        x = np.array([0, 1, 2, 12, 13, 15, 16])
+        y = np.random.default_rng(3).normal(size=(len(x), 20))
+        got = geo.not_a_knot_spline(x, y)
+        assert same_bits(got.c, CubicSpline(x, y, axis=0).c)
+        assert same_bits(got(np.arange(17)), CubicSpline(x, y, axis=0)(np.arange(17)))
+
+    def test_rejects_short_or_unsorted_input(self):
+        with pytest.raises(InsufficientDataError):
+            geo.not_a_knot_spline([0, 1, 2], np.zeros((3, 2)))
+        with pytest.raises(DegenerateGeometryError):
+            geo.not_a_knot_spline([0, 1, 1, 2], np.zeros((4, 2)))
+
+
+@st.composite
+def point_set_pairs(draw):
+    """(a, b) point sets with repeated points inside each set and points
+    shared between them, so zero distances occur."""
+    coord = st.floats(-1e6, 1e6, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0])
+    pool = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20)
+    a, b = (np.array([pool[i] for i in draw(picks)]) for _ in "ab")
+    return a, b
+
+
+class TestSquaredDistancesMatchCdist:
+    @settings(max_examples=300, deadline=None)
+    @given(point_set_pairs())
+    def test_entries_match_cdist(self, pair):
+        from scipy.spatial.distance import cdist
+
+        a, b = pair
+        d2 = geo.squared_distances(a, b)
+        assert same_bits(d2, cdist(a, b, "sqeuclidean"))
+        assert same_bits(np.sqrt(d2), cdist(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_gaussian_clouds_match_cdist(self, seed):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(int(rng.integers(1, 200)), 3)) * 10.0 ** rng.uniform(-3, 3) for _ in "ab")
+        assert same_bits(np.sqrt(geo.squared_distances(a, b)), cdist(a, b))

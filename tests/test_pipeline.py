@@ -1,7 +1,10 @@
 """Pipeline orchestration, manifest, persistence formats, and the CLI."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -127,7 +130,69 @@ def small_run(small_cfg, tmp_path_factory):
     return out, manifest
 
 
+_POS = st.floats(0.01, 1e3)
+_NONNEG = st.floats(0.0, 1e3)
+_FRAC = st.floats(0.0, 1.0)
+_COUNT = st.integers(1, 10**6)
+
+
+def _section(**fields):
+    """A config section dict with any subset of ``fields``."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@st.composite
+def config_dicts(draw):
+    """Valid config dicts: any subset of keys and sections, each value
+    within the range its dataclass accepts."""
+    b = draw(_POS)
+    weave = {
+        "n_warp_columns": draw(st.integers(1, 8)),
+        "n_weft_columns": draw(st.integers(1, 8)),
+        "warp_sequence": draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)),
+        "weft_sequence": draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)),
+        "yarn_spacing": draw(st.lists(_POS, min_size=2, max_size=2)),
+        "crimp_amplitude": draw(_NONNEG),
+        "ellipse_a": b + draw(_NONNEG),
+        "ellipse_b": b,
+        **draw(_section(seed=st.integers(0, 2**32))),
+    }
+    sections = {
+        "weave": st.just(weave),
+        "render": _section(
+            matrix_level=_FRAC, yarn_level=_FRAC, warp_contrast=_NONNEG, weft_contrast=_NONNEG,
+            texture_period=_POS, noise_sigma=_NONNEG, ring_amplitude=_NONNEG, ring_period=_POS,
+            seed=st.integers(0, 2**32),
+        ),
+        "degrade": _section(
+            enabled=st.booleans(), dropout_rate=_FRAC, jitter_sigma=_NONNEG, confidence_floor=_FRAC
+        ),
+        "compaction": _section(
+            enabled=st.booleans(), thickness_final=st.none() | _POS, n_steps=st.integers(1, 50)
+        ),
+        "reconstruct": _section(
+            d_gate=st.none() | _POS, min_length=_COUNT, max_gap=_COUNT, min_span=_FRAC,
+            max_aspect=_POS, min_area=_COUNT, n_controls=st.none() | _COUNT, composite_cell=_POS,
+            write_meshes=st.booleans(),
+        ),
+        "validate": _section(n_samples=_COUNT, n_bins=_COUNT, voxel_size_um=_POS),
+    }
+    top = _section(
+        seed=st.integers(0, 2**32), n_sections_warp=_COUNT, n_sections_weft=_COUNT,
+        z_margin=_NONNEG, target_vf=st.none() | _FRAC, fibers_per_yarn=_COUNT, voxel_size=_POS,
+        voxel_budget=_COUNT, **sections,
+    )
+    return draw(top)
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(config_dicts())
+    def test_random_configs_round_trip_through_dict_and_json(self, data):
+        cfg = config_from_dict(data)
+        assert config_from_dict(cfg.to_dict()) == cfg
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_defaults_round_trip_through_dict(self):
         cfg = PipelineConfig()
         again = config_from_dict(cfg.to_dict())
@@ -964,3 +1029,33 @@ class TestCli:
         args = ["-m", str(model)] + (["-y", str(yarns)] if command == "validate" else [])
         assert main([command, *args, "-o", str(tmp_path / "out")]) == code
         assert "error: contour must have 10 points" in capsys.readouterr().err
+
+
+class TestImportGraph:
+    def test_pipeline_loads_neither_scipy_interpolate_nor_spatial(self, tmp_path):
+        """Gap filling and validation use numpy kernels, so importing the
+        CLI and running a degraded pipeline (which fits gap splines and
+        measures Hausdorff distances) must not load these subpackages."""
+        import textilemodel
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(STAGEWISE_CASES["degrade"]))
+        script = (
+            "import sys\n"
+            "import textilemodel.pipeline, textilemodel.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('scipy.interpolate', 'scipy.spatial')))\n"
+            "print(loaded())\n"
+            f"code = textilemodel.cli.main(['pipeline', '-c', {str(cfg)!r}, '-o', {str(tmp_path / 'run')!r}])\n"
+            "print(loaded())\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(textilemodel.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "[]"
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -4,7 +4,9 @@ import contextlib
 import json
 import logging
 import math
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,14 +185,15 @@ def random_stacks(draw):
 
 
 def ref_loops(stack):
-    """(slice, loop) of every component of every slice of a stack after
-    a 4-connected hole fill per slice, one reference trace per
-    component, sorted by (slice, first point)."""
+    """(slice, loop) of every 8-connected component of every slice of a
+    stack, one reference trace of the component after its own
+    4-connected hole fill, sorted by (slice, first point).  A component
+    inside another's hole keeps its own loop, as in the detector's
+    per-component reference ``ref_detect_sections``."""
     found = []
     for z, mask in enumerate(stack):
-        mask = ndimage.binary_fill_holes(mask)
         comps, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-        found += [(z, ref_trace_boundary(comps == c)) for c in range(1, n + 1)]
+        found += [(z, ref_trace_boundary(ndimage.binary_fill_holes(comps == c))) for c in range(1, n + 1)]
     return sorted(found, key=lambda zl: (zl[0], *zl[1][0]))
 
 
@@ -239,6 +242,14 @@ class TestTraceBoundaryProperties:
         holed = mask.copy()
         holed[2, 2] = False
         assert np.array_equal(one_loop(holed), one_loop(mask))
+
+    def test_region_inside_a_hole_keeps_its_own_loop(self):
+        ring = np.ones((7, 7), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        ring[3, 3] = True
+        points, offsets, _ = trace_boundary(ring[None])
+        assert np.array_equal(points[offsets[0] : offsets[1]], one_loop(np.ones((7, 7), dtype=bool)))
+        assert np.array_equal(points[offsets[1] :], one_loop(ring[3:4, 3:4]) + 3)
 
 
 ROW_FIELDS = ("slice_index", "contours", "centers", "confidence", "true_label")
@@ -854,7 +865,50 @@ class TestDegrade:
         assert_rows_equal(degrade(ds, params), ref_degrade(ref_detections(ds), params))
 
 
+# Finite doubles with -0.0, subnormals and the largest magnitudes.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7]
+)
+
+
+@st.composite
+def written_sets(draw):
+    """Up to 5 detections of arbitrary finite values, labels -1 included."""
+    n = draw(st.integers(0, 5))
+    values = np.array(draw(st.lists(_FINITE, min_size=22 * n, max_size=22 * n)), dtype=float)
+    confidence = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324]), min_size=n, max_size=n))
+    return DetectionSet(
+        axis=draw(st.sampled_from(SLICE_AXES)),
+        n_slices=7,
+        voxel_size=1.0,
+        origin=(0.0, 0.0, 0.0),
+        slice_index=sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))),
+        contours=values[: 20 * n].reshape(n, 10, 2),
+        centers=values[20 * n :].reshape(n, 2),
+        confidence=confidence,
+        true_label=draw(st.lists(st.integers(-1, 2**40), min_size=n, max_size=n)),
+    )
+
+
 class TestDetectionIO:
+    @settings(max_examples=200, deadline=None)
+    @given(written_sets())
+    def test_bytes_equal_json_dumps_per_record(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = write_detections(ds, Path(tmp) / "det.jsonl").read_text()
+        want = (
+            {
+                "axis": ds.axis,
+                "slice_index": int(ds.slice_index[k]),
+                "contour": ds.contours[k].tolist(),
+                "center": ds.centers[k].tolist(),
+                "confidence": float(ds.confidence[k]),
+                "true_label": None if ds.true_label[k] < 0 else int(ds.true_label[k]),
+            }
+            for k in range(len(ds))
+        )
+        assert text == "".join(json.dumps(rec) + "\n" for rec in want)
+
     def test_round_trip_exact(self, tmp_path, desk_detections):
         ds = filter_transverse(desk_detections["xz"], 6.0)
         path = tmp_path / "det.jsonl"

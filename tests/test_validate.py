@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from textilemodel.errors import ConfigError, InsufficientDataError
-from textilemodel.geometry import bspline_fit, ellipse_sections, ring_areas
+from textilemodel.geometry import bspline_fit, ellipse_sections, resample_arclength, ring_areas
 from textilemodel.synthgen import FiberSpec, WeaveSpec, generate_interlock, perturb_model
 from textilemodel.validate import (
     HEX_PACKING_LIMIT,
@@ -56,6 +56,17 @@ class TestHausdorff:
         b = np.cumsum(rng.normal(size=(9, 3)), axis=0)
         fwd, bwd, sym = hausdorff(a, b)
         assert sym == max(fwd, bwd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.booleans())
+    def test_bits_match_cdist_of_the_resampled_paths(self, seed, n_samples, shared):
+        rng = np.random.default_rng(seed)
+        a, b = (np.cumsum(rng.normal(size=(int(rng.integers(2, 12)), 3)), axis=0) for _ in "ab")
+        if shared:  # b runs along a's first half: zero distances on that stretch
+            b = np.vstack([a[: len(a) // 2 + 1], b + a[len(a) // 2] - b[0] + 1.0])
+        d = cdist(resample_arclength(a, n_samples), resample_arclength(b, n_samples))
+        want = (float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+        assert hausdorff(a, b, n_samples) == (*want, max(want))
 
     def test_matches_dense_oracle_on_random_pairs(self):
         # Independent oracle: very dense uniform arc-length sampling of
