@@ -35,7 +35,7 @@ from .reconstruct import (
 )
 from .meshfiles import write_obj, write_vtk
 from .segmenter import (
-    DegradeParams,
+    DegradeConfig,
     degrade,
     detect_batch,
     filter_transverse,
@@ -76,14 +76,6 @@ def stage_seed(seed: int, stage: str) -> int:
     """Per-stage RNG seed derived from the global seed by hashing."""
     digest = hashlib.sha256(f"{seed}:{stage}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class DegradeConfig:
-    enabled: bool = False
-    dropout_rate: float = 0.0
-    jitter_sigma: float = 0.0
-    confidence_floor: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -363,8 +355,8 @@ def _voxelize(run: RunContext) -> str:
 
 def _render(run: RunContext) -> str:
     cfg = run.config
-    params = dataclasses.replace(cfg.render, seed=stage_seed(cfg.seed, "render"))
-    run.artifacts.extend(save_volume(render_pseudo_ct(run.labels, params), run.out / "pseudo_ct"))
+    ct = render_pseudo_ct(run.labels, cfg.render, stage_seed(cfg.seed, "render"))
+    run.artifacts.extend(save_volume(ct, run.out / "pseudo_ct"))
     return "wrote pseudo_ct.raw and pseudo_ct.json"
 
 
@@ -386,13 +378,7 @@ def _degrade(run: RunContext) -> str:
     degraded = {}
     notes = []
     for stem, ds in run.detections.items():
-        params = DegradeParams(
-            dropout_rate=cfg.degrade.dropout_rate,
-            jitter_sigma=cfg.degrade.jitter_sigma,
-            confidence_floor=cfg.degrade.confidence_floor,
-            seed=stage_seed(cfg.seed, f"degrade:{ds.axis}"),
-        )
-        dd = degrade(ds, params)
+        dd = degrade(ds, cfg.degrade, stage_seed(cfg.seed, f"degrade:{ds.axis}"))
         write_detections(dd, run.path(f"{stem}_degraded.jsonl"))
         degraded[f"{stem}_degraded"] = dd
         notes.append(f"{stem}_degraded.jsonl: kept {dd.count()} of {ds.count()} detections")

@@ -338,13 +338,17 @@ def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> Detecti
 
 
 @dataclass(frozen=True)
-class DegradeParams:
-    """Detector-imperfection model: dropout and keypoint jitter."""
+class DegradeConfig:
+    """Detector-imperfection model: dropout and keypoint jitter.
 
+    ``enabled`` switches the pipeline's degrade stage on; ``degrade``
+    reads the other fields.
+    """
+
+    enabled: bool = False
     dropout_rate: float = 0.0
     jitter_sigma: float = 0.0
     confidence_floor: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -355,7 +359,7 @@ class DegradeParams:
             raise ConfigError("confidence_floor must lie in [0, 1]")
 
 
-def degrade(dset: DetectionSet, params: DegradeParams) -> DetectionSet:
+def degrade(dset: DetectionSet, params: DegradeConfig, seed: int) -> DetectionSet:
     """Apply dropout and Gaussian keypoint jitter to oracle detections.
 
     Deterministic for a given seed: each row in turn draws its dropout,
@@ -363,7 +367,7 @@ def degrade(dset: DetectionSet, params: DegradeParams) -> DetectionSet:
     recomputed as keypoint centroids; confidences are resampled
     uniformly between the floor and 1.
     """
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     kept, noise, confidence = [], [], []
     for k in range(len(dset)):
         if params.dropout_rate > 0 and rng.random() < params.dropout_rate:

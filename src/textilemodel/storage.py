@@ -10,15 +10,14 @@ JSON artifact in one layout: one line, sorted keys, no whitespace.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import RING_POINTS, BSplineCurve, Sections
+from .errors import ConfigError, TextileError
+from .geometry import RING_POINTS, Box, BSplineCurve, Sections
 from .reconstruct import ReconstructedYarn
 from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 
@@ -109,20 +108,24 @@ def read_json(path) -> dict:
     return d
 
 
-def _reports_malformed(load):
-    """Make ``load(path)`` raise ConfigError naming the file and a key it
-    lacks or a value of the wrong type."""
+def _load(path, kind: str, build):
+    """``build(d)`` of the JSON object ``d`` in ``path``, whose ``kind``
+    must be ``kind``.
 
-    @functools.wraps(load)
-    def load_checked(path):
-        try:
-            return load(path)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed value ({exc})") from exc
-
-    return load_checked
+    A key that ``build`` misses, a value of the wrong type or one that
+    the built objects reject raises ConfigError naming the file once.
+    """
+    d = read_json(path)
+    if d.get("kind") != kind:
+        raise ConfigError(f"{path}: not a {kind.replace('_', ' ')} file")
+    try:
+        return build(d)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed value ({exc})") from exc
+    except TextileError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _curve_to_dict(curve: BSplineCurve) -> dict:
@@ -176,7 +179,6 @@ def save_model(model: TextileModel, path) -> None:
             "crimp_amplitude": spec.crimp_amplitude,
             "ellipse_a": spec.ellipse_a,
             "ellipse_b": spec.ellipse_b,
-            "seed": spec.seed,
         },
         "thickness": model.thickness,
         "bbox": {"lo": model.bbox.lo.tolist(), "hi": model.bbox.hi.tolist()},
@@ -199,13 +201,11 @@ def save_model(model: TextileModel, path) -> None:
     dump_json(payload, path)
 
 
-@_reports_malformed
 def load_model(path) -> TextileModel:
-    from .geometry import Box
+    return _load(path, "textile_model", _model_from_dict)
 
-    d = read_json(path)
-    if d.get("kind") != "textile_model":
-        raise ConfigError(f"{path}: not a textile model file")
+
+def _model_from_dict(d: dict) -> TextileModel:
     spec = WeaveSpec(
         n_warp_columns=d["spec"]["n_warp_columns"],
         n_weft_columns=d["spec"]["n_weft_columns"],
@@ -215,7 +215,6 @@ def load_model(path) -> TextileModel:
         crimp_amplitude=d["spec"]["crimp_amplitude"],
         ellipse_a=d["spec"]["ellipse_a"],
         ellipse_b=d["spec"]["ellipse_b"],
-        seed=d["spec"]["seed"],
     )
     fibers = None
     if d.get("fibers"):
@@ -267,12 +266,12 @@ def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> No
     dump_json(payload, path)
 
 
-@_reports_malformed
 def load_yarns(path):
     """Returns (yarns, voxel_size, origin, boundary_gaps)."""
-    d = read_json(path)
-    if d.get("kind") != "reconstructed_yarns":
-        raise ConfigError(f"{path}: not a reconstructed yarns file")
+    return _load(path, "reconstructed_yarns", _yarns_from_dict)
+
+
+def _yarns_from_dict(d: dict):
     yarns = []
     gaps = []
     for yd in d["yarns"]:

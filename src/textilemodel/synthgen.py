@@ -67,7 +67,6 @@ class WeaveSpec:
     crimp_amplitude: float
     ellipse_a: float
     ellipse_b: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_warp_columns < 1 or self.n_weft_columns < 1:
@@ -170,12 +169,8 @@ def _keypoints(yarns) -> np.ndarray:
     return np.concatenate([y.sections.rings.reshape(-1, 3) for y in yarns])
 
 
-def _interpolating_path(centers: np.ndarray) -> BSplineCurve:
-    return bspline_fit(centers, degree=3, n_controls=len(centers))
-
-
 def _build_yarn(yarn_id, family, centers, tangents, a, b, orientation) -> YarnModel:
-    path = _interpolating_path(centers)
+    path = bspline_fit(centers, degree=3, n_controls=len(centers))
     sections = ellipse_sections(centers, tangents, a, b, orientation, cumulative_length(centers))
     return YarnModel(yarn_id=yarn_id, family=family, path=path, sections=sections)
 
@@ -351,61 +346,6 @@ def compaction_sequence(
         hk = h0 - k * (h0 - thickness_final) / n_steps
         out.append(_scale_model(model, planes, hk))
     return tuple(out)
-
-
-def perturb_model(
-    model: TextileModel,
-    contour_sigma: float,
-    center_sigma: float = 0.0,
-    seed: int = 0,
-) -> TextileModel:
-    """Jitter section geometry with Gaussian noise.
-
-    Ring keypoints receive iid noise of ``contour_sigma`` and are
-    re-projected onto their best-fit plane; section centers move to the
-    new ring centroids, optionally shifted rigidly by ``center_sigma``
-    noise first.  Yarn paths are refit through the moved centers.  With
-    both sigmas zero the input model is returned unchanged.
-    """
-    if contour_sigma < 0 or center_sigma < 0:
-        raise ConfigError("noise sigmas must be non-negative")
-    if contour_sigma == 0 and center_sigma == 0:
-        return model
-    rng = np.random.default_rng(seed)
-    yarns = []
-    for yarn in model.yarns:
-        rings = np.array(yarn.sections.rings)
-        for ring in rings:  # one section's draws after another
-            if center_sigma > 0:
-                ring += rng.normal(0.0, center_sigma, 3)
-            if contour_sigma > 0:
-                ring += rng.normal(0.0, contour_sigma, ring.shape)
-        _, normals, rel = fit_planes(rings)
-        rings = rings - (rel @ normals[:, :, None]) * normals[:, None]
-        centers = rings.mean(axis=1)
-        stations = cumulative_length(centers)
-        if np.any(np.diff(stations) <= 0):
-            raise DegenerateGeometryError(
-                "perturbation collapsed neighbouring sections; lower the noise"
-            )
-        path = _interpolating_path(centers)
-        yarns.append(
-            YarnModel(yarn.yarn_id, yarn.family, path, Sections(rings, centers, stations))
-        )
-    bbox = model.bbox
-    kp = _keypoints(yarns)
-    lo = np.minimum(np.array(bbox.lo), kp.min(axis=0))
-    hi = np.maximum(np.array(bbox.hi), kp.max(axis=0))
-    lo[2] = min(lo[2], bbox.lo[2])
-    hi[2] = max(hi[2], bbox.hi[2])
-    thickness = float(hi[2] - lo[2])
-    return TextileModel(
-        yarns=tuple(yarns),
-        bbox=Box(lo, hi),
-        thickness=thickness,
-        spec=model.spec,
-        fibers=model.fibers,
-    )
 
 
 def fiber_spec_for_target_vf(

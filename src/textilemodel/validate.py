@@ -75,11 +75,6 @@ class PathReport:
     def max_distance(self) -> float:
         return float(self.distances.max()) if self.matches else float("nan")
 
-    def fraction_within(self, tol: float) -> float:
-        if not self.matches:
-            return 0.0
-        return float((self.distances <= tol).mean())
-
     def to_dict(self) -> dict:
         return {
             "voxel_size_um": self.voxel_size_um,

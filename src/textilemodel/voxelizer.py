@@ -36,6 +36,9 @@ RENDER_SLAB = 16  # x-planes rendered per float64 working slab
 PAINT_BLOCK = 2**13  # padded box voxels per block of painted segments
 RAY_CHUNK = 2**11  # candidate points per ray-cast chunk
 
+# Raw sample type of each volume kind, little-endian.
+VOLUME_DTYPES = {"labels": "<u2", "gray": "<f4"}
+
 AXIS_XZ = "xz"  # one slice per y index, image axes (x, z)
 AXIS_YZ = "yz"  # one slice per x index, image axes (y, z)
 SLICE_AXES = (AXIS_XZ, AXIS_YZ)
@@ -420,7 +423,6 @@ class RenderParams:
     noise_sigma: float = 0.02
     ring_amplitude: float = 0.0
     ring_period: float = 25.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("matrix_level", "yarn_level"):
@@ -434,11 +436,11 @@ class RenderParams:
             raise ConfigError("texture_period and ring_period must be positive")
 
 
-def render_pseudo_ct(volume: LabelVolume, params: RenderParams) -> GrayVolume:
+def render_pseudo_ct(volume: LabelVolume, params: RenderParams, seed: int) -> GrayVolume:
     """Render a label volume into a noisy pseudo-CT intensity volume.
 
-    Deterministic for a given (volume, params) pair: the random field
-    is seeded by ``params.seed`` only.  The volume is rendered in slabs
+    Deterministic for a given (volume, params, seed): the random field
+    is seeded by ``seed`` only.  The volume is rendered in slabs
     of ``RENDER_SLAB`` x-planes, so the float64 working set is one slab
     beside the float32 result.  The slabs draw their noise in turn from
     one generator in C order, so the noise stream equals one
@@ -472,7 +474,7 @@ def render_pseudo_ct(volume: LabelVolume, params: RenderParams) -> GrayVolume:
         r = np.hypot(px[:, None], py[None, :])
         ring_term = params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
 
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     out = np.empty(volume.dims, dtype=np.float32)
     for x0 in range(0, nx, RENDER_SLAB):
         xsl = slice(x0, x0 + RENDER_SLAB)
@@ -493,7 +495,7 @@ def _sidecar(volume, kind: str) -> dict:
         "schema": 1,
         "kind": kind,
         "dims": [int(d) for d in volume.dims],
-        "dtype": "<u2" if kind == "labels" else "<f4",
+        "dtype": VOLUME_DTYPES[kind],
         "order": "C",
         "axis_convention": "x warp, y weft, z thickness",
         "voxel_size": float(volume.voxel_size),
@@ -517,10 +519,9 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     kind = "labels" if isinstance(volume, LabelVolume) else "gray"
     raw_path = base.with_suffix(".raw")
     json_path = base.with_suffix(".json")
-    dtype = "<u2" if kind == "labels" else "<f4"
     raw_path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(raw_path, "wb") as fh:
-        volume.data.astype(dtype, copy=False).tofile(fh)
+        volume.data.astype(VOLUME_DTYPES[kind], copy=False).tofile(fh)
     dump_json(_sidecar(volume, kind), json_path)
     return raw_path, json_path
 
@@ -529,7 +530,10 @@ def read_sidecar(base_path) -> dict:
     """The JSON sidecar of a volume written by save_volume.
 
     Raises ConfigError naming the file if it is not valid JSON, has
-    another schema or lacks a key that readers need.
+    another schema, lacks a key that readers need or holds a value of
+    the wrong type or shape: ``dims`` must be 3 positive integers,
+    ``dtype`` the one of its ``kind``, ``voxel_size`` a positive finite
+    number, ``origin`` 3 finite numbers and ``label_map`` an object.
     """
     from .storage import read_json  # deferred: storage imports this module
 
@@ -540,7 +544,26 @@ def read_sidecar(base_path) -> dict:
     for key in ("kind", "dims", "dtype", "voxel_size", "origin"):
         if key not in meta:
             raise ConfigError(f"{path}: missing key '{key}'")
+    dims, kind, voxel_size, origin = (meta[key] for key in ("dims", "kind", "voxel_size", "origin"))
+    if not (_is_triple(dims) and all(type(d) is int and d > 0 for d in dims)):
+        raise ConfigError(f"{path}: dims must be 3 positive integers")
+    if not (isinstance(kind, str) and VOLUME_DTYPES.get(kind) == meta["dtype"]):
+        raise ConfigError(f"{path}: dtype must be that of its kind, one of {VOLUME_DTYPES}")
+    if not (_is_finite_number(voxel_size) and voxel_size > 0):
+        raise ConfigError(f"{path}: voxel_size must be a positive finite number")
+    if not (_is_triple(origin) and all(_is_finite_number(v) for v in origin)):
+        raise ConfigError(f"{path}: origin must be 3 finite numbers")
+    if not isinstance(meta.get("label_map", {}), dict):
+        raise ConfigError(f"{path}: label_map must be an object")
     return meta
+
+
+def _is_triple(value) -> bool:
+    return isinstance(value, list) and len(value) == 3
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def load_volume(base_path):

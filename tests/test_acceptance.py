@@ -26,7 +26,7 @@ from textilemodel.reconstruct import (
     reconstruct_yarns,
     wedge_volumes,
 )
-from textilemodel.segmenter import DegradeParams, degrade, detect_batch, filter_transverse
+from textilemodel.segmenter import DegradeConfig, degrade, detect_batch, filter_transverse
 from textilemodel.storage import read_json
 from textilemodel.synthgen import (
     FiberSpec,
@@ -80,12 +80,8 @@ def degraded_chain(clean_chain):
     t0 = time.perf_counter()
     dsets = []
     for ds in clean_chain.dsets:
-        params = DegradeParams(
-            dropout_rate=0.2,
-            jitter_sigma=0.5,
-            seed=stage_seed(7, f"degrade:{ds.axis}"),
-        )
-        dsets.append(degrade(ds, params))
+        params = DegradeConfig(dropout_rate=0.2, jitter_sigma=0.5)
+        dsets.append(degrade(ds, params, stage_seed(7, f"degrade:{ds.axis}")))
     yarns, tracks = reconstruct_yarns(dsets, d_gate=PipelineConfig().gate())
     elapsed = clean_chain.t_detect + time.perf_counter() - t0
     return SimpleNamespace(dsets=dsets, yarns=yarns, tracks=tracks, elapsed=elapsed)

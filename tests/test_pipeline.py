@@ -1,5 +1,6 @@
 """Pipeline orchestration, manifest, persistence formats, and the CLI."""
 
+import copy
 import json
 import os
 import shutil
@@ -118,6 +119,12 @@ STAGEWISE_CASES = {
 }
 
 
+def readme_config() -> dict:
+    """The example config of the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return config_from_dict(SMALL)
@@ -133,6 +140,7 @@ def small_run(small_cfg, tmp_path_factory):
 _POS = st.floats(0.01, 1e3)
 _NONNEG = st.floats(0.0, 1e3)
 _FRAC = st.floats(0.0, 1.0)
+_RATE = st.floats(0.0, 1.0, exclude_max=True)
 _COUNT = st.integers(1, 10**6)
 
 
@@ -155,17 +163,15 @@ def config_dicts(draw):
         "crimp_amplitude": draw(_NONNEG),
         "ellipse_a": b + draw(_NONNEG),
         "ellipse_b": b,
-        **draw(_section(seed=st.integers(0, 2**32))),
     }
     sections = {
         "weave": st.just(weave),
         "render": _section(
             matrix_level=_FRAC, yarn_level=_FRAC, warp_contrast=_NONNEG, weft_contrast=_NONNEG,
             texture_period=_POS, noise_sigma=_NONNEG, ring_amplitude=_NONNEG, ring_period=_POS,
-            seed=st.integers(0, 2**32),
         ),
         "degrade": _section(
-            enabled=st.booleans(), dropout_rate=_FRAC, jitter_sigma=_NONNEG, confidence_floor=_FRAC
+            enabled=st.booleans(), dropout_rate=_RATE, jitter_sigma=_NONNEG, confidence_floor=_FRAC
         ),
         "compaction": _section(
             enabled=st.booleans(), thickness_final=st.none() | _POS, n_steps=st.integers(1, 50)
@@ -198,6 +204,17 @@ class TestConfig:
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_seed_is_set_at_the_top_level_only(self):
+        def keys(d):
+            for k, v in d.items():
+                yield k
+                if isinstance(v, dict):
+                    yield from keys(v)
+
+        d = PipelineConfig().to_dict()
+        assert "seed" in d
+        assert list(keys(d)).count("seed") == 1
+
     def test_small_dict_round_trips(self, small_cfg):
         assert config_from_dict(small_cfg.to_dict()) == small_cfg
 
@@ -223,9 +240,7 @@ class TestConfig:
             config_from_dict([1, 2, 3])
 
     def test_readme_example_config_loads(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-        cfg = config_from_dict(json.loads(block))
+        cfg = config_from_dict(readme_config())
         assert cfg.seed == 11
         assert cfg.compaction.enabled and cfg.degrade.enabled
 
@@ -489,9 +504,10 @@ class TestYarnStorage:
             if short is not None:
                 secs[short]["contour"] = secs[short]["contour"][:9]
             p.write_text(json.dumps(d))
-            with pytest.raises(InvalidContourError) as err:
+            with pytest.raises(ConfigError) as err:
                 load(p)
-            assert str(err.value) == message, load.__name__
+            assert str(err.value) == f"{p}: {message}", load.__name__
+            assert isinstance(err.value.__cause__, InvalidContourError)
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         p = tmp_path / "odd.json"
@@ -519,6 +535,22 @@ JSON_VALUES = st.recursive(
 
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
+
+
+def _with(d, keys, value):
+    """A copy of ``d`` with the item at the path ``keys`` set to ``value``."""
+    d = copy.deepcopy(d)
+    node = d
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return d
+
+
+def _short_contour(d):
+    """A model or yarns file whose first yarn's third contour lacks its last point."""
+    contour = d["yarns"][0]["sections"][2]["contour"]
+    return _with(d, ["yarns", 0, "sections", 2, "contour"], contour[:-1])
 
 
 def _loaded_fields(loaded):
@@ -898,6 +930,24 @@ class TestCli:
         assert main(["generate", "-c", str(cfgp), "-o", str(tmp_path)]) == 2
         assert "unknown key weave.bogus_field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"weave": {**readme_config()["weave"], "seed": 7}}, "unknown key weave.seed"),
+            ({"render": {"seed": 99}}, "unknown key render.seed"),
+            ({"degrade": {"enabled": True, "dropout_rate": 2.0}}, "dropout_rate must lie in [0, 1)"),
+            ({"degrade": {"enabled": False, "dropout_rate": 2.0}}, "dropout_rate must lie in [0, 1)"),
+        ],
+        ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled"],
+    )
+    def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["pipeline", "-c", str(cfgp), "-o", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         assert main(["render", "-o", str(tmp_path), "--labels", str(tmp_path / "nope")]) == 3
         assert "io error" in capsys.readouterr().err
@@ -956,23 +1006,47 @@ class TestCli:
             ("yarns.json", lambda d: {**d, "yarns": 5}, "validate", "malformed value ('int'"),
             ("yarns.json", lambda d: {**d, "voxel_size": "big"}, "validate",
              "malformed value (could not convert"),
+            ("labels.json", lambda d: {**d, "dims": "abc"}, "segment", "dims must be 3 positive integers"),
+            ("labels.json", lambda d: {**d, "dims": "abc"}, "reconstruct",
+             "dims must be 3 positive integers"),
+            ("labels.json", lambda d: {**d, "origin": [1, 2]}, "segment", "origin must be 3 finite numbers"),
+            ("labels.json", lambda d: {**d, "origin": [1, 2]}, "reconstruct",
+             "origin must be 3 finite numbers"),
+            ("labels.json", lambda d: {**d, "dtype": "zz"}, "segment", "dtype must be that of its kind"),
+            ("labels.json", lambda d: {**d, "label_map": 5}, "segment", "label_map must be an object"),
+            ("labels.json", lambda d: {**d, "voxel_size": "x"}, "reconstruct",
+             "voxel_size must be a positive finite number"),
+            ("yarns.json", lambda d: _with(d, ["yarns", 0, "path", "degree"], 0), "validate",
+             "curve degree must be >= 1"),
+            ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed"], "abc"), "validate",
+             "completed_flags must align with sections"),
+            ("model.json", _short_contour, "voxelize", "contour must have 10 points"),
+            ("yarns.json", _short_contour, "validate", "contour must have 10 points"),
         ],
     )
     def test_malformed_json_input_exits_2_naming_the_file(
         self, name, corrupt, command, message, small_run, tmp_path, capsys
     ):
-        for f in ("model.json", "yarns.json", "labels.json", "labels.raw"):
+        files = ("model.json", "yarns.json", "labels.json", "labels.raw")
+        for f in files + ("detections_yz.jsonl", "detections_xz.jsonl"):
             shutil.copy(small_run[0] / f, tmp_path / f)
         path = tmp_path / name
         text = path.read_text()
         path.write_text(text[: len(text) // 2] if corrupt is None else json.dumps(corrupt(json.loads(text))))
+        labels = ["--labels", str(tmp_path / "labels")]
         args = {
             "validate": ["-m", str(tmp_path / "model.json"), "-y", str(tmp_path / "yarns.json")],
             "voxelize": ["-m", str(tmp_path / "model.json")],
-            "render": ["--labels", str(tmp_path / "labels")],
+            "render": labels,
+            "segment": labels,
+            "reconstruct": labels + ["-d", *(str(tmp_path / f"detections_{a}.jsonl") for a in ("yz", "xz"))],
         }[command]
-        assert main([command, *args, "-o", str(tmp_path / "out")]) == 2
-        assert f"config error: {path}: {message}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main([command, *args, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: {message}" in err
+        assert err.count(str(path)) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["render", "segment"])
     @pytest.mark.parametrize("size", [1000, None])
@@ -1014,21 +1088,6 @@ class TestCli:
         assert read_detection_pair([path])[0].n_slices == 4
         with pytest.raises(ConfigError, match=r"det\.jsonl: slice_index 3 outside dataset"):
             read_detection_pair([path], {**meta, "dims": [3, 9, 9]})
-
-    @pytest.mark.parametrize("command, code", [("voxelize", 13), ("validate", 18)])
-    def test_short_contour_in_a_file_exits_with_the_reading_stage(
-        self, command, code, straight_yarns, tmp_path, capsys
-    ):
-        model, yarns = tmp_path / "model.json", tmp_path / "yarns.json"
-        save_model(toy_model(), model)
-        save_yarns(straight_yarns[0], yarns, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
-        bad = model if command == "voxelize" else yarns
-        d = json.loads(bad.read_text())
-        d["yarns"][0]["sections"][2]["contour"].pop()
-        bad.write_text(json.dumps(d))
-        args = ["-m", str(model)] + (["-y", str(yarns)] if command == "validate" else [])
-        assert main([command, *args, "-o", str(tmp_path / "out")]) == code
-        assert "error: contour must have 10 points" in capsys.readouterr().err
 
 
 class TestImportGraph:

@@ -18,7 +18,7 @@ from textilemodel import segmenter
 from textilemodel.errors import ConfigError, DegenerateGeometryError
 from textilemodel.geometry import canonical_indices, resample_arclength
 from textilemodel.segmenter import (
-    DegradeParams,
+    DegradeConfig,
     DetectionSet,
     degrade,
     detect_batch,
@@ -355,8 +355,8 @@ def ref_detection_aspect(det):
     return float(np.sqrt(evals[1] / evals[0]))
 
 
-def ref_degrade(dets, params):
-    rng = np.random.default_rng(params.seed)
+def ref_degrade(dets, params, seed):
+    rng = np.random.default_rng(seed)
     out = []
     for det in dets:
         if params.dropout_rate > 0 and rng.random() < params.dropout_rate:
@@ -801,7 +801,7 @@ class TestFilterTransverse:
     def test_empty_set_passes(self):
         ds = make_dset(np.zeros(0, dtype=int), np.zeros((0, 10, 2)), n_slices=4)
         assert len(filter_transverse(ds, 6.0)) == 0
-        assert len(degrade(ds, DegradeParams(dropout_rate=0.5, jitter_sigma=1.0))) == 0
+        assert len(degrade(ds, DegradeConfig(dropout_rate=0.5, jitter_sigma=1.0), seed=0)) == 0
 
     def test_max_aspect_must_exceed_one(self):
         with pytest.raises(ConfigError):
@@ -821,25 +821,25 @@ class TestDegrade:
 
     def test_deterministic_given_seed(self):
         ds = self.toy_set()
-        p = DegradeParams(dropout_rate=0.3, jitter_sigma=0.7, seed=11)
-        assert_sets_equal(degrade(ds, p), degrade(ds, p))
+        p = DegradeConfig(dropout_rate=0.3, jitter_sigma=0.7)
+        assert_sets_equal(degrade(ds, p, 11), degrade(ds, p, 11))
 
     def test_dropout_rate_respected(self):
         ds = self.toy_set(n_slices=250)  # 1000 detections
-        kept = degrade(ds, DegradeParams(dropout_rate=0.2, seed=0)).count()
+        kept = degrade(ds, DegradeConfig(dropout_rate=0.2), 0).count()
         # 4-sigma binomial band around 800 of 1000
         assert 749 <= kept <= 851
 
     def test_zero_params_keep_geometry(self):
         ds = self.toy_set(n_slices=5)
-        out = degrade(ds, DegradeParams(dropout_rate=0.0, jitter_sigma=0.0, seed=3))
+        out = degrade(ds, DegradeConfig(dropout_rate=0.0, jitter_sigma=0.0), 3)
         assert out.count() == ds.count()
         assert np.array_equal(out.contours, ds.contours)
         assert np.all((0.5 <= out.confidence) & (out.confidence < 1.0))
 
     def test_jitter_moves_keypoints_and_recenters(self):
         ds = self.toy_set(n_slices=5)
-        out = degrade(ds, DegradeParams(jitter_sigma=0.5, seed=4))
+        out = degrade(ds, DegradeConfig(jitter_sigma=0.5), 4)
         d0, j0 = ds.contours[0], out.contours[0]
         assert not np.array_equal(d0, j0)
         assert np.allclose(out.centers[0], j0.mean(axis=0))
@@ -847,10 +847,10 @@ class TestDegrade:
         assert 0.1 < rms < 1.5
 
     def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            DegradeParams(dropout_rate=1.5)
-        with pytest.raises(ConfigError):
-            DegradeParams(jitter_sigma=-1.0)
+        for bad in ({"dropout_rate": 1.5}, {"dropout_rate": 1.0}, {"jitter_sigma": -1.0},
+                    {"confidence_floor": 1.5}):
+            with pytest.raises(ConfigError):
+                DegradeConfig(**bad)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -861,8 +861,8 @@ class TestDegrade:
     )
     def test_rows_match_the_per_detection_reference(self, seed, dropout, jitter, floor):
         ds = self.toy_set(n_slices=6, per_slice=3)
-        params = DegradeParams(dropout, jitter, floor, seed)
-        assert_rows_equal(degrade(ds, params), ref_degrade(ref_detections(ds), params))
+        params = DegradeConfig(dropout_rate=dropout, jitter_sigma=jitter, confidence_floor=floor)
+        assert_rows_equal(degrade(ds, params, seed), ref_degrade(ref_detections(ds), params, seed))
 
 
 # Finite doubles with -0.0, subnormals and the largest magnitudes.
@@ -917,7 +917,7 @@ class TestDetectionIO:
         assert_sets_equal(back, ds)
 
     def test_bytes_survive_a_read_write_cycle(self, tmp_path):
-        ds = degrade(self.labelled_set(), DegradeParams(dropout_rate=0.3, jitter_sigma=0.7, seed=2))
+        ds = degrade(self.labelled_set(), DegradeConfig(dropout_rate=0.3, jitter_sigma=0.7), 2)
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_detections(ds, first)
         write_detections(read_detections(first), second)

@@ -195,66 +195,6 @@ class TestCompaction:
             sg.compaction_sequence(desk_model, desk_model.thickness * 0.5, 0)
 
 
-def ref_perturbed_rings(model, contour_sigma, center_sigma, seed):
-    """Per-yarn rings of perturb_model, drawn one section at a time in
-    the order of the one-ring loop it replaced."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for yarn in model.yarns:
-        rings = []
-        for ring in yarn.sections.rings:
-            ring = np.array(ring)
-            if center_sigma > 0:
-                ring = ring + rng.normal(0.0, center_sigma, 3)
-            if contour_sigma > 0:
-                ring = ring + rng.normal(0.0, contour_sigma, ring.shape)
-            rings.append(ring)
-        rings = np.array(rings)
-        _, normals, rel = geo.fit_planes(rings)
-        out.append(rings - (rel @ normals[:, :, None]) * normals[:, None])
-    return out
-
-
-class TestPerturb:
-    def test_zero_sigma_returns_input(self, desk_model):
-        assert sg.perturb_model(desk_model, 0.0, 0.0, seed=3) is desk_model
-
-    def test_deterministic_per_seed(self, desk_model):
-        p1 = sg.perturb_model(desk_model, 0.4, 0.1, seed=9)
-        p2 = sg.perturb_model(desk_model, 0.4, 0.1, seed=9)
-        p3 = sg.perturb_model(desk_model, 0.4, 0.1, seed=10)
-        assert np.array_equal(p1.yarns[0].sections.rings[5], p2.yarns[0].sections.rings[5])
-        assert not np.array_equal(p1.yarns[0].sections.rings[5], p3.yarns[0].sections.rings[5])
-
-    @pytest.mark.parametrize("sigmas", [(0.4, 0.0), (0.0, 0.3), (0.4, 0.1)])
-    def test_draws_match_the_per_section_reference(self, desk_model, sigmas):
-        pert = sg.perturb_model(desk_model, *sigmas, seed=5)
-        ref = ref_perturbed_rings(desk_model, *sigmas, seed=5)
-        for yarn, rings in zip(pert.yarns, ref):
-            assert np.array_equal(yarn.sections.rings, rings)
-            assert np.array_equal(yarn.sections.centers, rings.mean(axis=1))
-
-    def test_sections_stay_planar_with_matching_centers(self, desk_model):
-        pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=1)
-        for yarn in pert.yarns:
-            rings = yarn.sections.rings
-            _, normals, rel = geo.fit_planes(rings)
-            assert np.abs(rel @ normals[:, :, None]).max() < 1e-9
-            assert np.linalg.norm(rings.mean(axis=1) - yarn.sections.centers, axis=1).max() < 1e-9
-
-    def test_noise_scale_reasonable(self, desk_model):
-        pert = sg.perturb_model(desk_model, 0.5, 0.0, seed=2)
-        drifts = [
-            np.linalg.norm(y1.sections.rings - y0.sections.rings, axis=2).max()
-            for y0, y1 in zip(desk_model.yarns, pert.yarns)
-        ]
-        assert 0.3 < max(drifts) < 4.0
-
-    def test_negative_sigma_raises(self, desk_model):
-        with pytest.raises(ConfigError):
-            sg.perturb_model(desk_model, -0.1, 0.0)
-
-
 class TestFiberSpec:
     def test_target_vf_round_trip(self, desk_model):
         fib = sg.fiber_spec_for_target_vf(desk_model, 0.6, fibers_per_yarn=1000)

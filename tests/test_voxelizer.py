@@ -157,30 +157,30 @@ class TestSlices:
 
 class TestRender:
     def test_deterministic_and_in_range(self, desk_volume):
-        p = RenderParams(seed=5)
-        a = render_pseudo_ct(desk_volume, p)
-        b = render_pseudo_ct(desk_volume, p)
+        p = RenderParams()
+        a = render_pseudo_ct(desk_volume, p, 5)
+        b = render_pseudo_ct(desk_volume, p, 5)
         assert np.array_equal(a.data, b.data)
         assert a.data.dtype == np.float32
         assert a.data.min() >= 0.0 and a.data.max() <= 1.0
 
     def test_levels_separate_matrix_and_yarn(self, desk_volume):
         p = RenderParams(noise_sigma=0.0, warp_contrast=0.0, weft_contrast=0.0)
-        ct = render_pseudo_ct(desk_volume, p)
+        ct = render_pseudo_ct(desk_volume, p, 0)
         matrix = ct.data[desk_volume.data == 0]
         yarn = ct.data[desk_volume.data > 0]
         assert np.allclose(matrix, 0.35) and np.allclose(yarn, 0.55)
 
     def test_noise_sigma_recovered_from_seed_pair(self, desk_volume):
         # Independent draws: std of the difference is sigma * sqrt(2).
-        a = render_pseudo_ct(desk_volume, RenderParams(seed=1))
-        b = render_pseudo_ct(desk_volume, RenderParams(seed=2))
+        a = render_pseudo_ct(desk_volume, RenderParams(), 1)
+        b = render_pseudo_ct(desk_volume, RenderParams(), 2)
         est = float((a.data.astype(np.float64) - b.data.astype(np.float64)).std() / math.sqrt(2))
         assert abs(est - 0.02) / 0.02 < 0.15
 
     def test_texture_oriented_per_family(self, desk_volume):
         p = RenderParams(noise_sigma=0.0)
-        ct = render_pseudo_ct(desk_volume, p)
+        ct = render_pseudo_ct(desk_volume, p, 0)
         yarn = ct.data[desk_volume.data > 0]
         assert yarn.std() > 0.01  # fiber texture modulates yarn voxels
 
@@ -202,7 +202,7 @@ class TestVolumeIO:
         assert back.label_map == desk_volume.label_map
 
     def test_gray_round_trip_bit_exact(self, desk_volume, tmp_path):
-        ct = render_pseudo_ct(desk_volume, RenderParams(seed=3))
+        ct = render_pseudo_ct(desk_volume, RenderParams(), 3)
         save_volume(ct, tmp_path / "ct")
         back = load_volume(tmp_path / "ct")
         assert isinstance(back, GrayVolume)
@@ -225,7 +225,7 @@ class TestVolumeIO:
 # claimed voxels one segment at a time into one owner grid.
 
 
-def ref_render_pseudo_ct(volume, params):
+def ref_render_pseudo_ct(volume, params, seed):
     nx, ny, nz = volume.dims
     vs = volume.voxel_size
     ox, oy, oz = volume.origin
@@ -256,7 +256,7 @@ def ref_render_pseudo_ct(volume, params):
         r = np.hypot(px[:, None], py[None, :])
         g += params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
 
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     g += rng.normal(0.0, params.noise_sigma, size=volume.dims)
     return np.clip(g, 0.0, 1.0).astype(np.float32)
 
@@ -451,8 +451,10 @@ class TestRenderMatchesReference:
     def test_slab_edges_and_rings(self, nx, ring_amplitude):
         rng = np.random.default_rng(nx)
         vol = random_label_volume(rng, nx, MIXED)
-        p = RenderParams(ring_amplitude=ring_amplitude, ring_period=3.0, seed=nx + 7)
-        assert np.array_equal(render_pseudo_ct(vol, p).data, ref_render_pseudo_ct(vol, p))
+        p = RenderParams(ring_amplitude=ring_amplitude, ring_period=3.0)
+        assert np.array_equal(
+            render_pseudo_ct(vol, p, nx + 7).data, ref_render_pseudo_ct(vol, p, nx + 7)
+        )
 
     @pytest.mark.parametrize(
         "label_map",
@@ -461,13 +463,13 @@ class TestRenderMatchesReference:
     )
     def test_missing_families(self, label_map):
         vol = random_label_volume(np.random.default_rng(3), 40, label_map)
-        p = RenderParams(seed=9)
-        assert np.array_equal(render_pseudo_ct(vol, p).data, ref_render_pseudo_ct(vol, p))
+        p = RenderParams()
+        assert np.array_equal(render_pseudo_ct(vol, p, 9).data, ref_render_pseudo_ct(vol, p, 9))
 
     def test_desk_volume(self, desk_volume):
-        p = RenderParams(ring_amplitude=0.05, seed=4)
+        p = RenderParams(ring_amplitude=0.05)
         assert np.array_equal(
-            render_pseudo_ct(desk_volume, p).data, ref_render_pseudo_ct(desk_volume, p)
+            render_pseudo_ct(desk_volume, p, 4).data, ref_render_pseudo_ct(desk_volume, p, 4)
         )
 
 
@@ -732,7 +734,7 @@ class TestPeakMemory:
     # and repeat from run to run.
 
     def test_render_peak_near_its_output(self, desk_volume):
-        ct, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(seed=1))
+        ct, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(), 1)
         assert peak < 1.5 * ct.data.nbytes
 
     def test_paint_peak_near_its_labels(self):
