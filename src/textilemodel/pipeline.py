@@ -148,14 +148,16 @@ class PipelineConfig:
         return d
 
 
-def _build(cls, data: dict, where: str):
+def _build(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad value under {where}: not a JSON object")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"unknown key {where}.{sorted(unknown)[0]}")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value under {where}: {exc}") from exc
 
 
@@ -165,13 +167,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError("config root must be a JSON object")
     data = dict(data)
     kwargs = {}
-    if "weave" in data:
-        w = dict(data.pop("weave"))
-        for key in ("warp_sequence", "weft_sequence", "yarn_spacing"):
-            if key in w:
-                w[key] = tuple(w[key])
-        kwargs["weave"] = _build(WeaveSpec, w, "weave")
     for key, cls in (
+        ("weave", WeaveSpec),
         ("render", RenderParams),
         ("degrade", DegradeConfig),
         ("compaction", CompactionConfig),
@@ -179,7 +176,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         ("validate", ValidateConfig),
     ):
         if key in data:
-            kwargs[key] = _build(cls, dict(data.pop(key)), key)
+            kwargs[key] = _build(cls, data.pop(key), key)
     top = {f.name for f in dataclasses.fields(PipelineConfig)}
     unknown = set(data) - top
     if unknown:
@@ -192,7 +189,13 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    return config_from_dict(read_json(path))
+    """The config in the JSON file ``path``; a bad config raises
+    ConfigError naming the file."""
+    data = read_json(path)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

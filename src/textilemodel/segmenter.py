@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RING_POINTS, _freeze
@@ -45,11 +44,6 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
     _CASE_SEGMENTS[_code, : len(_segments)] = _segments
 # Midpoint of each cell edge relative to corner a, in doubled coordinates.
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
-
-# In-plane 8-connected components of a (slice, row, column) stack: a
-# full 3x3 on the middle slice, not reaching across slices.
-_IN_PLANE_8 = np.zeros((3, 3, 3), dtype=bool)
-_IN_PLANE_8[1] = True
 
 TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
 KEYPOINT_BLOCK = 2**15  # padded points per chunk of the keypoint resampler
@@ -264,11 +258,60 @@ def _chunks(lengths: np.ndarray):
         lo = hi
 
 
+def label_in_plane(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, n) of the in-plane 8-connected components of the
+    (slice, row, column) bool stack ``mask``: components never reach
+    across slices, 0 is background and components are numbered 1..n in
+    (slice, row, column) order of their first pixel, as
+    ``ndimage.label`` numbers them.
+
+    Run-based (He, Chao & Suzuki, IEEE TIP 2008): the foreground runs of
+    every row are paired with the runs they touch in the next row of the
+    same slice, the pairs are merged to their least run, and the
+    components are painted back run by run.
+    """
+    s, h, w = mask.shape
+    edges = np.diff(mask.view(np.int8), axis=2, prepend=0, append=0).ravel()
+    row, start = np.divmod(np.flatnonzero(edges == 1), w + 1)
+    stop = np.flatnonzero(edges == -1) - row * (w + 1)  # exclusive
+    n_runs = len(row)
+    # Row keys leave one empty row between slices, so the row after a
+    # slice's last row holds no runs.  Run b of the next row touches run
+    # a when b.stop >= a.start and b.start <= a.stop; those b are
+    # consecutive in raster order.
+    key = (row + row // h) * (w + 2)
+    lo = np.searchsorted(key + stop, key + (w + 2) + start, side="left")
+    hi = np.searchsorted(key + start, key + (w + 2) + stop, side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(n_runs), count)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    # Hook the larger root of every pair under the smaller one, then jump
+    # pointers until each run points at its root, the least run of its
+    # component so far; stop when no pair spans two roots.
+    parent = np.arange(n_runs)
+    ra, rb = a, b
+    while not np.array_equal(ra, rb):
+        least = np.minimum(ra, rb)
+        np.minimum.at(parent, ra, least)
+        np.minimum.at(parent, rb, least)
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+        ra, rb = parent[a], parent[b]
+    root = parent == np.arange(n_runs)
+    # Runs come in raster order, so numbering roots in run order numbers
+    # components by first pixel.  Background gaps and runs alternate.
+    values = np.zeros(2 * n_runs + 1, dtype=np.int32)
+    values[1::2] = np.cumsum(root, dtype=np.int32)[parent]
+    bounds = np.stack([row * w + start, row * w + stop], axis=1).ravel()
+    lengths = np.diff(bounds, prepend=0, append=mask.size)
+    return np.repeat(values, lengths).reshape(s, h, w), int(np.count_nonzero(root))
+
+
 def _detect_label(images, box, lab: int, axis: str, min_area: int):
     """(slices, labels, contours) of every detection of label ``lab`` in
     its box ``box`` of the slice stack ``images``, sorted by slice and
     first pixel."""
-    comps, n = ndimage.label(images[box] == lab, structure=_IN_PLANE_8)
+    comps, n = label_in_plane(images[box] == lab)
     area = np.bincount(comps.ravel(), minlength=n + 1)
     # Components are numbered in (slice, row, column) order of their
     # first pixel, so each slice holds a run of numbers.

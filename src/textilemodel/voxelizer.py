@@ -25,7 +25,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BudgetExceededError, ConfigError, DegenerateGeometryError
 from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
@@ -88,9 +87,47 @@ class LabelVolume:
 
     @cached_property
     def label_boxes(self) -> list:
-        """``ndimage.find_objects`` of the data: the (x, y, z) index box
-        of label 1, 2, ..., or None for a label that does not occur."""
-        return ndimage.find_objects(self.data)
+        """The (x, y, z) index box, a tuple of slices, of label 1, 2, ...
+        up to the largest label, or None for a label that does not occur
+        (what ``ndimage.find_objects`` returns).
+
+        One x-plane at a time, keyed counts of (y, label) and (z, label)
+        mark where each label occurs; the y marks also give the x-planes.
+        When the largest label exceeds a plane side, the labels that
+        occur are first renumbered 0, 1, ..., so the counts never
+        outgrow the plane.
+        """
+        data = self.data
+        _, ny, nz = data.shape
+        n = int(data.max()) + 1 if data.size else 1
+        labels = np.arange(n)  # the label of each counted column
+        renumber = None
+        if n > min(ny, nz):
+            occurs = np.zeros(n, dtype=bool)
+            for plane in data:
+                occurs[plane] = True
+            labels = np.flatnonzero(occurs)
+            renumber = np.zeros(n, dtype=np.intp)
+            renumber[labels] = np.arange(len(labels))
+        k = len(labels)
+        y_key = (np.arange(ny) * k)[:, None]
+        z_key = (np.arange(nz) * k)[None, :]
+        seen = [np.zeros((size, k), dtype=bool) for size in data.shape]
+        for x, plane in enumerate(data):
+            if renumber is not None:
+                plane = renumber[plane]
+            in_y = np.bincount((plane + y_key).ravel(), minlength=ny * k).reshape(ny, k) > 0
+            seen[0][x] = in_y.any(axis=0)
+            seen[1] |= in_y
+            seen[2] |= np.bincount((plane + z_key).ravel(), minlength=nz * k).reshape(nz, k) > 0
+        present = seen[0].any(axis=0).tolist()
+        lows = [axis.argmax(axis=0).tolist() for axis in seen]
+        highs = [(len(axis) - axis[::-1].argmax(axis=0)).tolist() for axis in seen]
+        boxes = [None] * (n - 1)
+        for col, lab in enumerate(labels.tolist()):
+            if lab and present[col]:
+                boxes[lab - 1] = tuple(slice(low[col], high[col]) for low, high in zip(lows, highs))
+        return boxes
 
 
 @dataclass(frozen=True)
@@ -533,7 +570,8 @@ def read_sidecar(base_path) -> dict:
     another schema, lacks a key that readers need or holds a value of
     the wrong type or shape: ``dims`` must be 3 positive integers,
     ``dtype`` the one of its ``kind``, ``voxel_size`` a positive finite
-    number, ``origin`` 3 finite numbers and ``label_map`` an object.
+    number, ``origin`` 3 finite numbers and ``label_map`` an object
+    whose keys are decimal labels.
     """
     from .storage import read_json  # deferred: storage imports this module
 
@@ -553,8 +591,9 @@ def read_sidecar(base_path) -> dict:
         raise ConfigError(f"{path}: voxel_size must be a positive finite number")
     if not (_is_triple(origin) and all(_is_finite_number(v) for v in origin)):
         raise ConfigError(f"{path}: origin must be 3 finite numbers")
-    if not isinstance(meta.get("label_map", {}), dict):
-        raise ConfigError(f"{path}: label_map must be an object")
+    label_map = meta.get("label_map", {})
+    if not (isinstance(label_map, dict) and all(key.isdecimal() for key in label_map)):
+        raise ConfigError(f"{path}: label_map must be an object keyed by decimal labels")
     return meta
 
 

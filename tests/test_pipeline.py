@@ -935,17 +935,29 @@ class TestCli:
         [
             ({"weave": {**readme_config()["weave"], "seed": 7}}, "unknown key weave.seed"),
             ({"render": {"seed": 99}}, "unknown key render.seed"),
-            ({"degrade": {"enabled": True, "dropout_rate": 2.0}}, "dropout_rate must lie in [0, 1)"),
-            ({"degrade": {"enabled": False, "dropout_rate": 2.0}}, "dropout_rate must lie in [0, 1)"),
+            ({"degrade": {"enabled": True, "dropout_rate": 2.0}},
+             "bad value under degrade: dropout_rate must lie in [0, 1)"),
+            ({"degrade": {"enabled": False, "dropout_rate": 2.0}},
+             "bad value under degrade: dropout_rate must lie in [0, 1)"),
+            ({"degrade": {"confidence_floor": 3}},
+             "bad value under degrade: confidence_floor must lie in [0, 1]"),
+            ({"weave": {**readme_config()["weave"], "ellipse_b": 99.0}},
+             "bad value under weave: ellipse axes need a >= b > 0"),
+            ({"weave": {**readme_config()["weave"], "warp_sequence": ["x"]}},
+             "bad value under weave: invalid literal for int()"),
+            ({"render": {"noise_sigma": -1.0}}, "bad value under render: noise_sigma must be non-negative"),
+            ({"degrade": 5}, "bad value under degrade: not a JSON object"),
         ],
-        ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled"],
+        ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled", "confidence-floor",
+             "ellipse-axes", "sequence-item", "render-range", "section-not-object"],
     )
     def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
+        """A bad value exits 2 naming the config file and its section."""
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(config))
         out = tmp_path / "run"
         assert main(["pipeline", "-c", str(cfgp), "-o", str(out)]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert f"config error: {cfgp}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
@@ -1014,6 +1026,8 @@ class TestCli:
              "origin must be 3 finite numbers"),
             ("labels.json", lambda d: {**d, "dtype": "zz"}, "segment", "dtype must be that of its kind"),
             ("labels.json", lambda d: {**d, "label_map": 5}, "segment", "label_map must be an object"),
+            ("labels.json", lambda d: {**d, "label_map": {"x": "warp"}}, "segment",
+             "label_map must be an object keyed by decimal labels"),
             ("labels.json", lambda d: {**d, "voxel_size": "x"}, "reconstruct",
              "voxel_size must be a positive finite number"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "path", "degree"], 0), "validate",
@@ -1091,10 +1105,11 @@ class TestCli:
 
 
 class TestImportGraph:
-    def test_pipeline_loads_neither_scipy_interpolate_nor_spatial(self, tmp_path):
-        """Gap filling and validation use numpy kernels, so importing the
-        CLI and running a degraded pipeline (which fits gap splines and
-        measures Hausdorff distances) must not load these subpackages."""
+    def test_pipeline_loads_no_scipy(self, tmp_path):
+        """Detection, gap filling and validation use numpy kernels, so
+        importing the CLI and running a degraded pipeline (which labels
+        and traces components, fits gap splines and measures Hausdorff
+        distances) must not load any scipy module."""
         import textilemodel
 
         cfg = tmp_path / "cfg.json"
@@ -1102,7 +1117,7 @@ class TestImportGraph:
         script = (
             "import sys\n"
             "import textilemodel.pipeline, textilemodel.cli\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('scipy.interpolate', 'scipy.spatial')))\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             f"code = textilemodel.cli.main(['pipeline', '-c', {str(cfg)!r}, '-o', {str(tmp_path / 'run')!r}])\n"
             "print(loaded())\n"

@@ -23,6 +23,7 @@ from textilemodel.segmenter import (
     degrade,
     detect_batch,
     filter_transverse,
+    label_in_plane,
     read_detections,
     ring_keypoints,
     trace_boundary,
@@ -700,6 +701,76 @@ class TestDetectBatchOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(segmenter, "TRACE_BLOCK", block)
             assert_matches_reference(volume, min_area)
+
+
+# ndimage.label's structure for in-plane 8-connectivity of a (slice,
+# row, column) stack: a full 3x3 on the middle slice only.
+IN_PLANE_8 = np.zeros((3, 3, 3), dtype=bool)
+IN_PLANE_8[1] = True
+
+# Slice patterns of in_plane_masks, from (row index, column index, noise).
+SLICE_PATTERNS = (
+    lambda ii, jj, noise: noise,
+    lambda ii, jj, noise: (ii + jj) % 2 == 0,  # checkerboard: corner contacts only
+    lambda ii, jj, noise: (ii - jj) % 3 == 0,  # separate diagonal lines
+    lambda ii, jj, noise: noise & ((ii + jj) % 2 == 0),  # noise on the checkerboard
+    lambda ii, jj, noise: np.zeros_like(noise),
+    lambda ii, jj, noise: np.ones_like(noise),
+)
+
+
+@st.composite
+def in_plane_masks(draw):
+    """Random (slice, row, column) stacks whose slices are noise of any
+    density, diagonal patterns that touch only at corners, empty or
+    full; shapes include 1-pixel rows and columns, and components reach
+    the slice edges."""
+    side = st.integers(1, 12) | st.just(1)
+    shape = (draw(st.integers(1, 4)), draw(side), draw(side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.random(shape) < draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    ii, jj = np.indices(shape[1:])
+    kinds = draw(st.lists(st.integers(0, len(SLICE_PATTERNS) - 1), min_size=shape[0], max_size=shape[0]))
+    return np.stack([SLICE_PATTERNS[k](ii, jj, slab) for k, slab in zip(kinds, noise)])
+
+
+def assert_labels_like_ndimage(mask):
+    got, n = label_in_plane(mask)
+    want, n_want = ndimage.label(mask, structure=IN_PLANE_8)
+    assert n == n_want
+    assert np.array_equal(got, want)
+
+
+class TestLabelInPlane:
+    @settings(max_examples=500, deadline=None)
+    @given(in_plane_masks())
+    def test_matches_ndimage_label(self, mask):
+        assert_labels_like_ndimage(mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(in_plane_masks())
+    def test_strided_views_match_ndimage_label(self, mask):
+        assert_labels_like_ndimage(np.moveaxis(mask, 1, 0))  # how detect_batch passes xz boxes
+        assert_labels_like_ndimage(mask[:, ::-1, ::2])
+
+    def test_serpentine_merges_through_every_row(self):
+        # One component whose runs alternate ends: each merge round of
+        # the labeller meets it from both sides of a long chain.
+        mask = np.zeros((2, 41, 40), dtype=bool)
+        mask[:, ::2] = True
+        mask[0, 1::4, -1] = mask[0, 3::4, 0] = True
+        mask[1, 1::4, 0] = mask[1, 3::4, -1] = True
+        assert label_in_plane(mask)[1] == 2
+        assert_labels_like_ndimage(mask)
+
+    def test_desk_label_boxes_match_ndimage_label(self, desk_volume):
+        for axis in SLICE_AXES:
+            images = slice_images(desk_volume, axis)
+            boxes = desk_volume.label_boxes
+            for lab, box in enumerate(boxes, start=1):
+                if axis != AXIS_YZ:
+                    box = (box[1], box[0], box[2])
+                assert_labels_like_ndimage(images[box] == lab)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from textilemodel import voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
@@ -217,6 +218,34 @@ class TestVolumeIO:
         assert meta["dims"] == [163, 160, 80]
         assert meta["voxel_size_um"] == pytest.approx(20.0)
         assert meta["dtype"] == "<u2"
+
+
+@st.composite
+def label_grids(draw):
+    """Random uint16 grids with a few labels, often far apart (so many
+    labels up to the largest are absent), and whole faces painted with
+    one label."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1, 3, 9, 300, 65535]))
+    labels = np.r_[0, rng.choice(np.arange(1, top + 1), size=min(top, 4), replace=False)]
+    data = np.where(rng.random(shape) < draw(st.floats(0.0, 1.0)), rng.choice(labels, shape), 0)
+    for axis in range(3):
+        for end in (0, -1):
+            if rng.random() < 0.3:
+                np.moveaxis(data, axis, 0)[end] = rng.choice(labels)
+    return data.astype(np.uint16)
+
+
+class TestLabelBoxes:
+    @settings(max_examples=300, deadline=None)
+    @given(label_grids())
+    def test_match_ndimage_find_objects(self, data):
+        volume = LabelVolume(data=data, voxel_size=1.0, origin=np.zeros(3), label_map={})
+        assert volume.label_boxes == ndimage.find_objects(data)
+
+    def test_desk_boxes_match_ndimage_find_objects(self, desk_volume):
+        assert desk_volume.label_boxes == ndimage.find_objects(desk_volume.data)
 
 
 # References for the streamed and batched kernels: the renderer that
@@ -736,6 +765,17 @@ class TestPeakMemory:
     def test_render_peak_near_its_output(self, desk_volume):
         ct, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(), 1)
         assert peak < 1.5 * ct.data.nbytes
+
+    def test_label_boxes_peak_far_below_the_labels(self):
+        # One label id far above the others must not size the per-plane
+        # counts (65536 columns per row would take 84 MB per x-plane).
+        data = np.zeros((163, 160, 80), dtype=np.uint16)
+        data[5:9, 5:9, 5:9] = 65535
+        data[20, 20, 20] = 3
+        boxes = lambda: LabelVolume(data=data, voxel_size=1.0, origin=np.zeros(3), label_map={}).label_boxes
+        got, peak = traced_peak(boxes)
+        assert got == ndimage.find_objects(data)
+        assert peak < data.nbytes / 2
 
     def test_paint_peak_near_its_labels(self):
         model = desk_model()
