@@ -127,8 +127,8 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     manifest = run_pipeline(cfg, out)
     print(
-        f"pipeline done: {len(manifest.stages)} stages, "
-        f"{len(manifest.files)} artifacts in {out}"
+        f"pipeline done: {len(manifest['stages'])} stages, "
+        f"{len(manifest['files'])} artifacts in {out}"
     )
     return 0
 

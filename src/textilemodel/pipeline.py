@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import logging
 import time
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,6 +58,7 @@ from .voxelizer import (
     DEFAULT_VOXEL_BUDGET,
     LabelVolume,
     RenderParams,
+    _is_finite_number,
     render_pseudo_ct,
     save_volume,
     slice_count,
@@ -135,57 +138,61 @@ class PipelineConfig:
     reconstruct: ReconstructConfig = field(default_factory=ReconstructConfig)
     validate: ValidateConfig = field(default_factory=ValidateConfig)
 
+    def __post_init__(self):
+        # The ranges that generate and voxelize enforce, checked at load.
+        if type(self.seed) is not int:
+            raise ConfigError("seed must be an integer")
+        for name, low in (
+            ("n_sections_warp", 4),
+            ("n_sections_weft", 4),
+            ("fibers_per_yarn", 1),
+            ("voxel_budget", 1),
+        ):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= low):
+                raise ConfigError(f"{name} must be an integer of at least {low}")
+        if not (_is_finite_number(self.z_margin) and self.z_margin >= 0):
+            raise ConfigError("z_margin must be a non-negative finite number")
+        vf = self.target_vf
+        if vf is not None and not (_is_finite_number(vf) and 0 < vf <= 1):
+            raise ConfigError("target_vf must be null or lie in (0, 1]")
+        if not (_is_finite_number(self.voxel_size) and self.voxel_size > 0):
+            raise ConfigError("voxel_size must be a positive finite number")
+
     def gate(self) -> float:
         if self.reconstruct.d_gate is not None:
             return self.reconstruct.d_gate
         return 1.5 * max(self.weave.ellipse_a, self.weave.ellipse_b) / self.voxel_size
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["weave"]["warp_sequence"] = list(self.weave.warp_sequence)
-        d["weave"]["weft_sequence"] = list(self.weave.weft_sequence)
-        d["weave"]["yarn_spacing"] = list(self.weave.yarn_spacing)
-        return d
+        """The fields as nested JSON values, tuples as lists."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
 
-def _build(cls, data, where: str):
+def _from_dict(cls, data, where: str):
+    """``cls`` built from the JSON value ``data`` at config key
+    ``where`` ("" for the root); a field annotated with a dataclass, a
+    config section, is built from its own JSON object first."""
+    bad = f"bad value under {where}" if where else "bad value at the config root"
     if not isinstance(data, dict):
-        raise ConfigError(f"bad value under {where}: not a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+        raise ConfigError(f"{bad}: not a JSON object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown key {where}.{sorted(unknown)[0]}")
+        raise ConfigError(f"unknown key {where + '.' if where else ''}{sorted(unknown)[0]}")
+    types = typing.get_type_hints(cls)
+    data = {
+        k: _from_dict(types[k], v, k) if dataclasses.is_dataclass(types[k]) else v
+        for k, v in data.items()
+    }
     try:
         return cls(**data)
     except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"bad value under {where}: {exc}") from exc
+        raise ConfigError(f"{bad}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a config from a plain dict; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    data = dict(data)
-    kwargs = {}
-    for key, cls in (
-        ("weave", WeaveSpec),
-        ("render", RenderParams),
-        ("degrade", DegradeConfig),
-        ("compaction", CompactionConfig),
-        ("reconstruct", ReconstructConfig),
-        ("validate", ValidateConfig),
-    ):
-        if key in data:
-            kwargs[key] = _build(cls, data.pop(key), key)
-    top = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - top
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]}")
-    kwargs.update(data)
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return _from_dict(PipelineConfig, data, "")
 
 
 def load_config(path) -> PipelineConfig:
@@ -196,31 +203,6 @@ def load_config(path) -> PipelineConfig:
         return config_from_dict(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Inventory of one pipeline run: config, timings, file digests."""
-
-    seed: int
-    config: dict
-    stages: tuple
-    files: tuple
-    package_version: str = __version__
-    created: str = ""
-    schema: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "kind": "run_manifest",
-            "package_version": self.package_version,
-            "created": self.created,
-            "seed": self.seed,
-            "config": self.config,
-            "stages": [dict(s) for s in self.stages],
-            "files": [dict(f) for f in self.files],
-        }
 
 
 def verify_manifest(path) -> list:
@@ -288,22 +270,25 @@ class RunContext:
         )
         log.info("stage %d %s done in %.3fs: %s", k, name, seconds, summary)
 
-    def manifest(self) -> RunManifest:
-        files = [
-            {
-                "path": str(p.relative_to(self.out)),
-                "bytes": p.stat().st_size,
-                "sha256": sha256_file(p),
-            }
-            for p in sorted(set(self.artifacts))
-        ]
-        return RunManifest(
-            seed=self.config.seed,
-            config=self.config.to_dict(),
-            stages=tuple(self.stage_records),
-            files=tuple(files),
-            created=datetime.now(timezone.utc).isoformat(),
-        )
+    def manifest(self) -> dict:
+        """The run's config, stage records and artifact digests."""
+        return {
+            "schema": 1,
+            "kind": "run_manifest",
+            "package_version": __version__,
+            "created": datetime.now(timezone.utc).isoformat(),
+            "seed": self.config.seed,
+            "config": self.config.to_dict(),
+            "stages": self.stage_records,
+            "files": [
+                {
+                    "path": str(p.relative_to(self.out)),
+                    "bytes": p.stat().st_size,
+                    "sha256": sha256_file(p),
+                }
+                for p in sorted(set(self.artifacts))
+            ],
+        }
 
 
 def grid_box(origin, dims, voxel_size: float) -> Box:
@@ -465,13 +450,13 @@ STAGE_FUNCTIONS = {
 STAGES = tuple(STAGE_FUNCTIONS)  # stage k is STAGES[k - 1]
 
 
-def run_pipeline(config: PipelineConfig, out_dir) -> RunManifest:
+def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     """Run every enabled stage and write the manifest last.
 
     Artifacts land in ``out_dir``: model.json, optional compaction
     models, labels/pseudo-CT volumes, per-axis detection files, the
     reconstructed yarns, meshes under meshes/, and the validation
-    report.  Returns the manifest (also written as manifest.json).
+    report.  Returns the manifest dict, also written as manifest.json.
     """
     run = RunContext(config, out_dir)
     # A manifest left by an earlier run must not outlive a failed rerun.
@@ -481,7 +466,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> RunManifest:
         if enabled.get(name, True):
             run.run_stage(name)
     manifest = run.manifest()
-    dump_json(manifest.to_dict(), run.out / "manifest.json")
+    dump_json(manifest, run.out / "manifest.json")
     return manifest
 
 

@@ -54,13 +54,12 @@ class YarnTrack:
     """A chain of detections across the slices of one axis.
 
     ``entries`` holds the chain's rows, at most one per slice and in
-    slice order; their set carries the axis and the slice geometry.
+    slice order; their set carries the axis and the slice geometry, from
+    which the track's family and its gaps follow.  ``filled`` lists the
+    slices that completion interpolated.
     """
 
-    family: str
     entries: DetectionSet
-    gaps: tuple
-    boundary_gaps: tuple
     filled: tuple = ()
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class YarnTrack:
             raise InsufficientDataError("a track needs at least one entry")
         if np.any(np.diff(self.entries.slice_index) <= 0):
             raise ConfigError("track entries must be ordered by slice index")
-        object.__setattr__(self, "gaps", tuple(tuple(g) for g in self.gaps))
-        object.__setattr__(self, "boundary_gaps", tuple(tuple(g) for g in self.boundary_gaps))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -78,9 +75,22 @@ class YarnTrack:
     def indices(self) -> np.ndarray:
         return self.entries.slice_index
 
+    @property
+    def family(self) -> str:
+        return AXIS_FAMILY[self.entries.axis]
 
-def _missing_runs(indices: np.ndarray) -> list:
-    return [(int(a) + 1, int(b) - 1) for a, b in zip(indices, indices[1:]) if b - a > 1]
+    @property
+    def gaps(self) -> tuple:
+        """Inclusive (first, last) slice runs missing between entries."""
+        idx = self.indices.tolist()
+        return tuple((a + 1, b - 1) for a, b in zip(idx, idx[1:]) if b - a > 1)
+
+    @property
+    def boundary_gaps(self) -> tuple:
+        """Inclusive slice runs before the first and after the last entry."""
+        first, last = int(self.indices[0]), int(self.indices[-1])
+        runs = ((0, first - 1), (last + 1, self.entries.n_slices - 1))
+        return tuple((a, b) for a, b in runs if a <= b)
 
 
 def track_yarns(
@@ -107,7 +117,6 @@ def track_yarns(
         raise ConfigError("min_length must be at least 2")
     if not 0.0 <= min_span <= 1.0:
         raise ConfigError("min_span must be in [0, 1]")
-    family = AXIS_FAMILY[dset.axis]
     n = dset.n_slices
     bounds = np.searchsorted(dset.slice_index, np.arange(n + 1)).tolist()
     # A track is its list of rows; its center is its last row's.
@@ -139,24 +148,9 @@ def track_yarns(
     for rows in done:
         if len(rows) < min_length:
             continue
-        entries = dset.take(np.array(rows))
-        indices = entries.slice_index
-        first, last = int(indices[0]), int(indices[-1])
-        if last - first + 1 < min_span * n:
+        if dset.slice_index[rows[-1]] - dset.slice_index[rows[0]] + 1 < min_span * n:
             continue
-        boundary = []
-        if first > 0:
-            boundary.append((0, first - 1))
-        if last < n - 1:
-            boundary.append((last + 1, n - 1))
-        tracks.append(
-            YarnTrack(
-                family=family,
-                entries=entries,
-                gaps=tuple(_missing_runs(indices)),
-                boundary_gaps=tuple(boundary),
-            )
-        )
+        tracks.append(YarnTrack(dset.take(np.array(rows))))
     tracks.sort(key=lambda t: (int(t.indices[0]), tuple(t.entries.centers[0])))
     return tracks
 
@@ -206,7 +200,6 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
     return replace(
         track,
         entries=replace(entries, **{name: arr[order] for name, arr in zip(_ROW_FIELDS, merged)}),
-        gaps=(),
         filled=tuple(sorted(set(track.filled) | set(filled))),
     )
 

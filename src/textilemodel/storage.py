@@ -10,6 +10,7 @@ JSON artifact in one layout: one line, sorted keys, no whitespace.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -166,28 +167,13 @@ def _sections_from_dicts(ds: list) -> Sections:
 
 
 def save_model(model: TextileModel, path) -> None:
-    spec = model.spec
     payload = {
         "schema": SCHEMA,
         "kind": "textile_model",
-        "spec": {
-            "n_warp_columns": spec.n_warp_columns,
-            "n_weft_columns": spec.n_weft_columns,
-            "warp_sequence": list(spec.warp_sequence),
-            "weft_sequence": list(spec.weft_sequence),
-            "yarn_spacing": list(spec.yarn_spacing),
-            "crimp_amplitude": spec.crimp_amplitude,
-            "ellipse_a": spec.ellipse_a,
-            "ellipse_b": spec.ellipse_b,
-        },
+        "spec": dataclasses.asdict(model.spec),
         "thickness": model.thickness,
         "bbox": {"lo": model.bbox.lo.tolist(), "hi": model.bbox.hi.tolist()},
-        "fibers": None
-        if model.fibers is None
-        else {
-            "fiber_radius": model.fibers.fiber_radius,
-            "fibers_per_yarn": model.fibers.fibers_per_yarn,
-        },
+        "fibers": None if model.fibers is None else dataclasses.asdict(model.fibers),
         "yarns": [
             {
                 "id": y.yarn_id,

@@ -9,7 +9,7 @@ it exceeds the hexagonal packing bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,31 +68,14 @@ class PathReport:
     unmatched_yarns: tuple
     voxel_size_um: float
 
-    @property
-    def distances(self) -> np.ndarray:
-        return np.array([m.d_symmetric for m in self.matches])
-
     def max_distance(self) -> float:
-        return float(self.distances.max()) if self.matches else float("nan")
+        return max((m.d_symmetric for m in self.matches), default=float("nan"))
 
     def to_dict(self) -> dict:
-        return {
-            "voxel_size_um": self.voxel_size_um,
-            "matches": [
-                {
-                    "family": m.family,
-                    "reference_id": m.reference_id,
-                    "yarn_index": m.yarn_index,
-                    "d_forward": m.d_forward,
-                    "d_backward": m.d_backward,
-                    "d_symmetric": m.d_symmetric,
-                    "d_symmetric_um": m.d_symmetric * self.voxel_size_um,
-                }
-                for m in self.matches
-            ],
-            "unmatched_reference": list(self.unmatched_reference),
-            "unmatched_yarns": list(self.unmatched_yarns),
-        }
+        d = asdict(self)
+        for m in d["matches"]:
+            m["d_symmetric_um"] = m["d_symmetric"] * self.voxel_size_um
+        return d
 
     def to_text(self) -> str:
         lines = [

@@ -20,6 +20,7 @@ label winning ties, whatever the paint order and block size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -602,7 +603,8 @@ def _is_triple(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    # Compared: math.isfinite raises on an int past the float range.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def load_volume(base_path):

@@ -72,7 +72,7 @@ def test_traced_pipeline_fills_every_counter_and_layer_metric(harness, tmp_path)
         manifest = run_pipeline(cfg, tmp_path)
     assert COUNTERS <= set(rec.counts)
     assert rec.counts["validate.paths"] == 4 + 4  # model yarns plus reconstructed ones
-    assert rec.counts["pipeline.hash_bytes"] == sum(f["bytes"] for f in manifest.files)
+    assert rec.counts["pipeline.hash_bytes"] == sum(f["bytes"] for f in manifest["files"])
     metrics = op.layer_metrics(rec, op_idx, tmp_path)
     for name in ("synthgen.generate_s", "segmenter.detect_s", "reconstruct.fit_s",
                  "reconstruct.volume_mesh_s", "validate.vf_s", "storage.write_s"):

@@ -142,6 +142,8 @@ _NONNEG = st.floats(0.0, 1e3)
 _FRAC = st.floats(0.0, 1.0)
 _RATE = st.floats(0.0, 1.0, exclude_max=True)
 _COUNT = st.integers(1, 10**6)
+_SECTIONS = st.integers(4, 10**6)
+_VF = st.floats(0.0, 1.0, exclude_min=True)
 
 
 def _section(**fields):
@@ -184,8 +186,8 @@ def config_dicts(draw):
         "validate": _section(n_samples=_COUNT, n_bins=_COUNT, voxel_size_um=_POS),
     }
     top = _section(
-        seed=st.integers(0, 2**32), n_sections_warp=_COUNT, n_sections_weft=_COUNT,
-        z_margin=_NONNEG, target_vf=st.none() | _FRAC, fibers_per_yarn=_COUNT, voxel_size=_POS,
+        seed=st.integers(0, 2**32), n_sections_warp=_SECTIONS, n_sections_weft=_SECTIONS,
+        z_margin=_NONNEG, target_vf=st.none() | _VF, fibers_per_yarn=_COUNT, voxel_size=_POS,
         voxel_budget=_COUNT, **sections,
     )
     return draw(top)
@@ -290,7 +292,7 @@ class TestStageNumbering:
 
     def test_disabled_stages_keep_fixed_indices(self, small_run):
         _, manifest = small_run
-        by_name = {s["name"]: s["index"] for s in manifest.stages}
+        by_name = {s["name"]: s["index"] for s in manifest["stages"]}
         # compact and degrade are off in the small config
         assert "compact" not in by_name and "degrade" not in by_name
         assert by_name["voxelize"] == 3
@@ -307,10 +309,10 @@ class TestStageNumbering:
             }
         )
         manifest = run_pipeline(cfg, tmp_path)
-        assert [(s["index"], s["name"]) for s in manifest.stages] == list(
+        assert [(s["index"], s["name"]) for s in manifest["stages"]] == list(
             enumerate(STAGES, start=1)
         )
-        names = {f["path"] for f in manifest.files}
+        names = {f["path"] for f in manifest["files"]}
         assert {"model_00.json", "model_03.json", "compaction.json"} <= names
         assert "detections_yz_degraded.jsonl" in names
 
@@ -318,7 +320,7 @@ class TestStageNumbering:
 class TestRunPipeline:
     def test_expected_artifacts_exist(self, small_run):
         out, manifest = small_run
-        names = {f["path"] for f in manifest.files}
+        names = {f["path"] for f in manifest["files"]}
         expected = {
             "model.json",
             "labels.raw",
@@ -334,7 +336,7 @@ class TestRunPipeline:
         }
         assert expected <= names
         assert sum(1 for n in names if n.endswith(".obj")) == 4
-        for f in manifest.files:
+        for f in manifest["files"]:
             assert (out / f["path"]).stat().st_size == f["bytes"]
 
     def test_manifest_records_config_and_version(self, small_run, small_cfg):
@@ -345,12 +347,17 @@ class TestRunPipeline:
         assert d["package_version"] == __version__
         assert d["seed"] == 3
         assert d["config"] == small_cfg.to_dict()
-        assert [s["name"] for s in d["stages"]] == [s["name"] for s in manifest.stages]
+        assert [s["name"] for s in d["stages"]] == [s["name"] for s in manifest["stages"]]
 
     def test_stage_timings_are_recorded(self, small_run):
         _, manifest = small_run
-        assert all(s["seconds"] >= 0 for s in manifest.stages)
-        assert all(isinstance(s["artifacts"], list) for s in manifest.stages)
+        assert all(s["seconds"] >= 0 for s in manifest["stages"])
+        assert all(isinstance(s["artifacts"], list) for s in manifest["stages"])
+
+    def test_returned_manifest_is_the_file_it_wrote(self, small_run):
+        out, manifest = small_run
+        assert manifest == json.loads((out / "manifest.json").read_text())
+        assert verify_manifest(out / "manifest.json") == []
 
     def test_verify_manifest_passes_then_catches_tampering(self, small_run):
         out, _ = small_run
@@ -376,12 +383,12 @@ class TestRunPipeline:
     def test_rerun_is_byte_identical_outside_manifest(self, small_cfg, small_run, tmp_path):
         out_a, man_a = small_run
         man_b = run_pipeline(small_cfg, tmp_path)
-        files_a = {f["path"]: f["sha256"] for f in man_a.files}
-        files_b = {f["path"]: f["sha256"] for f in man_b.files}
+        files_a = {f["path"]: f["sha256"] for f in man_a["files"]}
+        files_b = {f["path"]: f["sha256"] for f in man_b["files"]}
         assert files_a == files_b
 
         def stripped(man):
-            d = man.to_dict()
+            d = json.loads(json.dumps(man))
             d.pop("created")
             for s in d["stages"]:
                 s.pop("seconds")
@@ -947,9 +954,28 @@ class TestCli:
              "bad value under weave: invalid literal for int()"),
             ({"render": {"noise_sigma": -1.0}}, "bad value under render: noise_sigma must be non-negative"),
             ({"degrade": 5}, "bad value under degrade: not a JSON object"),
+            ({"seed": "x"}, "bad value at the config root: seed must be an integer"),
+            ({"seed": True}, "bad value at the config root: seed must be an integer"),
+            ({"voxel_size": "x"}, "bad value at the config root: voxel_size must be a positive finite number"),
+            ({"voxel_size": 0}, "bad value at the config root: voxel_size must be a positive finite number"),
+            ({"target_vf": 3}, "bad value at the config root: target_vf must be null or lie in (0, 1]"),
+            ({"target_vf": 0.0}, "bad value at the config root: target_vf must be null or lie in (0, 1]"),
+            ({"n_sections_warp": 2},
+             "bad value at the config root: n_sections_warp must be an integer of at least 4"),
+            ({"n_sections_weft": 12.0},
+             "bad value at the config root: n_sections_weft must be an integer of at least 4"),
+            ({"fibers_per_yarn": 0},
+             "bad value at the config root: fibers_per_yarn must be an integer of at least 1"),
+            ({"z_margin": -1.0}, "bad value at the config root: z_margin must be a non-negative finite number"),
+            ({"z_margin": 10**400},
+             "bad value at the config root: z_margin must be a non-negative finite number"),
+            ({"voxel_budget": 0}, "bad value at the config root: voxel_budget must be an integer of at least 1"),
         ],
         ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled", "confidence-floor",
-             "ellipse-axes", "sequence-item", "render-range", "section-not-object"],
+             "ellipse-axes", "sequence-item", "render-range", "section-not-object", "seed-str",
+             "seed-bool", "voxel-size-str", "voxel-size-zero", "target-vf-above-1", "target-vf-zero",
+             "sections-warp-few", "sections-weft-float", "fibers-zero", "z-margin-negative",
+             "z-margin-past-float-range", "voxel-budget-zero"],
     )
     def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
         """A bad value exits 2 naming the config file and its section."""
@@ -1029,6 +1055,8 @@ class TestCli:
             ("labels.json", lambda d: {**d, "label_map": {"x": "warp"}}, "segment",
              "label_map must be an object keyed by decimal labels"),
             ("labels.json", lambda d: {**d, "voxel_size": "x"}, "reconstruct",
+             "voxel_size must be a positive finite number"),
+            ("labels.json", lambda d: {**d, "voxel_size": 10**400}, "reconstruct",
              "voxel_size must be a positive finite number"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "path", "degree"], 0), "validate",
              "curve degree must be >= 1"),

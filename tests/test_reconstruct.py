@@ -345,12 +345,7 @@ class TestLift:
         entries = dataclasses.replace(
             track.entries, voxel_size=2.0, origin=np.array([100.0, 200.0, 300.0])
         )
-        track = YarnTrack(
-            family=track.family,
-            entries=entries,
-            gaps=track.gaps,
-            boundary_gaps=track.boundary_gaps,
-        )
+        track = YarnTrack(entries)
         yarn = lift_and_fit(track, n_controls=4)
         centers = yarn.sections.centers
         assert centers[0] == pytest.approx([100 + 0.5 * 2, 200 + 10.5 * 2, 300 + 8.5 * 2])
