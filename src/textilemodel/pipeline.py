@@ -343,8 +343,8 @@ def _voxelize(run: RunContext) -> str:
 
 def _render(run: RunContext) -> str:
     cfg = run.config
-    ct = render_pseudo_ct(run.labels, cfg.render, stage_seed(cfg.seed, "render"))
-    run.artifacts.extend(save_volume(ct, run.out / "pseudo_ct"))
+    seed = stage_seed(cfg.seed, "render")
+    run.artifacts.extend(render_pseudo_ct(run.labels, cfg.render, seed, run.out / "pseudo_ct"))
     return "wrote pseudo_ct.raw and pseudo_ct.json"
 
 

@@ -215,6 +215,12 @@ class ReconstructedYarn:
     completed_flags: tuple
 
     def __post_init__(self):
+        if self.axis not in AXIS_FAMILY:
+            raise ConfigError(f"axis must be one of {sorted(AXIS_FAMILY)}, got {self.axis!r}")
+        if self.family != AXIS_FAMILY[self.axis]:
+            raise ConfigError(
+                f"family {self.family!r} does not match axis {self.axis!r} ({AXIS_FAMILY[self.axis]!r})"
+            )
         if len(self.sections) < 2:
             raise InsufficientDataError("a yarn needs at least 2 sections")
         if len(self.completed_flags) != len(self.sections):

@@ -25,11 +25,17 @@ from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 SCHEMA = 1
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# Containers this many levels down (file, yarns list, yarn, sections
-# list) are written a member at a time, so the C encoder gets one
-# section at a time: on a whole seed-11 yarn its chunk list alone peaks
-# at about 0.6 MiB.
-_STREAM_DEPTH = 4
+# Containers this many levels down (file, yarns list, yarn) are written
+# a member at a time, so a yarn's sections, already JSON text, are
+# written as they are and the C encoder gets one small member at a time.
+_STREAM_DEPTH = 3
+
+
+@dataclasses.dataclass(frozen=True)
+class _JSONText:
+    """Text that ``dump_json`` writes verbatim; the encoder rejects it."""
+
+    text: str
 
 
 @contextlib.contextmanager
@@ -75,7 +81,9 @@ def dump_json(payload: dict, path) -> None:
 
 
 def _write_json(fh, value, depth: int) -> None:
-    if depth and isinstance(value, dict):
+    if isinstance(value, _JSONText):
+        fh.write(value.text)
+    elif depth and isinstance(value, dict):
         fh.write("{")
         for k, key in enumerate(sorted(value)):
             fh.write("," if k else "")
@@ -145,11 +153,18 @@ def _curve_from_dict(d: dict) -> BSplineCurve:
     )
 
 
-def _sections_to_dicts(s: Sections) -> list:
-    return [
-        {"station": t, "center": c, "contour": r}
-        for t, c, r in zip(s.stations.tolist(), s.centers.tolist(), s.rings.tolist())
-    ]
+def _sections_json(s: Sections) -> _JSONText:
+    """The sections as a JSON list of ``{"center", "contour", "station"}``
+    objects, formatted with one ``%`` over every float.
+
+    ``Sections`` holds finite floats only, for which ``%r`` gives the
+    JSON encoder's own ``float.__repr__`` text.
+    """
+    n = s.rings.shape[1]
+    section = '{"center":[%r,%r,%r],"contour":[' + ",".join(["[%r,%r,%r]"] * n) + '],"station":%r}'
+    rows = np.hstack([s.centers, s.rings.reshape(len(s), 3 * n), s.stations[:, None]])
+    text = ",".join([section] * len(s)) % tuple(rows.ravel().tolist())
+    return _JSONText(f"[{text}]")
 
 
 def _sections_from_dicts(ds: list) -> Sections:
@@ -179,7 +194,7 @@ def save_model(model: TextileModel, path) -> None:
                 "id": y.yarn_id,
                 "family": y.family,
                 "path": _curve_to_dict(y.path),
-                "sections": _sections_to_dicts(y.sections),
+                "sections": _sections_json(y.sections),
             }
             for y in model.yarns
         ],
@@ -242,7 +257,7 @@ def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> No
                 "family": y.family,
                 "axis": y.axis,
                 "path": _curve_to_dict(y.path),
-                "sections": _sections_to_dicts(y.sections),
+                "sections": _sections_json(y.sections),
                 "completed": list(y.completed_flags),
                 "boundary_gaps": [list(g) for g in gap],
             }

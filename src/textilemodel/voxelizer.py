@@ -474,16 +474,23 @@ class RenderParams:
             raise ConfigError("texture_period and ring_period must be positive")
 
 
-def render_pseudo_ct(volume: LabelVolume, params: RenderParams, seed: int) -> GrayVolume:
-    """Render a label volume into a noisy pseudo-CT intensity volume.
+def render_pseudo_ct(
+    volume: LabelVolume, params: RenderParams, seed: int, base_path
+) -> tuple[Path, Path]:
+    """Render a label volume into a noisy pseudo-CT intensity volume on
+    disk, as ``save_volume`` would write it; returns the ``.raw`` and
+    ``.json`` paths.
 
     Deterministic for a given (volume, params, seed): the random field
-    is seeded by ``seed`` only.  The volume is rendered in slabs
-    of ``RENDER_SLAB`` x-planes, so the float64 working set is one slab
-    beside the float32 result.  The slabs draw their noise in turn from
-    one generator in C order, so the noise stream equals one
+    is seeded by ``seed`` only.  The volume is rendered in slabs of
+    ``RENDER_SLAB`` x-planes, and each slab is written to the ``.raw``
+    file as float32 as soon as it is rendered, so the working set is one
+    float64 slab, not the volume.  The slabs draw their noise in turn
+    from one generator in C order, so the noise stream equals one
     full-volume draw.
     """
+    from .storage import atomic_open, dump_json  # deferred: storage imports this module
+
     nx, ny, nz = volume.dims
     vs = volume.voxel_size
     ox, oy, oz = volume.origin
@@ -512,20 +519,22 @@ def render_pseudo_ct(volume: LabelVolume, params: RenderParams, seed: int) -> Gr
         r = np.hypot(px[:, None], py[None, :])
         ring_term = params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
 
+    raw_path, json_path = _volume_paths(base_path)
     rng = np.random.default_rng(seed)
-    out = np.empty(volume.dims, dtype=np.float32)
-    for x0 in range(0, nx, RENDER_SLAB):
-        xsl = slice(x0, x0 + RENDER_SLAB)
-        labels = volume.data[xsl]
-        g = np.full(labels.shape, params.matrix_level, dtype=np.float64)
-        np.copyto(g, warp_level, where=np.isin(labels, warp_ids))
-        np.copyto(g, weft_level[xsl], where=np.isin(labels, weft_ids))
-        if ring_term is not None:
-            g += ring_term[xsl]
-        g += rng.normal(0.0, params.noise_sigma, size=g.shape)
-        np.clip(g, 0.0, 1.0, out=g)
-        out[xsl] = g
-    return GrayVolume(data=out, voxel_size=vs, origin=np.array(volume.origin))
+    with atomic_open(raw_path, "wb") as fh:
+        for x0 in range(0, nx, RENDER_SLAB):
+            xsl = slice(x0, x0 + RENDER_SLAB)
+            labels = volume.data[xsl]
+            g = np.full(labels.shape, params.matrix_level, dtype=np.float64)
+            np.copyto(g, warp_level, where=np.isin(labels, warp_ids))
+            np.copyto(g, weft_level[xsl], where=np.isin(labels, weft_ids))
+            if ring_term is not None:
+                g += ring_term[xsl]
+            g += rng.normal(0.0, params.noise_sigma, size=g.shape)
+            np.clip(g, 0.0, 1.0, out=g)
+            g.astype(VOLUME_DTYPES["gray"]).tofile(fh)
+    dump_json(_sidecar(volume, "gray"), json_path)
+    return raw_path, json_path
 
 
 def _sidecar(volume, kind: str) -> dict:
@@ -553,15 +562,19 @@ def save_volume(volume, base_path) -> tuple[Path, Path]:
     """
     from .storage import atomic_open, dump_json  # deferred: storage imports this module
 
-    base = Path(base_path)
     kind = "labels" if isinstance(volume, LabelVolume) else "gray"
-    raw_path = base.with_suffix(".raw")
-    json_path = base.with_suffix(".json")
-    raw_path.parent.mkdir(parents=True, exist_ok=True)
+    raw_path, json_path = _volume_paths(base_path)
     with atomic_open(raw_path, "wb") as fh:
         volume.data.astype(VOLUME_DTYPES[kind], copy=False).tofile(fh)
     dump_json(_sidecar(volume, kind), json_path)
     return raw_path, json_path
+
+
+def _volume_paths(base_path) -> tuple[Path, Path]:
+    """The ``.raw`` and ``.json`` paths of a volume, its directory made."""
+    base = Path(base_path)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    return base.with_suffix(".raw"), base.with_suffix(".json")
 
 
 def read_sidecar(base_path) -> dict:

@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from textilemodel import __version__
 from textilemodel.cli import main
 from textilemodel.errors import ConfigError, InvalidContourError
+from textilemodel import meshfiles
+from textilemodel.geometry import RING_POINTS, _unchecked_sections
 from textilemodel.meshfiles import write_obj, write_vtk
 from textilemodel.pipeline import (
     STAGES,
@@ -39,6 +42,7 @@ from textilemodel.reconstruct import (
 )
 from textilemodel.segmenter import write_detections
 from textilemodel.storage import (
+    _sections_json,
     atomic_open,
     dump_json,
     load_model,
@@ -49,9 +53,10 @@ from textilemodel.storage import (
 )
 from textilemodel.synthgen import generate_interlock
 from textilemodel.validate import write_report
-from textilemodel.voxelizer import LabelVolume, save_volume
+from textilemodel.voxelizer import LabelVolume, RenderParams, load_volume, render_pseudo_ct, save_volume
 
 from test_segmenter import make_dset
+from test_voxelizer import ref_render_pseudo_ct
 
 
 def read_obj(path):
@@ -380,6 +385,18 @@ class TestRunPipeline:
         vf = rep["fiber_volume_fraction"]
         assert 0.0 < vf["mean"] <= 1.0
 
+    def test_pseudo_ct_equals_the_whole_volume_reference(self, small_cfg, small_run):
+        out, _ = small_run
+        labels = load_volume(out / "labels")
+        ct = load_volume(out / "pseudo_ct")
+        want = ref_render_pseudo_ct(labels, small_cfg.render, stage_seed(small_cfg.seed, "render"))
+        assert ct.data.dtype == want.dtype
+        assert np.array_equal(ct.data.view(np.uint32), want.view(np.uint32))
+        meta = read_json(out / "pseudo_ct.json")
+        same = read_json(out / "labels.json")
+        same.pop("label_map")
+        assert meta == {**same, "kind": "gray", "dtype": "<f4"}
+
     def test_rerun_is_byte_identical_outside_manifest(self, small_cfg, small_run, tmp_path):
         out_a, man_a = small_run
         man_b = run_pipeline(small_cfg, tmp_path)
@@ -576,7 +593,46 @@ def _loaded_fields(loaded):
     return head
 
 
+# Finite floats whose reprs take different forms: negative zero, the
+# least subnormal, a short exponent, the first exponent of a large
+# float, and a whole number written with ".0".
+SECTION_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, 123456789.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def finite_sections(draw):
+    """Sections of any finite floats; the geometric checks are skipped,
+    as the writer does not depend on them."""
+    s, n = draw(st.integers(0, 5)), draw(st.sampled_from([1, 3, RING_POINTS]))
+    shapes = ((s, n, 3), (s, 3), (s,))
+    return _unchecked_sections(*(draw(hnp.arrays(np.float64, shape, elements=SECTION_FLOATS)) for shape in shapes))
+
+
+def ref_sections_to_dicts(s):
+    """The section dicts the model and yarns writers encoded before."""
+    return [
+        {"station": t, "center": c, "contour": r}
+        for t, c, r in zip(s.stations.tolist(), s.centers.tolist(), s.rings.tolist())
+    ]
+
+
 class TestJsonLayout:
+    @given(finite_sections())
+    @settings(max_examples=300, deadline=None)
+    def test_sections_text_equals_dumps_of_the_section_dicts(self, sections):
+        want = json.dumps(ref_sections_to_dicts(sections), sort_keys=True, separators=(",", ":"))
+        assert _sections_json(sections).text == want
+
+    def test_model_and_yarns_files_equal_dumps_of_their_parse(self, straight_yarns, tmp_path):
+        paths = (tmp_path / "model.json", tmp_path / "yarns.json")
+        save_model(toy_model(), paths[0])
+        save_yarns(straight_yarns[0], paths[1], voxel_size=1.0, origin=(0.0, -0.0, 5e-324))
+        for p in paths:
+            text = p.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
     @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_dump_json_bytes_equal_one_shot_compact_dumps(self, payload):
@@ -609,6 +665,18 @@ class _PartialData:
     def tofile(self, fh):
         fh.write(b"\0" * 64)
         raise OSError("disk full")
+
+
+class _FailsAfterOneSlab:
+    """Label data whose first x-slab reads, after which reads fail."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def __getitem__(self, xsl):
+        if xsl.start:
+            raise OSError("disk full")
+        return self.data[xsl]
 
 
 class TestAtomicWrites:
@@ -644,6 +712,21 @@ class TestAtomicWrites:
             tmp_path / "labels.raw",
             lambda: save_volume(good, tmp_path / "labels"),
             lambda: save_volume(bad, tmp_path / "labels"),
+        )
+
+    def test_render_pseudo_ct(self, tmp_path):
+        good = LabelVolume(
+            data=np.ones((40, 3, 4), dtype=np.uint16),
+            voxel_size=1.0,
+            origin=np.zeros(3),
+            label_map={1: "warp"},
+        )
+        bad = SimpleNamespace(**{**vars(good), "dims": good.dims, "data": _FailsAfterOneSlab(good.data)})
+        self.check_atomic(
+            tmp_path,
+            tmp_path / "ct.raw",
+            lambda: render_pseudo_ct(good, RenderParams(), 1, tmp_path / "ct"),
+            lambda: render_pseudo_ct(bad, RenderParams(), 2, tmp_path / "ct"),
         )
 
     def test_write_detections(self, tmp_path):
@@ -697,6 +780,82 @@ def ref_vtk_text(mesh, title):
     lines += [f"CELL_DATA {mesh.n_cells}", "SCALARS yarn_id int 1", "LOOKUP_TABLE default"]
     lines += [str(int(x)) for x in np.concatenate([mesh.wedge_labels, mesh.hex_labels])]
     return "\n".join(lines) + "\n"
+
+
+# Row-at-a-time references for the mesh writers: one % per row, over
+# rows converted to Python a block at a time.
+def ref_rows(arr):
+    return (row for lo in range(0, len(arr), 4096) for row in arr[lo : lo + 4096].tolist())
+
+
+def ref_write_obj(mesh, path):
+    with open(path, "w") as fh:
+        fh.writelines("v %.9g %.9g %.9g\n" % tuple(v) for v in ref_rows(mesh.vertices))
+        fh.writelines("f %d %d %d %d\n" % tuple(q) for q in ref_rows(mesh.quads + 1))
+        fh.writelines("f %d %d %d\n" % tuple(t) for t in ref_rows(mesh.cap_triangles + 1))
+
+
+def ref_write_vtk(mesh, path, title):
+    n_cells = mesh.n_cells
+    size = len(mesh.wedges) * 7 + len(mesh.hexes) * 9
+    with open(path, "w") as fh:
+        fh.write(
+            f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            f"POINTS {len(mesh.vertices)} float\n"
+        )
+        fh.writelines("%.9g %.9g %.9g\n" % tuple(v) for v in ref_rows(mesh.vertices))
+        fh.write(f"CELLS {n_cells} {size}\n")
+        fh.writelines("6 %d %d %d %d %d %d\n" % tuple(w) for w in ref_rows(mesh.wedges))
+        fh.writelines("8 %d %d %d %d %d %d %d %d\n" % tuple(h) for h in ref_rows(mesh.hexes))
+        fh.write(f"CELL_TYPES {n_cells}\n")
+        fh.write("13\n" * len(mesh.wedges) + "12\n" * len(mesh.hexes))
+        fh.write(f"CELL_DATA {n_cells}\nSCALARS yarn_id int 1\nLOOKUP_TABLE default\n")
+        fh.writelines("%d\n" % x for x in ref_rows(np.concatenate([mesh.wedge_labels, mesh.hex_labels])))
+
+
+MESH_FLOATS = st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e300, 1e-05, 123456789.5])
+MESH_FLOATS |= st.floats()
+MESH_INTS = st.sampled_from([-(2**63), 2**31, 2**53 + 1, 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def random_meshes(draw):
+    """A surface and a volume mesh over the same vertices, cells of any
+    count (none too) and labels over the whole int64 range."""
+    n = draw(st.integers(1, 12))
+    vertices = draw(hnp.arrays(np.float64, (n, 3), elements=MESH_FLOATS))
+
+    def cells(width):
+        shape = (draw(st.integers(0, 9)), width)
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, n - 1)))
+
+    wedges, hexes = cells(6), cells(8)
+    labels = [draw(hnp.arrays(np.int64, len(c), elements=MESH_INTS)) for c in (wedges, hexes)]
+    return (
+        QuadSurfaceMesh(vertices=vertices, quads=cells(4), cap_triangles=cells(3)),
+        VolumeMesh(
+            vertices=vertices, wedges=wedges, hexes=hexes, wedge_labels=labels[0], hex_labels=labels[1]
+        ),
+    )
+
+
+class TestBlockMeshWriters:
+    @given(random_meshes(), st.sampled_from([1, 2, 3, 7, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_text_equals_the_row_at_a_time_writers(self, meshes, block):
+        surface, volume = meshes
+        with tempfile.TemporaryDirectory() as d:
+            got, want = Path(d) / "got", Path(d) / "want"
+            default, meshfiles._BLOCK = meshfiles._BLOCK, block
+            try:
+                write_obj(surface, got)
+                ref_write_obj(surface, want)
+                assert got.read_bytes() == want.read_bytes()
+                write_vtk(volume, got, title="cells")
+                ref_write_vtk(volume, want, "cells")
+                assert got.read_bytes() == want.read_bytes()
+            finally:
+                meshfiles._BLOCK = default
 
 
 def random_vertices(rng, n):
@@ -1062,6 +1221,10 @@ class TestCli:
              "curve degree must be >= 1"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed"], "abc"), "validate",
              "completed_flags must align with sections"),
+            ("yarns.json", lambda d: _with(_with(d, ["yarns", 0, "axis"], "yz"), ["yarns", 0, "family"], "weft"),
+             "validate", "family 'weft' does not match axis 'yz' ('warp')"),
+            ("yarns.json", lambda d: _with(d, ["yarns", 0, "axis"], "xy"), "validate",
+             "axis must be one of ['xz', 'yz'], got 'xy'"),
             ("model.json", _short_contour, "voxelize", "contour must have 10 points"),
             ("yarns.json", _short_contour, "validate", "contour must have 10 points"),
         ],

@@ -156,34 +156,52 @@ class TestSlices:
             detect_batch(desk_volume, "xy")
 
 
-class TestRender:
-    def test_deterministic_and_in_range(self, desk_volume):
-        p = RenderParams()
-        a = render_pseudo_ct(desk_volume, p, 5)
-        b = render_pseudo_ct(desk_volume, p, 5)
-        assert np.array_equal(a.data, b.data)
-        assert a.data.dtype == np.float32
-        assert a.data.min() >= 0.0 and a.data.max() <= 1.0
+def rendered(volume, params, seed, base):
+    """The gray data ``render_pseudo_ct`` writes at ``base``, read back."""
+    render_pseudo_ct(volume, params, seed, base)
+    return load_volume(base).data
 
-    def test_levels_separate_matrix_and_yarn(self, desk_volume):
+
+class TestRender:
+    def test_deterministic_and_in_range(self, desk_volume, tmp_path):
+        p = RenderParams()
+        a = rendered(desk_volume, p, 5, tmp_path / "a")
+        b = rendered(desk_volume, p, 5, tmp_path / "b")
+        assert np.array_equal(a, b)
+        assert a.dtype == np.float32
+        assert a.min() >= 0.0 and a.max() <= 1.0
+
+    def test_levels_separate_matrix_and_yarn(self, desk_volume, tmp_path):
         p = RenderParams(noise_sigma=0.0, warp_contrast=0.0, weft_contrast=0.0)
-        ct = render_pseudo_ct(desk_volume, p, 0)
-        matrix = ct.data[desk_volume.data == 0]
-        yarn = ct.data[desk_volume.data > 0]
+        ct = rendered(desk_volume, p, 0, tmp_path / "ct")
+        matrix = ct[desk_volume.data == 0]
+        yarn = ct[desk_volume.data > 0]
         assert np.allclose(matrix, 0.35) and np.allclose(yarn, 0.55)
 
-    def test_noise_sigma_recovered_from_seed_pair(self, desk_volume):
+    def test_noise_sigma_recovered_from_seed_pair(self, desk_volume, tmp_path):
         # Independent draws: std of the difference is sigma * sqrt(2).
-        a = render_pseudo_ct(desk_volume, RenderParams(), 1)
-        b = render_pseudo_ct(desk_volume, RenderParams(), 2)
-        est = float((a.data.astype(np.float64) - b.data.astype(np.float64)).std() / math.sqrt(2))
+        a = rendered(desk_volume, RenderParams(), 1, tmp_path / "a")
+        b = rendered(desk_volume, RenderParams(), 2, tmp_path / "b")
+        est = float((a.astype(np.float64) - b.astype(np.float64)).std() / math.sqrt(2))
         assert abs(est - 0.02) / 0.02 < 0.15
 
-    def test_texture_oriented_per_family(self, desk_volume):
+    def test_texture_oriented_per_family(self, desk_volume, tmp_path):
         p = RenderParams(noise_sigma=0.0)
-        ct = render_pseudo_ct(desk_volume, p, 0)
-        yarn = ct.data[desk_volume.data > 0]
+        ct = rendered(desk_volume, p, 0, tmp_path / "ct")
+        yarn = ct[desk_volume.data > 0]
         assert yarn.std() > 0.01  # fiber texture modulates yarn voxels
+
+    def test_writes_what_save_volume_writes(self, desk_volume, tmp_path):
+        paths = render_pseudo_ct(desk_volume, RenderParams(), 3, tmp_path / "sub" / "ct")
+        assert paths == (tmp_path / "sub" / "ct.raw", tmp_path / "sub" / "ct.json")
+        back = load_volume(tmp_path / "sub" / "ct")
+        assert isinstance(back, GrayVolume)
+        assert back.voxel_size == desk_volume.voxel_size
+        assert np.array_equal(back.origin, desk_volume.origin)
+        assert save_volume(back, tmp_path / "again") == (tmp_path / "again.raw", tmp_path / "again.json")
+        for suffix in (".raw", ".json"):
+            again = (tmp_path / "again").with_suffix(suffix)
+            assert again.read_bytes() == paths[0].with_suffix(suffix).read_bytes()
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -202,12 +220,15 @@ class TestVolumeIO:
         assert np.array_equal(back.origin, desk_volume.origin)
         assert back.label_map == desk_volume.label_map
 
-    def test_gray_round_trip_bit_exact(self, desk_volume, tmp_path):
-        ct = render_pseudo_ct(desk_volume, RenderParams(), 3)
+    def test_gray_round_trip_bit_exact(self, tmp_path):
+        data = np.random.default_rng(3).random((17, 5, 4)).astype(np.float32)
+        ct = GrayVolume(data=data, voxel_size=0.7, origin=np.array([1.0, -2.0, 0.5]))
         save_volume(ct, tmp_path / "ct")
         back = load_volume(tmp_path / "ct")
         assert isinstance(back, GrayVolume)
         assert np.array_equal(back.data, ct.data)
+        assert back.voxel_size == ct.voxel_size
+        assert np.array_equal(back.origin, ct.origin)
 
     def test_sidecar_units(self, desk_volume, tmp_path):
         import json
@@ -477,12 +498,12 @@ MIXED = {1: "warp", 2: "weft", 3: "warp", 4: "weft", 5: "weft"}
 class TestRenderMatchesReference:
     @pytest.mark.parametrize("nx", [1, 15, 16, 17, 33])
     @pytest.mark.parametrize("ring_amplitude", [0.0, 0.1])
-    def test_slab_edges_and_rings(self, nx, ring_amplitude):
+    def test_slab_edges_and_rings(self, nx, ring_amplitude, tmp_path):
         rng = np.random.default_rng(nx)
         vol = random_label_volume(rng, nx, MIXED)
         p = RenderParams(ring_amplitude=ring_amplitude, ring_period=3.0)
         assert np.array_equal(
-            render_pseudo_ct(vol, p, nx + 7).data, ref_render_pseudo_ct(vol, p, nx + 7)
+            rendered(vol, p, nx + 7, tmp_path / "ct"), ref_render_pseudo_ct(vol, p, nx + 7)
         )
 
     @pytest.mark.parametrize(
@@ -490,15 +511,15 @@ class TestRenderMatchesReference:
         [{1: "weft", 2: "weft"}, {1: "warp", 3: "warp"}, {}],
         ids=["no-warp", "no-weft", "neither"],
     )
-    def test_missing_families(self, label_map):
+    def test_missing_families(self, label_map, tmp_path):
         vol = random_label_volume(np.random.default_rng(3), 40, label_map)
         p = RenderParams()
-        assert np.array_equal(render_pseudo_ct(vol, p, 9).data, ref_render_pseudo_ct(vol, p, 9))
+        assert np.array_equal(rendered(vol, p, 9, tmp_path / "ct"), ref_render_pseudo_ct(vol, p, 9))
 
-    def test_desk_volume(self, desk_volume):
+    def test_desk_volume(self, desk_volume, tmp_path):
         p = RenderParams(ring_amplitude=0.05)
         assert np.array_equal(
-            render_pseudo_ct(desk_volume, p, 4).data, ref_render_pseudo_ct(desk_volume, p, 4)
+            rendered(desk_volume, p, 4, tmp_path / "ct"), ref_render_pseudo_ct(desk_volume, p, 4)
         )
 
 
@@ -762,9 +783,11 @@ class TestPeakMemory:
     # numpy reports its buffers to tracemalloc, so these peaks are exact
     # and repeat from run to run.
 
-    def test_render_peak_near_its_output(self, desk_volume):
-        ct, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(), 1)
-        assert peak < 1.5 * ct.data.nbytes
+    def test_render_peak_near_its_output(self, desk_volume, tmp_path):
+        # The slabs go to disk as they are rendered: the float32 volume
+        # is never held, let alone its float64 form.
+        _, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(), 1, tmp_path / "ct")
+        assert peak < 0.75 * desk_volume.data.size * np.dtype(np.float32).itemsize
 
     def test_label_boxes_peak_far_below_the_labels(self):
         # One label id far above the others must not size the per-plane
