@@ -29,6 +29,8 @@ RING_POINTS = 10
 PLANE_TOL = 0.5
 CENTROID_TOL = 0.25
 
+RESAMPLE_BLOCK = 2**15  # padded arc-length knots per chunk of the resampler
+
 
 def _as_points(points, name: str = "points") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -291,15 +293,16 @@ def resample_arclength(path, n: int, closed: bool = False) -> np.ndarray:
     # Equal consecutive points; a closed one-point path repeats itself.
     same = np.all(paths[:, 1:] == paths[:, :-1], axis=2).any(axis=1)
     same |= closed and paths.shape[1] == 1
-    if closed:
-        # A path that already ends on its first point gets a zero last
-        # step, which no target reaches.
-        paths = np.concatenate([paths, paths[:, :1]], axis=1)
+    # A path has zero length when every squared step underflows to 0; a
+    # closed path also steps from its last point back to its first.
     with np.errstate(invalid="ignore"):  # non-finite paths are flagged first
-        steps = np.linalg.norm(np.diff(paths, axis=1), axis=2)
-    cum = np.concatenate([np.zeros((len(paths), 1)), np.cumsum(steps, axis=1)], axis=1)
+        diff = np.diff(paths, axis=1)
+        squares = (diff * diff).sum(axis=(1, 2))
+        if closed:
+            seam = paths[:, :1] - paths[:, -1:]
+            squares += (seam * seam).sum(axis=(1, 2))
     finite = np.isfinite(paths).all(axis=(1, 2))
-    bad = np.array([~finite, np.full(len(paths), n < n_min), same, cum[:, -1] <= 0])
+    bad = np.array([~finite, np.full(len(paths), n < n_min), same, squares <= 0])
     if bad.any():
         raise DegenerateGeometryError(
             (
@@ -309,17 +312,72 @@ def resample_arclength(path, n: int, closed: bool = False) -> np.ndarray:
                 ("closed " if closed else "") + "path has zero length",
             )[bad[:, bad.any(axis=0).argmax()].argmax()]
         )
-    out = np.empty((len(paths), n, 3))
-    # One np.interp per path and coordinate: interp on concatenated
-    # paths rounds differently.
-    for p, c, o in zip(paths, cum, out):
-        targets = np.arange(n) * c[-1] / n if closed else np.linspace(0.0, c[-1], n)
-        for k in range(3):
-            o[:, k] = np.interp(targets, c, p[:, k])
+    out = _resample_loops(paths.reshape(-1, 3), np.arange(len(paths) + 1) * paths.shape[1], n, closed)
     if not closed:
         out[:, 0] = paths[:, 0]
         out[:, -1] = paths[:, -1]
     return out[0] if single else out
+
+
+def _resample_loops(points: np.ndarray, offsets: np.ndarray, n: int, closed: bool) -> np.ndarray:
+    """n equal arc-length samples of each path of a ragged stack, (R, n, d).
+
+    Path k is the d-dimensional ``points[offsets[k]:offsets[k + 1]]``; a
+    closed one steps back from its last point to its first.  Row k is,
+    bit for bit, numpy.interp of each coordinate over the cumulative
+    chord lengths at ``np.linspace(0, L, n)`` (open) or at spacing L / n
+    (closed).  Paths are padded only within length-sorted chunks of at
+    most ``RESAMPLE_BLOCK`` knots (or one path).
+    """
+    starts, ends, lengths = offsets[:-1], offsets[1:] - 1, np.diff(offsets)
+    step = np.empty_like(points)
+    step[:-1] = points[1:] - points[:-1]
+    step[ends] = points[starts] - points[ends]
+    step = np.sqrt(sum((step * step).T))  # left to right, as np.linalg.norm sums
+    knots = lengths + closed  # arc-length knots per path: its points, a closed one's first again
+    out = np.empty((len(lengths), n, points.shape[1]))
+    by_length = np.argsort(knots, kind="stable")
+    for rows in _chunks(knots[by_length]):
+        rows = by_length[rows]
+        m = knots[rows][:, None]
+        r = np.arange(len(rows))[:, None]
+        cols = np.arange(m.max() - 1)
+        inside = cols < m - 1
+        xp = np.zeros((len(rows), m.max()))  # xp[:, t]: arc length to knot t
+        steps = step[np.where(inside, starts[rows][:, None] + cols, 0)]
+        np.cumsum(np.where(inside, steps, 0.0), axis=1, out=xp[:, 1:])
+        total = xp[r, m - 1]
+        if closed:
+            x = np.arange(n) * total / n
+        else:  # np.linspace(0, total, n): a positive total is no subnormal
+            x = np.arange(n) * (total / (n - 1))
+            x[:, -1] = total[:, 0]
+        # numpy.interp's interval: the last knot j with xp[j] <= x, found by
+        # binary lifting; a NaN x keeps j = 0.
+        j = np.zeros(x.shape, dtype=np.intp)
+        for bit in reversed(range(int(m.max() - 1).bit_length())):
+            k = np.minimum(j + (1 << bit), m - 1)
+            j = np.where(xp[r, k] <= x, k, j)
+        # numpy.interp's formula, with the knot value where x hits a knot or
+        # passes the last one.
+        x0, x1 = xp[r, j], xp[r, np.minimum(j + 1, m - 1)]
+        base, loop = starts[rows][:, None], lengths[rows][:, None]
+        f0, f1 = points[base + j % loop], points[base + (j + 1) % loop]
+        at = ((x0 == x) | (j == m - 1))[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # where at, x1 may equal x0
+            slope = (f1 - f0) / (x1 - x0)[..., None]
+            out[rows] = np.where(at, f0, slope * (x - x0)[..., None] + f0)
+    return out
+
+
+def _chunks(lengths: np.ndarray):
+    """Runs of the ascending ``lengths``, each padding to at most ``RESAMPLE_BLOCK`` (or one)."""
+    lo = 0
+    while lo < len(lengths):
+        fits = np.arange(1, len(lengths) - lo + 1) * lengths[lo:] <= RESAMPLE_BLOCK
+        hi = lo + max(1, int(np.count_nonzero(fits)))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

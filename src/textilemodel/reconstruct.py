@@ -206,9 +206,9 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
 
 @dataclass(frozen=True)
 class ReconstructedYarn:
-    """A lifted, fitted yarn: B-spline axis plus ordered 3D sections."""
+    """A lifted, fitted yarn: B-spline axis plus ordered 3D sections;
+    its family follows from the slice ``axis`` it was tracked on."""
 
-    family: str
     axis: str
     path: BSplineCurve
     sections: Sections
@@ -217,10 +217,6 @@ class ReconstructedYarn:
     def __post_init__(self):
         if self.axis not in AXIS_FAMILY:
             raise ConfigError(f"axis must be one of {sorted(AXIS_FAMILY)}, got {self.axis!r}")
-        if self.family != AXIS_FAMILY[self.axis]:
-            raise ConfigError(
-                f"family {self.family!r} does not match axis {self.axis!r} ({AXIS_FAMILY[self.axis]!r})"
-            )
         if len(self.sections) < 2:
             raise InsufficientDataError("a yarn needs at least 2 sections")
         if len(self.completed_flags) != len(self.sections):
@@ -228,6 +224,10 @@ class ReconstructedYarn:
         if np.any(np.diff(self.sections.stations) <= 0):
             raise DegenerateGeometryError("section stations must strictly increase")
         object.__setattr__(self, "completed_flags", tuple(bool(f) for f in self.completed_flags))
+
+    @property
+    def family(self) -> str:
+        return AXIS_FAMILY[self.axis]
 
     @property
     def aligned_rings(self) -> np.ndarray:
@@ -360,7 +360,6 @@ def lift_and_fit(
     # a ring is kept only past every station before it.
     keep = np.concatenate([[True], stations[1:] > np.maximum.accumulate(stations)[:-1]])
     return ReconstructedYarn(
-        family=track.family,
         axis=entries.axis,
         path=path,
         sections=_unchecked_sections(rings[keep], ring_centers[keep], stations[keep]),

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import RING_POINTS, _freeze
+from .geometry import RING_POINTS, _freeze, _resample_loops
 from .voxelizer import AXIS_YZ, SLICE_AXES
 
 log = logging.getLogger(__name__)
@@ -46,7 +46,6 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
 TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
-KEYPOINT_BLOCK = 2**15  # padded points per chunk of the keypoint resampler
 
 
 _CONTOUR_FAULT = f"detection contour must be a finite ({RING_POINTS}, 2) array"
@@ -203,13 +202,10 @@ def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     (R, RING_POINTS, 2).
 
     Loop k is ``points[offsets[k]:offsets[k + 1]]`` as trace_boundary
-    returns it, with positive signed area.  Row k equals, bit for bit,
-    ``canonical_indices`` and a closed ``resample_arclength`` of that
-    loop: start at the max-u point (ties by max v), keep the loop's
-    counterclockwise order, and sample at spacing L / RING_POINTS.  Arc
-    lengths are summed per loop as one cumsum over rows padded only
-    within length-sorted chunks of at most ``KEYPOINT_BLOCK`` points
-    (or one loop).
+    returns it, with positive signed area.  Each loop is turned to start
+    at its max-u point (ties by max v) and resampled closed by the kernel
+    of ``resample_arclength``: row k equals, bit for bit,
+    ``canonical_indices`` and a closed ``resample_arclength`` of the loop.
     """
     starts, lengths = offsets[:-1], np.diff(offsets)
     loop = np.repeat(np.arange(len(lengths)), lengths)
@@ -220,42 +216,7 @@ def ring_keypoints(points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     pos = (np.arange(len(points)) - starts[loop] - first[loop]) % lengths[loop]
     ring = np.empty_like(points)
     ring[starts[loop] + pos] = points
-    step = np.diff(ring, axis=0, append=ring[:1])
-    step[offsets[1:] - 1] = ring[starts] - ring[offsets[1:] - 1]
-    step = np.sqrt(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1])
-    n = RING_POINTS
-    out = np.empty((len(lengths), n, 2))
-    by_length = np.argsort(lengths, kind="stable")
-    for rows in _chunks(lengths[by_length]):
-        rows = by_length[rows]
-        m = lengths[rows][:, None]
-        cols = np.arange(m.max())
-        inside = cols < m
-        idx = np.where(inside, starts[rows][:, None] + cols, 0)
-        cum = np.cumsum(np.where(inside, step[idx], 0.0), axis=1)  # cum[:, t]: arc to point t + 1
-        targets = np.arange(n) * cum[np.arange(len(rows)), m[:, 0] - 1][:, None] / n
-        # np.interp's interval and formula on xp = (0, cum...), fp = ring + first point.
-        k = (np.where(inside, cum, np.inf)[:, None, :] <= targets[:, :, None]).sum(axis=2)
-        x0 = np.where(k > 0, np.take_along_axis(cum, np.maximum(k - 1, 0), axis=1), 0.0)
-        x1 = np.take_along_axis(cum, k, axis=1)
-        base = starts[rows][:, None]
-        f0 = ring[base + k]
-        f1 = ring[base + (k + 1) % m]
-        slope = (f1 - f0) / (x1 - x0)[..., None]
-        at = (x0 == targets)[..., None]
-        out[rows] = np.where(at, f0, slope * (targets - x0)[..., None] + f0)
-    return out
-
-
-def _chunks(lengths: np.ndarray):
-    """Runs of consecutive entries of the ascending ``lengths``, each at
-    most ``KEYPOINT_BLOCK`` once padded to its last entry (or one entry)."""
-    lo = 0
-    while lo < len(lengths):
-        fits = np.arange(1, len(lengths) - lo + 1) * lengths[lo:] <= KEYPOINT_BLOCK
-        hi = lo + max(1, int(np.count_nonzero(fits)))
-        yield slice(lo, hi)
-        lo = hi
+    return _resample_loops(ring, offsets, RING_POINTS, closed=True)
 
 
 def label_in_plane(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -461,20 +422,21 @@ def write_detections(dset: DetectionSet, path) -> Path:
 
 
 def _float_field(path, lines, records, key, shape, message) -> np.ndarray:
-    """``rec[key]`` of every record as one float array (N, *shape).  The
-    first value of another shape raises ``message`` at its file line."""
-    values = [rec[key] for rec in records]
+    """``rec[key]`` of every record, 1.0 where it lacks the key, as one
+    float array (N, *shape).  The first value that is not a float array
+    of that shape raises ``message`` at its file line."""
+    values = [rec.get(key, 1.0) for rec in records]
     try:
         arr = np.array(values, dtype=float)
         if arr.shape[1:] == shape:
             return arr
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     for value, line_no in zip(values, lines):
         try:
             if np.array(value, dtype=float).shape == shape:
                 continue
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
         raise ConfigError(f"{path}:{line_no}: {message}")
     raise ConfigError(f"{path}: {message}")
@@ -511,6 +473,9 @@ def read_detections(
         label = rec.get("true_label")
         if label is not None and (type(label) is not int or label < 0):
             raise ConfigError(f"{where}: true_label must be a non-negative integer or null")
+        for key in ("slice_index", "true_label"):
+            if abs(rec.get(key) or 0) >= 2**63:
+                raise ConfigError(f"{where}: {key} must fit in 64 bits")
         labels.append(-1 if label is None else label)
     lines, records = zip(*parsed) if parsed else ((), ())
     axes = {rec["axis"] for rec in records}
@@ -521,7 +486,9 @@ def read_detections(
     fields = {
         "contours": _float_field(path, lines, records, "contour", (RING_POINTS, 2), _CONTOUR_FAULT),
         "centers": _float_field(path, lines, records, "center", (2,), _CENTER_FAULT),
-        "confidence": np.array([rec.get("confidence", 1.0) for rec in records], dtype=float),
+        "confidence": _float_field(
+            path, lines, records, "confidence", (), "confidence must lie in [0, 1]"
+        ),
         "true_label": np.array(labels),
     }
     try:

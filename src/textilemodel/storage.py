@@ -121,8 +121,9 @@ def _load(path, kind: str, build):
     """``build(d)`` of the JSON object ``d`` in ``path``, whose ``kind``
     must be ``kind``.
 
-    A key that ``build`` misses, a value of the wrong type or one that
-    the built objects reject raises ConfigError naming the file once.
+    A key that ``build`` misses, a value of the wrong type, a number
+    past the float range or a value that the built objects reject
+    raises ConfigError naming the file once.
     """
     d = read_json(path)
     if d.get("kind") != kind:
@@ -131,7 +132,7 @@ def _load(path, kind: str, build):
         return build(d)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed value ({exc})") from exc
     except TextileError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -276,14 +277,15 @@ def _yarns_from_dict(d: dict):
     yarns = []
     gaps = []
     for yd in d["yarns"]:
-        yarns.append(
-            ReconstructedYarn(
-                family=yd["family"],
-                axis=yd["axis"],
-                path=_curve_from_dict(yd["path"]),
-                sections=_sections_from_dicts(yd["sections"]),
-                completed_flags=tuple(bool(f) for f in yd["completed"]),
-            )
+        family, axis = yd["family"], yd["axis"]
+        yarn = ReconstructedYarn(
+            axis=axis,
+            path=_curve_from_dict(yd["path"]),
+            sections=_sections_from_dicts(yd["sections"]),
+            completed_flags=tuple(bool(f) for f in yd["completed"]),
         )
+        if family != yarn.family:
+            raise ConfigError(f"family {family!r} does not match axis {axis!r} ({yarn.family!r})")
+        yarns.append(yarn)
         gaps.append([tuple(g) for g in yd["boundary_gaps"]])
     return yarns, float(d["voxel_size"]), np.array(d["origin"]), gaps

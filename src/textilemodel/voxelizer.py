@@ -131,28 +131,6 @@ class LabelVolume:
         return boxes
 
 
-@dataclass(frozen=True)
-class GrayVolume:
-    """Dense float32 intensity grid with values in [0, 1]."""
-
-    data: np.ndarray
-    voxel_size: float
-    origin: np.ndarray
-
-    def __post_init__(self):
-        if self.data.dtype != np.float32 or self.data.ndim != 3:
-            raise ConfigError("gray data must be a 3D float32 array")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
-            raise ConfigError("gray values must lie in [0, 1]")
-        origin = np.asarray(self.origin, dtype=float).reshape(3)
-        object.__setattr__(self, "origin", origin)
-        self.data.flags.writeable = False
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
 def _ring_normals(rings: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Per-section plane normals oriented along the travel direction."""
     shifted = np.roll(rings, -1, axis=1)
@@ -554,19 +532,18 @@ def _sidecar(volume, kind: str) -> dict:
     return meta
 
 
-def save_volume(volume, base_path) -> tuple[Path, Path]:
-    """Write volume data as little-endian raw plus a JSON sidecar.
+def save_volume(volume: LabelVolume, base_path) -> tuple[Path, Path]:
+    """Write a label volume as little-endian raw plus a JSON sidecar.
 
     ``base_path`` gets the extensions ``.raw`` and ``.json``.  Returns
     the two paths.
     """
     from .storage import atomic_open, dump_json  # deferred: storage imports this module
 
-    kind = "labels" if isinstance(volume, LabelVolume) else "gray"
     raw_path, json_path = _volume_paths(base_path)
     with atomic_open(raw_path, "wb") as fh:
-        volume.data.astype(VOLUME_DTYPES[kind], copy=False).tofile(fh)
-    dump_json(_sidecar(volume, kind), json_path)
+        volume.data.astype(VOLUME_DTYPES["labels"], copy=False).tofile(fh)
+    dump_json(_sidecar(volume, "labels"), json_path)
     return raw_path, json_path
 
 
@@ -578,7 +555,8 @@ def _volume_paths(base_path) -> tuple[Path, Path]:
 
 
 def read_sidecar(base_path) -> dict:
-    """The JSON sidecar of a volume written by save_volume.
+    """The JSON sidecar of a volume written by save_volume or
+    render_pseudo_ct.
 
     Raises ConfigError naming the file if it is not valid JSON, has
     another schema, lacks a key that readers need or holds a value of
@@ -620,14 +598,16 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def load_volume(base_path):
-    """Load a volume written by save_volume; inverse up to bit equality.
-
-    A ``.raw`` file whose size is not the sidecar's dims times its dtype
+def load_volume(base_path) -> LabelVolume:
+    """Load a label volume written by save_volume; inverse up to bit
+    equality.  A sidecar of another kind, such as the pseudo-CT's, or a
+    ``.raw`` file whose size is not the sidecar's dims times its dtype
     size raises ConfigError naming the file.
     """
     base = Path(base_path)
     meta = read_sidecar(base)
+    if meta["kind"] != "labels":
+        raise ConfigError(f"{base.with_suffix('.json')}: kind must be 'labels', got {meta['kind']!r}")
     dims = tuple(meta["dims"])
     raw_path = base.with_suffix(".raw")
     want = math.prod(dims) * np.dtype(meta["dtype"]).itemsize
@@ -637,16 +617,9 @@ def load_volume(base_path):
             f"{raw_path}: {got} bytes, but dims {list(dims)} of {meta['dtype']} need {want}"
         )
     data = np.fromfile(raw_path, dtype=meta["dtype"]).reshape(dims)
-    if meta["kind"] == "labels":
-        label_map = {int(k): v for k, v in meta.get("label_map", {}).items()}
-        return LabelVolume(
-            data=data.astype(np.uint16, copy=False),
-            voxel_size=meta["voxel_size"],
-            origin=np.array(meta["origin"]),
-            label_map=label_map,
-        )
-    return GrayVolume(
-        data=data.astype(np.float32, copy=False),
+    return LabelVolume(
+        data=data.astype(np.uint16, copy=False),
         voxel_size=meta["voxel_size"],
         origin=np.array(meta["origin"]),
+        label_map={int(k): v for k, v in meta.get("label_map", {}).items()},
     )

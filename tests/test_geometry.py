@@ -264,10 +264,11 @@ def is_error(x):
 
 
 def same_result(a, b):
-    """Equal arrays, or the same (type, message) error."""
+    """Bitwise equal arrays (-0.0 differs from 0.0), or the same (type,
+    message) error."""
     if is_error(a) or is_error(b):
         return a == b
-    return a.shape == b.shape and np.array_equal(a, b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def same_outcome(a, b):
@@ -397,18 +398,25 @@ def ref_resample_arclength(pts, n, closed):
     return out
 
 
-PATH_DEFECTS = ("seam", "signed_seam", "dup", "grid", "tiny", "nan")
+PATH_DEFECTS = ("seam", "signed_seam", "dup", "grid", "lattice", "tiny", "nan")
 
 
 def random_path(rng, m, defects):
     """An (m, 3) random walk with some of these defects: "seam" (last
     point repeats the first), "signed_seam" (the same with -0.0 for
     0.0), "dup" (a repeated point), "grid" (points on a 2x2x2 grid, so
-    repeats are common), "tiny" (steps whose lengths underflow to 0),
+    repeats are common), "lattice" (half-unit steps along the axes, so
+    arc lengths are exact and many targets land on a vertex, whose zero
+    coordinates are -0.0), "tiny" (steps whose lengths underflow to 0),
     "nan" (a non-finite coordinate)."""
     pts = np.cumsum(rng.normal(size=(m, 3)), axis=0)
     if "grid" in defects:
         pts = rng.integers(0, 2, size=(m, 3)).astype(float)
+    if "lattice" in defects:
+        steps = np.zeros((m, 3))
+        steps[np.arange(m), rng.integers(3, size=m)] = rng.choice([-0.5, 0.5], size=m)
+        pts = np.cumsum(steps, axis=0)
+        pts[pts == 0] = -0.0
     if "tiny" in defects:
         pts *= 1e-170
     if "dup" in defects and m >= 2:
@@ -435,13 +443,15 @@ path_stacks = st.integers(1, 12).flatmap(
 
 class TestResample:
     @settings(max_examples=300, deadline=None)
-    @given(paths=path_stacks, n=st.integers(1, 12), closed=st.booleans())
-    def test_stack_matches_the_one_path_reference(self, paths, n, closed):
+    @given(paths=path_stacks, n=st.integers(1, 12), closed=st.booleans(), block=st.integers(1, 64))
+    def test_stack_matches_the_one_path_reference(self, paths, n, closed, block):
         want = [raised(ref_resample_arclength, p, n, closed) for p in paths]
-        for p, w in zip(paths, want):
-            assert same_result(raised(geo.resample_arclength, p, n, closed), w)
-        first = next((w for w in want if is_error(w)), None)
-        got = raised(geo.resample_arclength, paths, n, closed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geo, "RESAMPLE_BLOCK", block)
+            for p, w in zip(paths, want):
+                assert same_result(raised(geo.resample_arclength, p, n, closed), w)
+            first = next((w for w in want if is_error(w)), None)
+            got = raised(geo.resample_arclength, paths, n, closed)
         assert same_result(got, first if first is not None else np.array(want))
 
     def test_open_line_equal_spacing(self):

@@ -56,7 +56,7 @@ from textilemodel.validate import write_report
 from textilemodel.voxelizer import LabelVolume, RenderParams, load_volume, render_pseudo_ct, save_volume
 
 from test_segmenter import make_dset
-from test_voxelizer import ref_render_pseudo_ct
+from test_voxelizer import read_gray, ref_render_pseudo_ct
 
 
 def read_obj(path):
@@ -388,10 +388,10 @@ class TestRunPipeline:
     def test_pseudo_ct_equals_the_whole_volume_reference(self, small_cfg, small_run):
         out, _ = small_run
         labels = load_volume(out / "labels")
-        ct = load_volume(out / "pseudo_ct")
+        ct = read_gray(out / "pseudo_ct")
         want = ref_render_pseudo_ct(labels, small_cfg.render, stage_seed(small_cfg.seed, "render"))
-        assert ct.data.dtype == want.dtype
-        assert np.array_equal(ct.data.view(np.uint32), want.view(np.uint32))
+        assert ct.dtype == want.dtype
+        assert np.array_equal(ct.view(np.uint32), want.view(np.uint32))
         meta = read_json(out / "pseudo_ct.json")
         same = read_json(out / "labels.json")
         same.pop("label_map")
@@ -569,6 +569,26 @@ def _with(d, keys, value):
         node = node[key]
     node[keys[-1]] = value
     return d
+
+
+# Float fields set to an integer past the float range, one at a time.
+_YARN_FLOATS = (
+    ["yarns", 0, "path", "knots", 0],
+    ["yarns", 0, "path", "control_points", 0, 0],
+    ["yarns", 0, "sections", 0, "contour", 0, 0],
+    ["yarns", 0, "sections", 0, "center", 0],
+    ["yarns", 0, "sections", 0, "station"],
+)
+_OVERFLOW_CASES = [
+    *(
+        ("model.json", "voxelize", keys)
+        for keys in (
+            ["bbox", "lo", 0], ["thickness"], ["fibers", "fiber_radius"], ["spec", "yarn_spacing", 0],
+            *_YARN_FLOATS,
+        )
+    ),
+    *(("yarns.json", "validate", keys) for keys in (["voxel_size"], *_YARN_FLOATS)),
+]
 
 
 def _short_contour(d):
@@ -1227,6 +1247,11 @@ class TestCli:
              "axis must be one of ['xz', 'yz'], got 'xy'"),
             ("model.json", _short_contour, "voxelize", "contour must have 10 points"),
             ("yarns.json", _short_contour, "validate", "contour must have 10 points"),
+            *(
+                (name, lambda d, keys=keys: _with(d, keys, 10**400), command,
+                 "malformed value (int too large to convert to float)")
+                for name, command, keys in _OVERFLOW_CASES
+            ),
         ],
     )
     def test_malformed_json_input_exits_2_naming_the_file(
@@ -1267,11 +1292,23 @@ class TestCli:
         assert f"config error: {raw}: {got} bytes, but dims" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["render", "segment"])
+    def test_gray_volume_for_labels_exits_2_naming_its_sidecar(self, command, small_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([command, "-l", str(small_run[0] / "pseudo_ct"), "-o", str(out)]) == 2
+        sidecar = small_run[0] / "pseudo_ct.json"
+        assert f"config error: {sidecar}: kind must be 'labels', got 'gray'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda r: r.pop("contour"), "detection record lacks 'contour'"),
             (lambda r: r.update(true_label="x"), "true_label must be a non-negative integer"),
+            (lambda r: r.update(center=[10**400, 1.0]), r"detection center must be a (2,) array"),
+            (lambda r: r.update(confidence=10**400), "confidence must lie in [0, 1]"),
+            (lambda r: r.update(slice_index=10**400), "slice_index must fit in 64 bits"),
+            (lambda r: r.update(true_label=10**400), "true_label must fit in 64 bits"),
         ],
     )
     def test_malformed_detection_record_exits_2(self, corrupt, message, tmp_path, capsys):

@@ -451,7 +451,7 @@ def straight_yarn(n_secs=5, a=2.0, b=1.0, length=8.0):
     secs = ellipse_sections(centers, [(1, 0, 0)] * n_secs, a, b, stations=xs)
     path = bspline_fit(np.array([[0, 0, 0], [length, 0, 0.0]]), degree=1, n_controls=2)
     return ReconstructedYarn(
-        family="warp", axis="yz", path=path, sections=secs,
+        axis="yz", path=path, sections=secs,
         completed_flags=(False,) * n_secs,
     )
 
@@ -459,7 +459,6 @@ def straight_yarn(n_secs=5, a=2.0, b=1.0, length=8.0):
 def reversed_rings(yarn):
     """The same yarn with every ring listed in the opposite direction."""
     return ReconstructedYarn(
-        family=yarn.family,
         axis=yarn.axis,
         path=yarn.path,
         sections=Sections(
@@ -493,7 +492,7 @@ def curved_yarn(n_secs=12, radius=20.0, sweep=0.8, axes=None, rolls=None, twists
         for k, ring in enumerate(secs.rings)
     ]
     return ReconstructedYarn(
-        family="warp", axis="yz", path=bspline_fit(secs.centers, degree=3, n_controls=4),
+        axis="yz", path=bspline_fit(secs.centers, degree=3, n_controls=4),
         sections=Sections(rings, secs.centers, secs.stations), completed_flags=(False,) * n_secs,
     )
 
@@ -578,7 +577,6 @@ class TestSurfaceMesh:
         rings = np.array(yarn.sections.rings)
         rings[1] = np.roll(rings[1], 3, axis=0)
         rolled = ReconstructedYarn(
-            family=yarn.family,
             axis=yarn.axis,
             path=yarn.path,
             sections=Sections(rings, yarn.sections.centers, yarn.sections.stations),
@@ -689,7 +687,7 @@ class TestVolumeMesh:
         )
         path = bspline_fit(np.array([[0, 0, 0], [0.5, 0, 0], [8, 0, 0.0]]), degree=1, n_controls=3)
         yarn = ReconstructedYarn(
-            family="warp", axis="yz", path=path,
+            axis="yz", path=path,
             sections=sections, completed_flags=(False,) * 3,
         )
         with pytest.raises(MeshIntegrityError, match=r"stations 0\.000 and 0\.500"):
@@ -792,7 +790,7 @@ def ref_hexes(nx, ny, nz):
 def first_sections(yarn, s):
     secs = yarn.sections
     return ReconstructedYarn(
-        family=yarn.family, axis=yarn.axis, path=yarn.path,
+        axis=yarn.axis, path=yarn.path,
         sections=Sections(secs.rings[:s], secs.centers[:s], secs.stations[:s]),
         completed_flags=yarn.completed_flags[:s],
     )

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from textilemodel import segmenter
+from textilemodel import geometry, segmenter
 from textilemodel.errors import ConfigError, DegenerateGeometryError
-from textilemodel.geometry import canonical_indices, resample_arclength
+from textilemodel.geometry import canonical_indices
 from textilemodel.segmenter import (
     DegradeConfig,
     DetectionSet,
@@ -31,6 +31,8 @@ from textilemodel.segmenter import (
 )
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import AXIS_YZ, SLICE_AXES, LabelVolume, voxelize
+
+from test_geometry import ref_resample_arclength
 
 
 def shoelace(points):
@@ -458,7 +460,7 @@ def ref_keypoints_from_dense(dense):
     order = canonical_indices(dense)
     dense = dense[order]
     dense3 = np.column_stack([dense, np.zeros(len(dense))])
-    return resample_arclength(dense3, 10, closed=True)[:, :2]
+    return ref_resample_arclength(dense3, 10, closed=True)[:, :2]
 
 
 def ref_detect_sections(image, axis="xz", slice_index=0, min_area=12):
@@ -652,7 +654,7 @@ def label_volumes(draw):
 def traced_rings(draw):
     """(points, offsets, chunk budget): the loops that trace_boundary
     finds in a random stack, moved by a whole-pixel offset, and a
-    keypoint chunk budget between 4 points and twice the longest loop."""
+    resampler chunk budget between 4 points and twice the longest loop."""
     stack = draw(random_stacks())
     assume(stack.any())
     points, offsets, _ = trace_boundary(stack)
@@ -671,20 +673,22 @@ class TestRingKeypoints:
     def test_chunks_match_one_resample_per_ring(self, case):
         points, offsets, block = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(segmenter, "KEYPOINT_BLOCK", block)
+            mp.setattr(geometry, "RESAMPLE_BLOCK", block)
             got = ring_keypoints(points, offsets)
-        assert np.array_equal(got, ref_ring_keypoints(points, offsets))
+        assert got.tobytes() == ref_ring_keypoints(points, offsets).tobytes()
 
     def test_ring_longer_than_the_budget_gets_its_own_chunk(self, monkeypatch):
         stack = np.zeros((2, 30, 30), dtype=bool)
         stack[0, 2:28, 3:25] = True
         stack[1, 5:7, 5:7] = stack[1, 10:13, 10:12] = stack[1, 20, 20] = True
         points, offsets, _ = trace_boundary(stack)
-        lengths = np.diff(offsets)
-        monkeypatch.setattr(segmenter, "KEYPOINT_BLOCK", 16)
-        assert lengths.max() > 16 and sorted(lengths.tolist())[:3] == [4, 8, 10]
-        assert [c.stop - c.start for c in segmenter._chunks(np.sort(lengths))] == [2, 1, 1]
-        assert np.array_equal(ring_keypoints(points, offsets), ref_ring_keypoints(points, offsets))
+        # A closed loop of m points has m + 1 arc-length knots.
+        knots = np.diff(offsets) + 1
+        monkeypatch.setattr(geometry, "RESAMPLE_BLOCK", 18)
+        assert knots.max() > 18 and sorted(knots.tolist())[:3] == [5, 9, 11]
+        assert [c.stop - c.start for c in geometry._chunks(np.sort(knots))] == [2, 1, 1]
+        got = ring_keypoints(points, offsets)
+        assert got.tobytes() == ref_ring_keypoints(points, offsets).tobytes()
 
 
 class TestDetectBatchOracle:

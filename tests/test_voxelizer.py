@@ -1,8 +1,10 @@
 """Label volumes, slicing, pseudo-CT rendering, and raw+JSON persistence."""
 
 import contextlib
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from textilemodel.geometry import Box, ellipse_sections
 from textilemodel.segmenter import detect_batch
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import (
-    GrayVolume,
     LabelVolume,
     RenderParams,
     _ring_normals,
@@ -156,10 +157,18 @@ class TestSlices:
             detect_batch(desk_volume, "xy")
 
 
+def read_gray(base):
+    """The float32 data of the gray volume at ``base``, read from its
+    ``.raw`` file in the shape its sidecar gives."""
+    meta = json.loads(Path(base).with_suffix(".json").read_text())
+    assert (meta["kind"], meta["dtype"]) == ("gray", "<f4")
+    return np.fromfile(Path(base).with_suffix(".raw"), dtype="<f4").reshape(meta["dims"])
+
+
 def rendered(volume, params, seed, base):
     """The gray data ``render_pseudo_ct`` writes at ``base``, read back."""
     render_pseudo_ct(volume, params, seed, base)
-    return load_volume(base).data
+    return read_gray(base)
 
 
 class TestRender:
@@ -194,14 +203,19 @@ class TestRender:
     def test_writes_what_save_volume_writes(self, desk_volume, tmp_path):
         paths = render_pseudo_ct(desk_volume, RenderParams(), 3, tmp_path / "sub" / "ct")
         assert paths == (tmp_path / "sub" / "ct.raw", tmp_path / "sub" / "ct.json")
-        back = load_volume(tmp_path / "sub" / "ct")
-        assert isinstance(back, GrayVolume)
-        assert back.voxel_size == desk_volume.voxel_size
-        assert np.array_equal(back.origin, desk_volume.origin)
-        assert save_volume(back, tmp_path / "again") == (tmp_path / "again.raw", tmp_path / "again.json")
-        for suffix in (".raw", ".json"):
-            again = (tmp_path / "again").with_suffix(suffix)
-            assert again.read_bytes() == paths[0].with_suffix(suffix).read_bytes()
+        back = read_gray(tmp_path / "sub" / "ct")
+        assert back.dtype == np.float32 and back.shape == desk_volume.dims
+        meta = json.loads(paths[1].read_text())
+        assert meta["voxel_size"] == desk_volume.voxel_size
+        assert np.array_equal(meta["origin"], desk_volume.origin)
+        # The labels' raw and sidecar layout, with the gray kind and dtype.
+        assert save_volume(desk_volume, tmp_path / "labels") == (tmp_path / "labels.raw", tmp_path / "labels.json")
+        labels = json.loads((tmp_path / "labels.json").read_text())
+        labels.pop("label_map")
+        assert meta == {**labels, "kind": "gray", "dtype": "<f4"}
+        assert paths[0].stat().st_size == 2 * (tmp_path / "labels.raw").stat().st_size
+        with pytest.raises(ConfigError, match=r"ct\.json: kind must be 'labels', got 'gray'"):
+            load_volume(tmp_path / "sub" / "ct")
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -219,16 +233,6 @@ class TestVolumeIO:
         assert back.voxel_size == desk_volume.voxel_size
         assert np.array_equal(back.origin, desk_volume.origin)
         assert back.label_map == desk_volume.label_map
-
-    def test_gray_round_trip_bit_exact(self, tmp_path):
-        data = np.random.default_rng(3).random((17, 5, 4)).astype(np.float32)
-        ct = GrayVolume(data=data, voxel_size=0.7, origin=np.array([1.0, -2.0, 0.5]))
-        save_volume(ct, tmp_path / "ct")
-        back = load_volume(tmp_path / "ct")
-        assert isinstance(back, GrayVolume)
-        assert np.array_equal(back.data, ct.data)
-        assert back.voxel_size == ct.voxel_size
-        assert np.array_equal(back.origin, ct.origin)
 
     def test_sidecar_units(self, desk_volume, tmp_path):
         import json
