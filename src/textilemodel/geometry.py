@@ -8,6 +8,7 @@ voxel units; one voxel corresponds to a configurable physical size
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,6 +158,14 @@ def _eval(knots: np.ndarray, degree: int, ctrl: np.ndarray, us: np.ndarray) -> n
     return (n[:, None, :] @ local)[:, 0]
 
 
+def _collocation(knots: np.ndarray, degree: int, us: np.ndarray, n_controls: int) -> np.ndarray:
+    """(len(us), n_controls) matrix of every basis function at each parameter."""
+    spans, vals = _basis(knots, degree, us)
+    basis = np.zeros((len(us), n_controls))
+    basis[np.arange(len(us))[:, None], spans[:, None] + np.arange(-degree, 1)] = vals
+    return basis
+
+
 def _map_param(curve: BSplineCurve, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
@@ -248,9 +257,7 @@ def bspline_fit(samples, degree: int = 3, n_controls: int | None = None) -> BSpl
     params = _chord_params(pts)
     knots = _fit_knots(params, n_controls, degree)
 
-    spans, vals = _basis(knots, degree, params)
-    basis = np.zeros((len(pts), n_controls))
-    basis[np.arange(len(pts))[:, None], spans[:, None] + np.arange(-degree, 1)] = vals
+    basis = _collocation(knots, degree, params, n_controls)
 
     # Pin the end controls to the end samples and solve for the rest.
     inner = basis[:, 1:-1]
@@ -403,106 +410,24 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _gtsv(dl, d, du, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-, main and superdiagonals
-    ``dl``, ``d``, ``du`` for the right-hand sides ``b`` (n, m).
-
-    Follows LAPACK ``dgtsv`` (Anderson et al., LAPACK Users' Guide,
-    1999) operation for operation: Gaussian elimination with partial
-    pivoting, where a row interchange fills the second superdiagonal
-    ``du2``, then back substitution over both superdiagonals.  The
-    factorisation runs on Python floats, the row operations on the rows
-    of a copy of ``b``.
-    """
-    n = len(d)
-    dl, d, du = ([float(v) for v in diag] for diag in (dl, d, du))
-    du2 = [0.0] * n
-    b = np.array(b, dtype=float)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise SingularFitError("singular tridiagonal system")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] -= fact * b[i]
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du2[i]
-            du[i] = temp
-            row = b[i] - fact * b[i + 1]
-            b[i] = b[i + 1]
-            b[i + 1] = row
-    if d[-1] == 0.0:
-        raise SingularFitError("singular tridiagonal system")
-    b[-1] /= d[-1]
-    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
-    return b
-
-
-@dataclass(frozen=True)
-class CubicPieces:
-    """Piecewise cubic over the breakpoints ``x`` (n,).
-
-    ``c[k, i]`` (4, n - 1, m) is the coefficient of ``(q - x[i])**(3 - k)``
-    on interval i, as in scipy's ``PPoly``.
-    """
-
-    x: np.ndarray
-    c: np.ndarray
-
-    def __call__(self, q) -> np.ndarray:
-        """Values (len(q), m) at the points ``q``, evaluated as ``PPoly``
-        does: the interval left of ``q`` (the first or last beyond the
-        ends), then c3 + c2 z + c1 z + c0 z with z built up by repeated
-        multiplication by ``q - x[i]``."""
-        q = np.asarray(q, dtype=float).reshape(-1)
-        i = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, len(self.x) - 2)
-        s = (q - self.x[i])[:, None]
-        c = self.c[:, i]
-        out = 0.0 + c[3]  # PPoly sums from 0.0, which turns -0.0 into 0.0
-        z = s
-        for k in (2, 1, 0):
-            out += c[k] * z
-            z = z * s
-        return out
-
-
-def not_a_knot_spline(x, y) -> CubicPieces:
+def not_a_knot_spline(x, y) -> Callable[[np.ndarray], np.ndarray]:
     """Interpolating cubic spline with not-a-knot ends through y (n, m) at x (n,).
 
-    Bit-identical to scipy's ``CubicSpline(x, y, axis=0)`` for n >= 4:
-    the same banded system and end rows, solved as LAPACK ``dgtsv``
-    solves it, and the same Hermite coefficients.
+    The not-a-knot interpolant is the cubic B-spline interpolant with
+    interior knots x[2:-2] (de Boor, A Practical Guide to Splines,
+    ch. XIII).  Returns its evaluator q -> (len(q), m), which continues
+    the end pieces beyond the ends.  Equals scipy's
+    ``CubicSpline(x, y, axis=0)`` up to round-off.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or len(x) < 4 or y.shape[:1] != x.shape or y.ndim != 2:
         raise InsufficientDataError("a not-a-knot spline needs n >= 4 points x (n,) and y (n, m)")
-    dx = np.diff(x)
-    if not (np.all(np.isfinite(x)) and np.all(dx > 0)):
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
         raise DegenerateGeometryError("spline abscissae must be finite and strictly increase")
-    dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty_like(y)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    s = _gtsv(
-        np.concatenate([dx[1:], [d1]]),
-        np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
-        np.concatenate([[d0], dx[:-1]]),
-        b,
-    )
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    return CubicPieces(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+    knots = np.concatenate([np.repeat(x[:1], 4), x[2:-2], np.repeat(x[-1:], 4)])
+    ctrl = np.linalg.solve(_collocation(knots, 3, x, len(x)), y)
+    return lambda q: _eval(knots, 3, ctrl, np.asarray(q, dtype=float).reshape(-1))
 
 
 def fit_planes(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -81,11 +82,21 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# The config sections check, when the config loads, the ranges that
+# their stages reject whatever the data; the stages keep their checks.
+
+
 @dataclass(frozen=True)
 class CompactionConfig:
     enabled: bool = False
     thickness_final: float | None = None
     n_steps: int = 12
+
+    def __post_init__(self):
+        if not self.n_steps >= 1:
+            raise ConfigError("n_steps must be at least 1")
+        if self.thickness_final is not None and not self.thickness_final > 0:
+            raise ConfigError("thickness_final must be null or positive")
 
 
 @dataclass(frozen=True)
@@ -100,12 +111,30 @@ class ReconstructConfig:
     composite_cell: float = 4.0
     write_meshes: bool = True
 
+    def __post_init__(self):
+        if self.d_gate is not None and not self.d_gate > 0:
+            raise ConfigError("d_gate must be null or positive")
+        if not self.min_length >= 2:
+            raise ConfigError("min_length must be at least 2")
+        if not 0.0 <= self.min_span <= 1.0:
+            raise ConfigError("min_span must be in [0, 1]")
+        if not self.max_aspect > 1.0:
+            raise ConfigError("max_aspect must exceed 1")
+        if not self.composite_cell > 0:
+            raise ConfigError("composite_cell must be positive")
+
 
 @dataclass(frozen=True)
 class ValidateConfig:
     n_samples: int = 200
     n_bins: int = 20
     voxel_size_um: float = DEFAULT_VOXEL_SIZE_UM
+
+    def __post_init__(self):
+        if not self.n_samples >= 2:
+            raise ConfigError("n_samples must be at least 2")
+        if not self.n_bins >= 1:
+            raise ConfigError("n_bins must be positive")
 
 
 def _default_weave() -> WeaveSpec:
@@ -151,6 +180,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (type(value) is int and value >= low):
                 raise ConfigError(f"{name} must be an integer of at least {low}")
+        if self.fibers_per_yarn > sys.float_info.max:
+            raise ConfigError("fibers_per_yarn must not exceed the float range")
         if not (_is_finite_number(self.z_margin) and self.z_margin >= 0):
             raise ConfigError("z_margin must be a non-negative finite number")
         vf = self.target_vf

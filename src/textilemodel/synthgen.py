@@ -9,6 +9,7 @@ All lengths are voxel units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,8 +44,9 @@ class FiberSpec:
     def __post_init__(self):
         if not (self.fiber_radius > 0 and math.isfinite(self.fiber_radius)):
             raise ConfigError("fiber_radius must be positive and finite")
-        if self.fibers_per_yarn < 1:
-            raise ConfigError("fibers_per_yarn must be at least 1")
+        n = self.fibers_per_yarn
+        if not (type(n) is int and 1 <= n <= sys.float_info.max):
+            raise ConfigError("fibers_per_yarn must be an integer in [1, float max]")
 
 
 @dataclass(frozen=True)

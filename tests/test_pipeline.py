@@ -184,11 +184,11 @@ def config_dicts(draw):
             enabled=st.booleans(), thickness_final=st.none() | _POS, n_steps=st.integers(1, 50)
         ),
         "reconstruct": _section(
-            d_gate=st.none() | _POS, min_length=_COUNT, max_gap=_COUNT, min_span=_FRAC,
-            max_aspect=_POS, min_area=_COUNT, n_controls=st.none() | _COUNT, composite_cell=_POS,
-            write_meshes=st.booleans(),
+            d_gate=st.none() | _POS, min_length=st.integers(2, 10**6), max_gap=_COUNT,
+            min_span=_FRAC, max_aspect=st.floats(1.0, 1e3, exclude_min=True), min_area=_COUNT,
+            n_controls=st.none() | _COUNT, composite_cell=_POS, write_meshes=st.booleans(),
         ),
-        "validate": _section(n_samples=_COUNT, n_bins=_COUNT, voxel_size_um=_POS),
+        "validate": _section(n_samples=st.integers(2, 10**6), n_bins=_COUNT, voxel_size_um=_POS),
     }
     top = _section(
         seed=st.integers(0, 2**32), n_sections_warp=_SECTIONS, n_sections_weft=_SECTIONS,
@@ -1149,12 +1149,19 @@ class TestCli:
             ({"z_margin": 10**400},
              "bad value at the config root: z_margin must be a non-negative finite number"),
             ({"voxel_budget": 0}, "bad value at the config root: voxel_budget must be an integer of at least 1"),
+            ({"fibers_per_yarn": 10**400},
+             "bad value at the config root: fibers_per_yarn must not exceed the float range"),
+            ({"reconstruct": {"min_length": 1}}, "bad value under reconstruct: min_length must be at least 2"),
+            ({"validate": {"n_bins": 0}}, "bad value under validate: n_bins must be positive"),
+            ({"compaction": {"enabled": True, "thickness_final": 20, "n_steps": 0}},
+             "bad value under compaction: n_steps must be at least 1"),
         ],
         ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled", "confidence-floor",
              "ellipse-axes", "sequence-item", "render-range", "section-not-object", "seed-str",
              "seed-bool", "voxel-size-str", "voxel-size-zero", "target-vf-above-1", "target-vf-zero",
              "sections-warp-few", "sections-weft-float", "fibers-zero", "z-margin-negative",
-             "z-margin-past-float-range", "voxel-budget-zero"],
+             "z-margin-past-float-range", "voxel-budget-zero", "fibers-past-float-range",
+             "reconstruct-min-length", "validate-n-bins", "compaction-n-steps"],
     )
     def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
         """A bad value exits 2 naming the config file and its section."""
@@ -1245,6 +1252,8 @@ class TestCli:
              "validate", "family 'weft' does not match axis 'yz' ('warp')"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "axis"], "xy"), "validate",
              "axis must be one of ['xz', 'yz'], got 'xy'"),
+            ("model.json", lambda d: _with(d, ["fibers", "fibers_per_yarn"], 10**400), "validate",
+             "fibers_per_yarn must be an integer in [1, float max]"),
             ("model.json", _short_contour, "voxelize", "contour must have 10 points"),
             ("yarns.json", _short_contour, "validate", "contour must have 10 points"),
             *(

@@ -232,14 +232,15 @@ def ref_track_yarns(dset, d_gate, min_length, max_gap, min_span):
 
 
 def ref_complete_missing(entries, gaps):
-    """Per-detection gap filler: the completed entries and filled slices."""
+    """Per-detection gap filler: the completed entries, the filled slices
+    and those of them that the spline filled."""
     if not gaps:
-        return entries, []
+        return entries, [], []
     observed = np.array([i for i, _ in entries])
     channels = np.stack([det.contour.reshape(-1) for _, det in entries])
     spline = CubicSpline(observed, channels, axis=0) if len(observed) >= 4 else None
     by_index = dict(entries)
-    filled = []
+    filled, splined = [], []
     for start, end in gaps:
         left = max(i for i in observed if i < start)
         right = min(i for i in observed if i > end)
@@ -251,6 +252,7 @@ def ref_complete_missing(entries, gaps):
                 ].contour.reshape(-1)
             else:
                 flat = spline(idx)
+                splined.append(idx)
             contour = flat.reshape(10, 2)
             lab_l, lab_r = by_index[left].true_label, by_index[right].true_label
             by_index[idx] = RefSectionDetection(
@@ -262,7 +264,22 @@ def ref_complete_missing(entries, gaps):
                 true_label=lab_l if lab_l == lab_r else None,
             )
             filled.append(idx)
-    return sorted(by_index.items()), filled
+    return sorted(by_index.items()), filled, splined
+
+
+def assert_completed_rows_match(dset, dets, splined, scale):
+    """``dset`` holds the reference rows ``dets`` in order, exactly but
+    for the contours and centres of the spline-filled slices
+    ``splined``: those agree within 1e-11 * scale, the round-off bound
+    of ``not_a_knot_spline`` against ``CubicSpline``."""
+    assert dset.slice_index.tolist() == [d.slice_index for d in dets]
+    assert dset.confidence.tolist() == [d.confidence for d in dets]
+    assert dset.true_label.tolist() == [-1 if d.true_label is None else d.true_label for d in dets]
+    near = np.isin(dset.slice_index, splined)
+    for got, want in ((dset.contours, [d.contour for d in dets]), (dset.centers, [d.center for d in dets])):
+        want = np.reshape(want, got.shape)
+        assert np.array_equal(got[~near], want[~near])
+        assert np.abs(got[near] - want[near]).max(initial=0.0) <= 1e-11 * scale
 
 
 @st.composite
@@ -313,8 +330,9 @@ class TestTrackingOracle:
             assert_rows_equal(track.entries, [d for _, d in entries])
             assert (track.gaps, track.boundary_gaps) == (gaps, boundary)
             done = complete_missing(track)
-            ref_entries, filled = ref_complete_missing(entries, gaps)
-            assert_rows_equal(done.entries, [d for _, d in ref_entries])
+            ref_entries, filled, splined = ref_complete_missing(entries, gaps)
+            scale = np.abs(track.entries.contours).max()
+            assert_completed_rows_match(done.entries, [d for _, d in ref_entries], splined, scale)
             assert done.filled == tuple(filled) and done.gaps == ()
 
     def test_gate_holds_at_the_per_pair_norm(self):
