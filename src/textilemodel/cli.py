@@ -30,7 +30,7 @@ from .pipeline import (
 )
 from .segmenter import read_detections
 from .storage import load_model, load_yarns
-from .voxelizer import compute_dims, load_volume, read_sidecar, slice_count
+from .voxelizer import SLICE_AXES, compute_dims, load_volume, read_sidecar, slice_count
 
 log = logging.getLogger(__name__)
 
@@ -118,8 +118,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _config_from_args(args)
     model = load_model(args.model)
-    yarns, vs, _origin, _gaps = load_yarns(args.yarns)
-    return _run_stage(args, cfg, model=model, yarns=yarns, voxel_size=vs)
+    return _run_stage(args, cfg, model=model, yarns=load_yarns(args.yarns)[0])
 
 
 def cmd_pipeline(args) -> int:
@@ -172,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("segment", cmd_segment, "detect yarn sections per slice")
     p.add_argument("--labels", "-l", required=True, help="label volume base path")
-    p.add_argument("--axis", choices=("xz", "yz"), default=None, help="one axis only")
+    p.add_argument("--axis", choices=SLICE_AXES, default=None, help="one axis only")
 
     p = command("degrade", cmd_degrade, "apply dropout and jitter to detections")
     p.add_argument("--detections", "-d", required=True, help="detections JSONL file")

@@ -97,6 +97,8 @@ class CompactionConfig:
             raise ConfigError("n_steps must be at least 1")
         if self.thickness_final is not None and not self.thickness_final > 0:
             raise ConfigError("thickness_final must be null or positive")
+        if self.enabled and self.thickness_final is None:
+            raise ConfigError("thickness_final is required when compaction is enabled")
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,9 @@ def _from_dict(cls, data, where: str):
     if unknown:
         raise ConfigError(f"unknown key {where + '.' if where else ''}{sorted(unknown)[0]}")
     types = typing.get_type_hints(cls)
+    for k, v in data.items():
+        if types[k] is bool and type(v) is not bool:
+            raise ConfigError(f"{bad}: {k} must be true or false")
     data = {
         k: _from_dict(types[k], v, k) if dataclasses.is_dataclass(types[k]) else v
         for k, v in data.items()
@@ -255,7 +260,7 @@ class RunContext:
     Each stage reads the fields that earlier stages filled and fills its
     own: ``model`` (generate, compact), ``labels`` and their grid ``box``
     (voxelize), ``detections`` keyed by file stem (segment, degrade),
-    ``yarns`` and their ``voxel_size`` (reconstruct).  A subcommand
+    ``yarns`` (reconstruct).  A subcommand
     fills the fields its stage reads from input files instead; ``axes``
     limits segment to some slice axes.
     """
@@ -267,7 +272,6 @@ class RunContext:
     box: Box | None = None
     detections: dict = field(default_factory=dict)
     yarns: list | None = None
-    voxel_size: float | None = None
     axes: tuple = ("yz", "xz")
     stage_records: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
@@ -408,7 +412,7 @@ def _degrade(run: RunContext) -> str:
 def _reconstruct(run: RunContext) -> str:
     cfg = run.config
     dsets = list(run.detections.values())
-    yarns, tracks = reconstruct_yarns(
+    yarns, _ = reconstruct_yarns(
         dsets,
         d_gate=cfg.gate(),
         min_length=cfg.reconstruct.min_length,
@@ -417,14 +421,7 @@ def _reconstruct(run: RunContext) -> str:
         n_controls=cfg.reconstruct.n_controls,
     )
     run.yarns = yarns
-    run.voxel_size = dsets[0].voxel_size
-    save_yarns(
-        yarns,
-        run.path("yarns.json"),
-        voxel_size=run.voxel_size,
-        origin=dsets[0].origin,
-        boundary_gaps=[t.boundary_gaps for t in tracks],
-    )
+    save_yarns(yarns, run.path("yarns.json"), voxel_size=dsets[0].voxel_size, origin=dsets[0].origin)
     if not cfg.reconstruct.write_meshes:
         return f"wrote yarns.json: {len(yarns)} yarns"
     (run.out / "meshes").mkdir(exist_ok=True)
@@ -456,7 +453,7 @@ def _validate(run: RunContext) -> str:
         model,
         run.yarns,
         n_samples=cfg.validate.n_samples,
-        voxel_size_um=cfg.validate.voxel_size_um * run.voxel_size,
+        voxel_size_um=cfg.validate.voxel_size_um,
     )
     vf = None
     if model.fibers is not None:

@@ -40,7 +40,7 @@ from .geometry import (
     section_faults,
 )
 from .segmenter import _ROW_FIELDS, DetectionSet
-from .voxelizer import AXIS_XZ, AXIS_YZ, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
+from .voxelizer import AXIS_XZ, AXIS_YZ, SLICE_DIM, compute_dims, paint_labels, DEFAULT_VOXEL_BUDGET
 
 log = logging.getLogger(__name__)
 
@@ -207,12 +207,15 @@ def complete_missing(track: YarnTrack) -> YarnTrack:
 @dataclass(frozen=True)
 class ReconstructedYarn:
     """A lifted, fitted yarn: B-spline axis plus ordered 3D sections;
-    its family follows from the slice ``axis`` it was tracked on."""
+    its family follows from the slice ``axis`` it was tracked on.
+    ``boundary_gaps`` holds its track's inclusive (first, last) slice
+    runs before the first and after the last detection, left unfilled."""
 
     axis: str
     path: BSplineCurve
     sections: Sections
     completed_flags: tuple
+    boundary_gaps: tuple = ()
 
     def __post_init__(self):
         if self.axis not in AXIS_FAMILY:
@@ -261,19 +264,11 @@ def _lift(dset: DetectionSet, contour: np.ndarray, slice_index) -> np.ndarray:
     """World points of pixel points ``contour`` (n, 2) on slice
     ``slice_index`` of ``dset``: one index for all points or one per
     point."""
-    vs = dset.voxel_size
-    o = dset.origin
-    along = (np.asarray(slice_index) + 0.5) * vs
-    u = contour[:, 0]
-    v = contour[:, 1]
-    z = o[2] + (v + 0.5) * vs
-    if dset.axis == AXIS_YZ:
-        y = o[1] + (u + 0.5) * vs
-        x = np.broadcast_to(o[0] + along, y.shape)
-    else:
-        x = o[0] + (u + 0.5) * vs
-        y = np.broadcast_to(o[1] + along, x.shape)
-    return np.column_stack([x, y, z])
+    d = SLICE_DIM[dset.axis]
+    ijk = np.empty((len(contour), 3))
+    ijk[:, d] = slice_index
+    ijk[:, [1 - d, 2]] = contour
+    return dset.origin + (ijk + 0.5) * dset.voxel_size
 
 
 def _trim_end_slivers(areas: np.ndarray, keep_min: int) -> slice:
@@ -364,6 +359,7 @@ def lift_and_fit(
         path=path,
         sections=_unchecked_sections(rings[keep], ring_centers[keep], stations[keep]),
         completed_flags=tuple(np.array(flags)[keep]),
+        boundary_gaps=track.boundary_gaps,
     )
 
 
@@ -608,8 +604,9 @@ def reconstruct_yarns(
 ) -> tuple[list, list]:
     """Track, complete and lift every yarn of one or more datasets.
 
-    Returns (yarns, tracks); tracks keep the gap bookkeeping, including
-    boundary gaps that were reported rather than filled.
+    Returns (yarns, tracks); each yarn carries its track's boundary
+    gaps, reported rather than filled, and the tracks keep the rest of
+    the gap bookkeeping.
     """
     yarns = []
     tracks_out = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RING_POINTS, _freeze, _resample_loops
-from .voxelizer import AXIS_YZ, SLICE_AXES
+from .voxelizer import SLICE_AXES, SLICE_DIM
 
 log = logging.getLogger(__name__)
 
@@ -316,10 +316,9 @@ def detect_batch(volume, axis: str, min_area: int = DEFAULT_MIN_AREA) -> Detecti
     """
     if axis not in SLICE_AXES:
         raise ConfigError(f"axis must be one of {SLICE_AXES}")
-    images, boxes = volume.data, volume.label_boxes
-    if axis != AXIS_YZ:  # (y, x, z) images: swap the first two box axes
-        images = np.moveaxis(images, 1, 0)
-        boxes = [None if box is None else (box[1], box[0], box[2]) for box in boxes]
+    d = SLICE_DIM[axis]
+    images = np.moveaxis(volume.data, d, 0)
+    boxes = [None if box is None else (box[d], box[1 - d], box[2]) for box in volume.label_boxes]
     found = [
         _detect_label(images, box, lab, axis, min_area)
         for lab, box in enumerate(boxes, start=1)

@@ -147,9 +147,11 @@ def _curve_to_dict(curve: BSplineCurve) -> dict:
 
 
 def _curve_from_dict(d: dict) -> BSplineCurve:
+    if type(d["degree"]) is not int:
+        raise ConfigError("curve degree must be an integer")
     return BSplineCurve(
         control_points=np.array(d["control_points"], dtype=float),
-        degree=int(d["degree"]),
+        degree=d["degree"],
         knots=np.array(d["knots"], dtype=float),
     )
 
@@ -242,12 +244,8 @@ def _model_from_dict(d: dict) -> TextileModel:
     )
 
 
-def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> None:
-    """Persist reconstructed yarns; ``boundary_gaps`` aligns with yarns."""
-    yarns = list(yarns)
-    gaps = list(boundary_gaps) if boundary_gaps is not None else [[] for _ in yarns]
-    if len(gaps) != len(yarns):
-        raise ConfigError("boundary_gaps must align with yarns")
+def save_yarns(yarns, path, voxel_size: float, origin) -> None:
+    """Persist reconstructed yarns with their boundary gaps."""
     payload = {
         "schema": SCHEMA,
         "kind": "reconstructed_yarns",
@@ -260,32 +258,34 @@ def save_yarns(yarns, path, voxel_size: float, origin, boundary_gaps=None) -> No
                 "path": _curve_to_dict(y.path),
                 "sections": _sections_json(y.sections),
                 "completed": list(y.completed_flags),
-                "boundary_gaps": [list(g) for g in gap],
+                "boundary_gaps": [list(g) for g in y.boundary_gaps],
             }
-            for y, gap in zip(yarns, gaps)
+            for y in yarns
         ],
     }
     dump_json(payload, path)
 
 
 def load_yarns(path):
-    """Returns (yarns, voxel_size, origin, boundary_gaps)."""
+    """Returns (yarns, voxel_size, origin); each yarn carries its
+    boundary gaps."""
     return _load(path, "reconstructed_yarns", _yarns_from_dict)
 
 
 def _yarns_from_dict(d: dict):
     yarns = []
-    gaps = []
     for yd in d["yarns"]:
-        family, axis = yd["family"], yd["axis"]
+        family, axis, completed = yd["family"], yd["axis"], yd["completed"]
+        if isinstance(completed, list) and not all(type(f) is bool for f in completed):
+            raise ConfigError("completed flags must be true or false")
         yarn = ReconstructedYarn(
             axis=axis,
             path=_curve_from_dict(yd["path"]),
             sections=_sections_from_dicts(yd["sections"]),
-            completed_flags=tuple(bool(f) for f in yd["completed"]),
+            completed_flags=tuple(bool(f) for f in completed),
+            boundary_gaps=tuple(tuple(g) for g in yd["boundary_gaps"]),
         )
         if family != yarn.family:
             raise ConfigError(f"family {family!r} does not match axis {axis!r} ({yarn.family!r})")
         yarns.append(yarn)
-        gaps.append([tuple(g) for g in yd["boundary_gaps"]])
-    return yarns, float(d["voxel_size"]), np.array(d["origin"]), gaps
+    return yarns, float(d["voxel_size"]), np.array(d["origin"])

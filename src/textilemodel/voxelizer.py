@@ -42,6 +42,9 @@ VOLUME_DTYPES = {"labels": "<u2", "gray": "<f4"}
 AXIS_XZ = "xz"  # one slice per y index, image axes (x, z)
 AXIS_YZ = "yz"  # one slice per x index, image axes (y, z)
 SLICE_AXES = (AXIS_XZ, AXIS_YZ)
+# The grid axis each slice axis steps along; its images show the other
+# horizontal axis, then z.
+SLICE_DIM = {AXIS_XZ: 1, AXIS_YZ: 0}
 
 
 def compute_dims(bbox: Box, voxel_size: float) -> tuple[int, int, int]:
@@ -59,11 +62,9 @@ def compute_dims(bbox: Box, voxel_size: float) -> tuple[int, int, int]:
 
 
 def slice_count(dims: tuple[int, int, int], axis: str) -> int:
-    if axis == AXIS_XZ:
-        return dims[1]
-    if axis == AXIS_YZ:
-        return dims[0]
-    raise ConfigError(f"axis must be one of {SLICE_AXES}")
+    if axis not in SLICE_DIM:
+        raise ConfigError(f"axis must be one of {SLICE_AXES}")
+    return dims[SLICE_DIM[axis]]
 
 
 @dataclass(frozen=True)

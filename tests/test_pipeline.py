@@ -38,6 +38,7 @@ from textilemodel.reconstruct import (
     VolumeMesh,
     build_surface_mesh,
     build_volume_mesh,
+    lift_and_fit,
     reconstruct_yarns,
 )
 from textilemodel.segmenter import write_detections
@@ -181,7 +182,9 @@ def config_dicts(draw):
             enabled=st.booleans(), dropout_rate=_RATE, jitter_sigma=_NONNEG, confidence_floor=_FRAC
         ),
         "compaction": _section(
-            enabled=st.booleans(), thickness_final=st.none() | _POS, n_steps=st.integers(1, 50)
+            enabled=st.just(False), thickness_final=st.none() | _POS, n_steps=st.integers(1, 50)
+        ) | st.fixed_dictionaries(
+            {"enabled": st.just(True), "thickness_final": _POS}, optional={"n_steps": st.integers(1, 50)}
         ),
         "reconstruct": _section(
             d_gate=st.none() | _POS, min_length=st.integers(2, 10**6), max_gap=_COUNT,
@@ -385,6 +388,16 @@ class TestRunPipeline:
         vf = rep["fiber_volume_fraction"]
         assert 0.0 < vf["mean"] <= 1.0
 
+    def test_report_microns_are_model_units_times_the_config_scale(self, tmp_path):
+        # Hausdorff distances are in model units whatever the voxel size.
+        cfg = config_from_dict({**SMALL, "voxel_size": 0.7, "reconstruct": {"write_meshes": False}})
+        run_pipeline(cfg, tmp_path)
+        paths = read_json(tmp_path / "report.json")["paths"]
+        assert paths["voxel_size_um"] == cfg.validate.voxel_size_um
+        assert len(paths["matches"]) == 4
+        for m in paths["matches"]:
+            assert m["d_symmetric_um"] == m["d_symmetric"] * cfg.validate.voxel_size_um
+
     def test_pseudo_ct_equals_the_whole_volume_reference(self, small_cfg, small_run):
         out, _ = small_run
         labels = load_volume(out / "labels")
@@ -492,9 +505,8 @@ class TestYarnStorage:
     def test_yarns_round_trip(self, straight_yarns, tmp_path):
         ys, tracks = straight_yarns
         p = tmp_path / "yarns.json"
-        save_yarns(ys, p, voxel_size=2.0, origin=(1.0, 2.0, 3.0),
-                   boundary_gaps=[t.boundary_gaps for t in tracks])
-        again, vs, origin, gaps = load_yarns(p)
+        save_yarns(ys, p, voxel_size=2.0, origin=(1.0, 2.0, 3.0))
+        again, vs, origin = load_yarns(p)
         assert vs == 2.0
         np.testing.assert_array_equal(origin, [1.0, 2.0, 3.0])
         assert len(again) == len(ys)
@@ -504,9 +516,23 @@ class TestYarnStorage:
             assert len(a.sections) == len(b.sections)
             np.testing.assert_array_equal(a.sections.rings, b.sections.rings)
             assert a.completed_flags == b.completed_flags
-        assert gaps == [list(map(list, t.boundary_gaps)) for t in tracks] or gaps == [
-            t.boundary_gaps for t in tracks
-        ]
+        assert [y.boundary_gaps for y in again] == [t.boundary_gaps for t in tracks]
+
+    def test_boundary_gaps_ride_on_each_yarn(self, tmp_path):
+        # yarn at u=20 misses slices 0, 1 and 23; the one at u=60 misses none
+        rows = [(i, disc((20.0, 30.0))) for i in range(2, 23)] + [(i, disc((60.0, 30.0))) for i in range(24)]
+        rows.sort(key=lambda r: r[0])
+        dset = make_dset([i for i, _ in rows], [ring for _, ring in rows], n_slices=24, axis="yz")
+        ys, tracks = reconstruct_yarns([dset], d_gate=6.0)
+        assert sorted(y.boundary_gaps for y in ys) == [(), ((0, 1), (23, 23))]
+        for track in tracks:
+            assert lift_and_fit(track).boundary_gaps == track.boundary_gaps
+        assert [y.boundary_gaps for y in ys] == [t.boundary_gaps for t in tracks]
+        p = tmp_path / "yarns.json"
+        save_yarns(ys, p, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
+        written = [d["boundary_gaps"] for d in read_json(p)["yarns"]]
+        assert written == [list(map(list, y.boundary_gaps)) for y in ys]
+        assert [y.boundary_gaps for y in load_yarns(p)[0]] == [y.boundary_gaps for y in ys]
 
     @pytest.mark.parametrize(
         "short, message",
@@ -600,15 +626,16 @@ def _short_contour(d):
 def _loaded_fields(loaded):
     """Every value a loaded model or ``load_yarns`` tuple carries, in order."""
     if isinstance(loaded, tuple):
-        yarns, voxel_size, origin, gaps = loaded
-        head = [voxel_size, origin, gaps]
+        yarns, voxel_size, origin = loaded
+        head = [voxel_size, origin]
     else:
         yarns = loaded.yarns
         head = [loaded.spec, loaded.thickness, loaded.bbox.lo, loaded.bbox.hi, loaded.fibers]
     for y in yarns:
         s = y.sections
         head += [getattr(y, "yarn_id", None), y.family, getattr(y, "axis", None),
-                 getattr(y, "completed_flags", None), y.path.degree, y.path.knots,
+                 getattr(y, "completed_flags", None), getattr(y, "boundary_gaps", None),
+                 y.path.degree, y.path.knots,
                  y.path.control_points, s.rings, s.centers, s.stations]
     return head
 
@@ -671,6 +698,8 @@ class TestJsonLayout:
         dump_json(read_json(old), new)
         assert new.read_bytes().count(b"\n") == 1
         a, b = _loaded_fields(load(old)), _loaded_fields(load(new))
+        if name == "yarns.json":
+            assert load(old)[0][0].boundary_gaps == ((7, 7),)
         assert len(a) == len(b) > 10
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
@@ -1155,13 +1184,21 @@ class TestCli:
             ({"validate": {"n_bins": 0}}, "bad value under validate: n_bins must be positive"),
             ({"compaction": {"enabled": True, "thickness_final": 20, "n_steps": 0}},
              "bad value under compaction: n_steps must be at least 1"),
+            ({"degrade": {"enabled": "no"}}, "bad value under degrade: enabled must be true or false"),
+            ({"reconstruct": {"write_meshes": "no"}},
+             "bad value under reconstruct: write_meshes must be true or false"),
+            ({"compaction": {"enabled": "false", "thickness_final": 20}},
+             "bad value under compaction: enabled must be true or false"),
+            ({"compaction": {"enabled": True}},
+             "bad value under compaction: thickness_final is required when compaction is enabled"),
         ],
         ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled", "confidence-floor",
              "ellipse-axes", "sequence-item", "render-range", "section-not-object", "seed-str",
              "seed-bool", "voxel-size-str", "voxel-size-zero", "target-vf-above-1", "target-vf-zero",
              "sections-warp-few", "sections-weft-float", "fibers-zero", "z-margin-negative",
              "z-margin-past-float-range", "voxel-budget-zero", "fibers-past-float-range",
-             "reconstruct-min-length", "validate-n-bins", "compaction-n-steps"],
+             "reconstruct-min-length", "validate-n-bins", "compaction-n-steps", "degrade-enabled-str",
+             "write-meshes-str", "compaction-enabled-str", "compaction-without-thickness"],
     )
     def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
         """A bad value exits 2 naming the config file and its section."""
@@ -1248,6 +1285,14 @@ class TestCli:
              "curve degree must be >= 1"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed"], "abc"), "validate",
              "completed_flags must align with sections"),
+            ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed", 0], "no"), "validate",
+             "completed flags must be true or false"),
+            *(
+                (name, lambda d, degree=degree: _with(d, ["yarns", 0, "path", "degree"], degree), command,
+                 "curve degree must be an integer")
+                for name, command in (("yarns.json", "validate"), ("model.json", "voxelize"))
+                for degree in (3.9, "3")
+            ),
             ("yarns.json", lambda d: _with(_with(d, ["yarns", 0, "axis"], "yz"), ["yarns", 0, "family"], "weft"),
              "validate", "family 'weft' does not match axis 'yz' ('warp')"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "axis"], "xy"), "validate",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
 from textilemodel.errors import (
@@ -32,6 +33,7 @@ from textilemodel.reconstruct import (
     ReconstructedYarn,
     VolumeMesh,
     YarnTrack,
+    _lift,
     build_composite_mesh,
     build_surface_mesh,
     build_volume_mesh,
@@ -44,11 +46,17 @@ from textilemodel.reconstruct import (
     track_yarns,
     wedge_volumes,
 )
-from textilemodel.segmenter import DetectionSet
+from textilemodel.segmenter import DetectionSet, detect_batch
 from textilemodel.synthgen import WeaveSpec, generate_interlock
-from textilemodel.voxelizer import voxelize
+from textilemodel.voxelizer import LabelVolume, voxelize
 
-from test_segmenter import RefSectionDetection, assert_rows_equal, make_dset, ref_detections
+from test_segmenter import (
+    RefSectionDetection,
+    assert_rows_equal,
+    assert_sets_equal,
+    make_dset,
+    ref_detections,
+)
 
 
 def decagon(center, scale=3.0, squash=0.6):
@@ -354,7 +362,66 @@ class TestTrackingOracle:
         assert np.array_equal(_norms(b[None] - a[:, None]), np.array(want))
 
 
+def ref_lift(dset, contour, slice_index):
+    """The per-axis lift that the slice-axis table replaced."""
+    vs = dset.voxel_size
+    o = dset.origin
+    along = (np.asarray(slice_index) + 0.5) * vs
+    u = contour[:, 0]
+    v = contour[:, 1]
+    z = o[2] + (v + 0.5) * vs
+    if dset.axis == "yz":
+        y = o[1] + (u + 0.5) * vs
+        x = np.broadcast_to(o[0] + along, y.shape)
+    else:
+        x = o[0] + (u + 0.5) * vs
+        y = np.broadcast_to(o[1] + along, x.shape)
+    return np.column_stack([x, y, z])
+
+
+@st.composite
+def lift_inputs(draw):
+    """A slice geometry, pixel points and one slice index for all points
+    or one per point."""
+    n = draw(st.integers(1, 30))
+    coord = st.floats(-1e4, 1e4)
+    dset = SimpleNamespace(
+        axis=draw(st.sampled_from(["xz", "yz"])),
+        voxel_size=draw(st.floats(1e-3, 1e3) | st.sampled_from([0.7, 1.0, 2.0])),
+        origin=np.array(draw(st.lists(coord, min_size=3, max_size=3))),
+    )
+    contour = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-1e3, 1e3)))
+    index = st.integers(0, 10**4)
+    slice_index = draw(index | hnp.arrays(np.int64, n, elements=index))
+    return dset, contour, slice_index
+
+
 class TestLift:
+    @given(lift_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_lift_equals_the_per_axis_reference_bit_for_bit(self, case):
+        got, want = _lift(*case), ref_lift(*case)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_xz_is_yz_of_the_xy_swapped_volume(self, desk):
+        """Detecting ``xz`` equals detecting ``yz`` with x and y swapped,
+        row for row, and the lifts differ by that swap alone."""
+        _, vol = desk
+        swapped = LabelVolume(
+            data=np.ascontiguousarray(np.swapaxes(vol.data, 0, 1)),
+            voxel_size=vol.voxel_size,
+            origin=vol.origin[[1, 0, 2]],
+            label_map=vol.label_map,
+        )
+        xz, yz = detect_batch(vol, "xz"), detect_batch(swapped, "yz")
+        assert len(xz) == 1376 and xz.n_slices == yz.n_slices
+        assert_sets_equal(dataclasses.replace(yz, axis="xz", origin=vol.origin), xz)
+        m = xz.contours.shape[1]
+        points, slices = xz.contours.reshape(-1, 2), np.repeat(xz.slice_index, m)
+        lifted = _lift(xz, points, slices)
+        assert lifted.tobytes() == _lift(yz, points, slices)[:, [1, 0, 2]].tobytes()
+
     def test_yz_lift_convention(self):
         # yz slice i covers world x = origin_x + (i + 0.5) vs; pixel
         # coordinate (u, v) maps to (y, z) the same way.
