@@ -263,6 +263,12 @@ class RunContext:
     ``yarns`` (reconstruct).  A subcommand
     fills the fields its stage reads from input files instead; ``axes``
     limits segment to some slice axes.
+
+    Working set: the label grid is the one field that grows with the
+    voxel count, and ``run_pipeline`` drops it as soon as segment, its
+    last reader, is done; ``box`` keeps the grid extent that reconstruct
+    needs.  Render and the detection writer hold one bounded block at a
+    time (``voxelizer.RENDER_BLOCK``, ``segmenter.WRITE_BLOCK``).
     """
 
     config: PipelineConfig
@@ -370,7 +376,8 @@ def _compact(run: RunContext) -> str:
 def _voxelize(run: RunContext) -> str:
     cfg = run.config
     vol = voxelize(run.model, voxel_size=cfg.voxel_size, budget=cfg.voxel_budget)
-    run.artifacts.extend(save_volume(vol, run.out / "labels"))
+    um = cfg.validate.voxel_size_um
+    run.artifacts.extend(save_volume(vol, run.out / "labels", um_per_unit=um))
     run.labels = vol
     run.box = grid_box(vol.origin, vol.dims, vol.voxel_size)
     return f"wrote labels.raw and labels.json: dims {vol.dims}"
@@ -379,7 +386,8 @@ def _voxelize(run: RunContext) -> str:
 def _render(run: RunContext) -> str:
     cfg = run.config
     seed = stage_seed(cfg.seed, "render")
-    run.artifacts.extend(render_pseudo_ct(run.labels, cfg.render, seed, run.out / "pseudo_ct"))
+    base, um = run.out / "pseudo_ct", cfg.validate.voxel_size_um
+    run.artifacts.extend(render_pseudo_ct(run.labels, cfg.render, seed, base, um_per_unit=um))
     return "wrote pseudo_ct.raw and pseudo_ct.json"
 
 
@@ -493,6 +501,8 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict:
     for name in STAGES:
         if enabled.get(name, True):
             run.run_stage(name)
+        if name == "segment":
+            run.labels = None  # no later stage reads the grid
     manifest = run.manifest()
     dump_json(manifest, run.out / "manifest.json")
     return manifest

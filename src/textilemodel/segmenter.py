@@ -46,6 +46,7 @@ for _code, _segments in _SEGMENTS_BY_CASE.items():
 _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
 TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
+WRITE_BLOCK = 2**8  # detection rows formatted per % by write_detections
 
 
 _CONTOUR_FAULT = f"detection contour must be a finite ({RING_POINTS}, 2) array"
@@ -402,21 +403,33 @@ def filter_transverse(dset: DetectionSet, max_aspect: float = 6.0) -> DetectionS
 
 
 def write_detections(dset: DetectionSet, path) -> Path:
-    """Serialize detections as JSON lines, one record per detection."""
+    """Serialize detections as JSON lines, one record per detection,
+    formatted ``WRITE_BLOCK`` rows per ``%`` so that only one block of
+    rows is ever held as Python objects."""
     from .storage import atomic_open  # deferred: storage imports this module
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # The bytes of json.dumps of each record: the repr of a list of
-    # finite floats is its JSON text, and a negative label is null.
+    # The bytes of json.dumps of each record: the repr of a finite float
+    # is its JSON text, and a negative label is null.
+    pair = "[%r, %r]"
     line = (
-        f'{{"axis": {json.dumps(dset.axis)}, "slice_index": %d, "contour": %r, '
-        '"center": %r, "confidence": %r, "true_label": %s}\n'
+        f'{{"axis": {json.dumps(dset.axis)}, "slice_index": %d, '
+        f'"contour": [{", ".join([pair] * RING_POINTS)}], "center": {pair}, '
+        '"confidence": %r, "true_label": %s}\n'
     )
-    rows = zip(*(getattr(dset, name).tolist() for name in _ROW_FIELDS))
     with atomic_open(path) as fh:
-        for slice_index, contour, center, confidence, label in rows:
-            fh.write(line % (slice_index, contour, center, confidence, "null" if label < 0 else label))
+        for lo in range(0, len(dset.true_label), WRITE_BLOCK):
+            rows = slice(lo, lo + WRITE_BLOCK)
+            label = dset.true_label[rows]
+            n = len(label)
+            floats = (dset.contours[rows].reshape(n, -1), dset.centers[rows], dset.confidence[rows, None])
+            values = np.empty((n, 2 * RING_POINTS + 5), dtype=object)
+            values[:, 0] = dset.slice_index[rows].tolist()
+            values[:, 1:-1] = np.hstack(floats).tolist()
+            values[:, -1] = label.tolist()
+            values[label < 0, -1] = "null"
+            fh.write((line * n) % tuple(values.ravel().tolist()))
     return path
 
 

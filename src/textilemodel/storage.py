@@ -275,17 +275,24 @@ def load_yarns(path):
 def _yarns_from_dict(d: dict):
     yarns = []
     for yd in d["yarns"]:
-        family, axis, completed = yd["family"], yd["axis"], yd["completed"]
+        family, axis, completed, gaps = yd["family"], yd["axis"], yd["completed"], yd["boundary_gaps"]
         if isinstance(completed, list) and not all(type(f) is bool for f in completed):
             raise ConfigError("completed flags must be true or false")
+        if not (isinstance(gaps, list) and all(_is_gap(g) for g in gaps)):
+            raise ConfigError("boundary_gaps must be a list of [first, last] integers, 0 <= first <= last")
         yarn = ReconstructedYarn(
             axis=axis,
             path=_curve_from_dict(yd["path"]),
             sections=_sections_from_dicts(yd["sections"]),
             completed_flags=tuple(bool(f) for f in completed),
-            boundary_gaps=tuple(tuple(g) for g in yd["boundary_gaps"]),
+            boundary_gaps=tuple(tuple(g) for g in gaps),
         )
         if family != yarn.family:
             raise ConfigError(f"family {family!r} does not match axis {axis!r} ({yarn.family!r})")
         yarns.append(yarn)
     return yarns, float(d["voxel_size"]), np.array(d["origin"])
+
+
+def _is_gap(g) -> bool:
+    """Whether ``g`` is a JSON pair of slice indices ``[first, last]``."""
+    return isinstance(g, list) and len(g) == 2 and all(type(i) is int for i in g) and 0 <= g[0] <= g[1]

@@ -15,6 +15,11 @@ the grid size.  Each voxel goes to its candidate with the least
 segment id); one ``lexsort`` per block finds that minimum exactly, so
 overlapping yarns resolve to the nearest section center, the smaller
 label winning ties, whatever the paint order and block size.
+
+The pseudo-CT render holds one block too: ``render_pseudo_ct`` works on
+slabs of whole x-planes, as many as fit in ``RENDER_BLOCK`` voxels (at
+least one plane), and writes each slab to disk before the next, so its
+float64 work arrays follow that budget, not the grid size.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
 from .synthgen import TextileModel
 
 DEFAULT_VOXEL_BUDGET = 2**28
-RENDER_SLAB = 16  # x-planes rendered per float64 working slab
+RENDER_BLOCK = 2**16  # voxels per rendered slab of whole x-planes
 PAINT_BLOCK = 2**13  # padded box voxels per block of painted segments
 RAY_CHUNK = 2**11  # candidate points per ray-cast chunk
 
@@ -454,19 +459,26 @@ class RenderParams:
 
 
 def render_pseudo_ct(
-    volume: LabelVolume, params: RenderParams, seed: int, base_path
+    volume: LabelVolume,
+    params: RenderParams,
+    seed: int,
+    base_path,
+    *,
+    um_per_unit: float = DEFAULT_VOXEL_SIZE_UM,
 ) -> tuple[Path, Path]:
     """Render a label volume into a noisy pseudo-CT intensity volume on
     disk, as ``save_volume`` would write it; returns the ``.raw`` and
     ``.json`` paths.
 
     Deterministic for a given (volume, params, seed): the random field
-    is seeded by ``seed`` only.  The volume is rendered in slabs of
-    ``RENDER_SLAB`` x-planes, and each slab is written to the ``.raw``
-    file as float32 as soon as it is rendered, so the working set is one
-    float64 slab, not the volume.  The slabs draw their noise in turn
-    from one generator in C order, so the noise stream equals one
-    full-volume draw.
+    is seeded by ``seed`` only.  The volume is rendered in slabs of as
+    many x-planes as fit in ``RENDER_BLOCK`` voxels, at least one, and
+    each slab is written to the ``.raw`` file as float32 as soon as it
+    is rendered, so the working set is one float64 slab, not the volume.
+    The slabs draw their noise in turn from one generator in C order, so
+    the noise stream equals one full-volume draw.  The sidecar gives
+    µm per voxel as ``voxel_size * um_per_unit``, as ``save_volume``'s
+    does.
     """
     from .storage import atomic_open, dump_json  # deferred: storage imports this module
 
@@ -499,10 +511,11 @@ def render_pseudo_ct(
         ring_term = params.ring_amplitude * np.sin(2.0 * np.pi * r / params.ring_period)[:, :, None]
 
     raw_path, json_path = _volume_paths(base_path)
+    planes = max(1, RENDER_BLOCK // (ny * nz))
     rng = np.random.default_rng(seed)
     with atomic_open(raw_path, "wb") as fh:
-        for x0 in range(0, nx, RENDER_SLAB):
-            xsl = slice(x0, x0 + RENDER_SLAB)
+        for x0 in range(0, nx, planes):
+            xsl = slice(x0, x0 + planes)
             labels = volume.data[xsl]
             g = np.full(labels.shape, params.matrix_level, dtype=np.float64)
             np.copyto(g, warp_level, where=np.isin(labels, warp_ids))
@@ -512,11 +525,11 @@ def render_pseudo_ct(
             g += rng.normal(0.0, params.noise_sigma, size=g.shape)
             np.clip(g, 0.0, 1.0, out=g)
             g.astype(VOLUME_DTYPES["gray"]).tofile(fh)
-    dump_json(_sidecar(volume, "gray"), json_path)
+    dump_json(_sidecar(volume, "gray", um_per_unit), json_path)
     return raw_path, json_path
 
 
-def _sidecar(volume, kind: str) -> dict:
+def _sidecar(volume, kind: str, um_per_unit: float) -> dict:
     meta = {
         "schema": 1,
         "kind": kind,
@@ -525,7 +538,7 @@ def _sidecar(volume, kind: str) -> dict:
         "order": "C",
         "axis_convention": "x warp, y weft, z thickness",
         "voxel_size": float(volume.voxel_size),
-        "voxel_size_um": float(volume.voxel_size * DEFAULT_VOXEL_SIZE_UM),
+        "voxel_size_um": float(volume.voxel_size * um_per_unit),
         "origin": [float(v) for v in volume.origin],
     }
     if kind == "labels":
@@ -533,18 +546,22 @@ def _sidecar(volume, kind: str) -> dict:
     return meta
 
 
-def save_volume(volume: LabelVolume, base_path) -> tuple[Path, Path]:
+def save_volume(
+    volume: LabelVolume, base_path, *, um_per_unit: float = DEFAULT_VOXEL_SIZE_UM
+) -> tuple[Path, Path]:
     """Write a label volume as little-endian raw plus a JSON sidecar.
 
     ``base_path`` gets the extensions ``.raw`` and ``.json``.  Returns
-    the two paths.
+    the two paths.  ``um_per_unit`` is the micrometres per model unit
+    (the config's ``validate.voxel_size_um``); the sidecar's
+    ``voxel_size_um`` is ``voxel_size`` times it.
     """
     from .storage import atomic_open, dump_json  # deferred: storage imports this module
 
     raw_path, json_path = _volume_paths(base_path)
     with atomic_open(raw_path, "wb") as fh:
         volume.data.astype(VOLUME_DTYPES["labels"], copy=False).tofile(fh)
-    dump_json(_sidecar(volume, "labels"), json_path)
+    dump_json(_sidecar(volume, "labels", um_per_unit), json_path)
     return raw_path, json_path
 
 

@@ -27,7 +27,7 @@ from textilemodel.reconstruct import (
     wedge_volumes,
 )
 from textilemodel.segmenter import DegradeConfig, degrade, detect_batch, filter_transverse
-from textilemodel.storage import read_json
+from textilemodel.storage import load_yarns, read_json, save_yarns
 from textilemodel.synthgen import (
     FiberSpec,
     compaction_sequence,
@@ -286,6 +286,19 @@ def test_pipeline_runs_are_byte_identical_for_same_seed(tmp_path):
         f"\ndeterminism: {n_same} artifacts byte-identical across two runs, "
         f"manifests equal up to timings"
     )
+
+
+def test_seed11_yarns_files_load_and_resave_byte_identically(clean_chain, degraded_chain, tmp_path):
+    gaps = {}
+    for name, chain in (("clean", clean_chain), ("degraded", degraded_chain)):
+        first, second = tmp_path / f"{name}.json", tmp_path / f"{name}_again.json"
+        save_yarns(chain.yarns, first, voxel_size=chain.dsets[0].voxel_size, origin=chain.dsets[0].origin)
+        yarns, voxel_size, origin = load_yarns(first)
+        save_yarns(yarns, second, voxel_size=voxel_size, origin=origin)
+        assert first.read_bytes() == second.read_bytes()
+        gaps[name] = sum(len(y.boundary_gaps) for y in yarns)
+    assert gaps["degraded"] > 0  # the gap check saw real gaps
+    print(f"\nyarns.json round trip: byte-identical, boundary gaps clean {gaps['clean']}, degraded {gaps['degraded']}")
 
 
 def test_distance_and_area_metrics_match_brute_force_oracles():

@@ -19,12 +19,13 @@ from hypothesis.extra import numpy as hnp
 from textilemodel import __version__
 from textilemodel.cli import main
 from textilemodel.errors import ConfigError, InvalidContourError
-from textilemodel import meshfiles
+from textilemodel import meshfiles, segmenter, voxelizer
 from textilemodel.geometry import RING_POINTS, _unchecked_sections
 from textilemodel.meshfiles import write_obj, write_vtk
 from textilemodel.pipeline import (
     STAGES,
     PipelineConfig,
+    RunContext,
     config_from_dict,
     load_config,
     read_detection_pair,
@@ -398,6 +399,15 @@ class TestRunPipeline:
         for m in paths["matches"]:
             assert m["d_symmetric_um"] == m["d_symmetric"] * cfg.validate.voxel_size_um
 
+    def test_volume_sidecars_scale_microns_by_the_config(self, tmp_path):
+        # µm per voxel is the voxel size times validate.voxel_size_um.
+        cfg = config_from_dict({**SMALL, "voxel_size": 0.7, "validate": {"voxel_size_um": 10.0}})
+        run = RunContext(cfg, tmp_path)
+        for stage in ("generate", "voxelize", "render"):
+            run.run_stage(stage)
+        for name in ("labels.json", "pseudo_ct.json"):
+            assert read_json(tmp_path / name)["voxel_size_um"] == 7.0
+
     def test_pseudo_ct_equals_the_whole_volume_reference(self, small_cfg, small_run):
         out, _ = small_run
         labels = load_volume(out / "labels")
@@ -597,6 +607,22 @@ def _with(d, keys, value):
     return d
 
 
+# Boundary gap lists that are not lists of [first, last] slice pairs.
+_BAD_GAPS = (
+    "ab",
+    5,
+    [[1, 2, 3]],
+    [[1]],
+    [["x", "y"]],
+    [[True, 2]],
+    [[0, False]],
+    [[1.0, 2]],
+    [[-1, 2]],
+    [[3, 2]],
+    [[1, 2], 7],
+)
+
+
 # Float fields set to an integer past the float range, one at a time.
 _YARN_FLOATS = (
     ["yarns", 0, "path", "knots", 0],
@@ -763,7 +789,8 @@ class TestAtomicWrites:
             lambda: save_volume(bad, tmp_path / "labels"),
         )
 
-    def test_render_pseudo_ct(self, tmp_path):
+    def test_render_pseudo_ct(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(voxelizer, "RENDER_BLOCK", 16 * 3 * 4)  # slabs of 16 x-planes
         good = LabelVolume(
             data=np.ones((40, 3, 4), dtype=np.uint16),
             voxel_size=1.0,
@@ -778,9 +805,10 @@ class TestAtomicWrites:
             lambda: render_pseudo_ct(bad, RenderParams(), 2, tmp_path / "ct"),
         )
 
-    def test_write_detections(self, tmp_path):
+    def test_write_detections(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmenter, "WRITE_BLOCK", 2)
         good = straight_dset(n_slices=3)
-        # Rows 0 and 1 are written before row 2's label fails.
+        # The block of rows 0 and 1 is written before row 2's label fails.
         labels = np.array([1, 2, object()], dtype=object)
         bad = SimpleNamespace(**{**vars(good), "true_label": labels})
         path = tmp_path / "detections_yz.jsonl"
@@ -1287,6 +1315,11 @@ class TestCli:
              "completed_flags must align with sections"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed", 0], "no"), "validate",
              "completed flags must be true or false"),
+            *(
+                ("yarns.json", lambda d, gaps=gaps: _with(d, ["yarns", 0, "boundary_gaps"], gaps), "validate",
+                 "boundary_gaps must be a list of [first, last] integers, 0 <= first <= last")
+                for gaps in _BAD_GAPS
+            ),
             *(
                 (name, lambda d, degree=degree: _with(d, ["yarns", 0, "path", "degree"], degree), command,
                  "curve degree must be an integer")

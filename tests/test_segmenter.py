@@ -965,24 +965,39 @@ def written_sets(draw):
     )
 
 
+def json_lines(ds) -> str:
+    """The detection file text of ``ds``: json.dumps of each record."""
+    records = (
+        {
+            "axis": ds.axis,
+            "slice_index": int(ds.slice_index[k]),
+            "contour": ds.contours[k].tolist(),
+            "center": ds.centers[k].tolist(),
+            "confidence": float(ds.confidence[k]),
+            "true_label": None if ds.true_label[k] < 0 else int(ds.true_label[k]),
+        }
+        for k in range(len(ds))
+    )
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
 class TestDetectionIO:
     @settings(max_examples=200, deadline=None)
     @given(written_sets())
     def test_bytes_equal_json_dumps_per_record(self, ds):
         with tempfile.TemporaryDirectory() as tmp:
             text = write_detections(ds, Path(tmp) / "det.jsonl").read_text()
-        want = (
-            {
-                "axis": ds.axis,
-                "slice_index": int(ds.slice_index[k]),
-                "contour": ds.contours[k].tolist(),
-                "center": ds.centers[k].tolist(),
-                "confidence": float(ds.confidence[k]),
-                "true_label": None if ds.true_label[k] < 0 else int(ds.true_label[k]),
-            }
-            for k in range(len(ds))
-        )
-        assert text == "".join(json.dumps(rec) + "\n" for rec in want)
+        assert text == json_lines(ds)
+
+    # Rows per block: one, an odd size that does not divide the 24 rows,
+    # and more than the set holds.
+    @pytest.mark.parametrize("block", [1, 7, 25])
+    def test_blocks_do_not_change_the_bytes(self, block, tmp_path, monkeypatch):
+        ds = degrade(self.labelled_set(), DegradeConfig(dropout_rate=0.0, jitter_sigma=0.7), 2)
+        # Null labels end the first block of 7 rows and start the fourth.
+        assert len(ds) == 24 and ds.true_label[[6, 21]].tolist() == [-1, -1]
+        monkeypatch.setattr(segmenter, "WRITE_BLOCK", block)
+        assert write_detections(ds, tmp_path / "det.jsonl").read_text() == json_lines(ds)
 
     def test_round_trip_exact(self, tmp_path, desk_detections):
         ds = filter_transverse(desk_detections["xz"], 6.0)

@@ -4,6 +4,8 @@ import contextlib
 import json
 import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from textilemodel import voxelizer
+from textilemodel import pipeline, segmenter, voxelizer
 from textilemodel.errors import BudgetExceededError, ConfigError
 from textilemodel.geometry import Box, ellipse_sections
-from textilemodel.segmenter import detect_batch
+from textilemodel.pipeline import config_from_dict, run_pipeline
+from textilemodel.segmenter import detect_batch, write_detections
 from textilemodel.synthgen import WeaveSpec, generate_interlock
 from textilemodel.voxelizer import (
     LabelVolume,
@@ -500,15 +503,20 @@ MIXED = {1: "warp", 2: "weft", 3: "warp", 4: "weft", 5: "weft"}
 
 
 class TestRenderMatchesReference:
+    # Voxel budgets for (nx, 7, 5) volumes, whose x-planes hold 35
+    # voxels: under one plane, one plane, three planes and a voxel (an
+    # odd slab that divides none of the nx but 33), 16 planes, and more
+    # than the whole volume.
     @pytest.mark.parametrize("nx", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("budget", [17, 35, 3 * 35 + 1, 16 * 35, 2**16])
     @pytest.mark.parametrize("ring_amplitude", [0.0, 0.1])
-    def test_slab_edges_and_rings(self, nx, ring_amplitude, tmp_path):
+    def test_slab_edges_and_rings(self, nx, budget, ring_amplitude, tmp_path, monkeypatch):
+        monkeypatch.setattr(voxelizer, "RENDER_BLOCK", budget)
         rng = np.random.default_rng(nx)
         vol = random_label_volume(rng, nx, MIXED)
         p = RenderParams(ring_amplitude=ring_amplitude, ring_period=3.0)
-        assert np.array_equal(
-            rendered(vol, p, nx + 7, tmp_path / "ct"), ref_render_pseudo_ct(vol, p, nx + 7)
-        )
+        got = rendered(vol, p, nx + 7, tmp_path / "ct")
+        assert got.tobytes() == ref_render_pseudo_ct(vol, p, nx + 7).tobytes()
 
     @pytest.mark.parametrize(
         "label_map",
@@ -787,11 +795,51 @@ class TestPeakMemory:
     # numpy reports its buffers to tracemalloc, so these peaks are exact
     # and repeat from run to run.
 
-    def test_render_peak_near_its_output(self, desk_volume, tmp_path):
-        # The slabs go to disk as they are rendered: the float32 volume
-        # is never held, let alone its float64 form.
-        _, peak = traced_peak(render_pseudo_ct, desk_volume, RenderParams(), 1, tmp_path / "ct")
-        assert peak < 0.75 * desk_volume.data.size * np.dtype(np.float32).itemsize
+    @pytest.mark.parametrize("copies", [1, 2], ids=["desk", "twice-as-long"])
+    def test_render_peak_is_a_few_slabs(self, desk_volume, copies, tmp_path):
+        # The slabs go to disk as they are rendered: the work arrays of
+        # one slab of RENDER_BLOCK voxels are held at a time, whatever
+        # the volume's length in x.
+        data = np.concatenate([desk_volume.data] * copies)
+        vol = LabelVolume(data, desk_volume.voxel_size, desk_volume.origin, desk_volume.label_map)
+        _, peak = traced_peak(render_pseudo_ct, vol, RenderParams(), 1, tmp_path / "ct")
+        assert peak < 3 * voxelizer.RENDER_BLOCK * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_write_detections_peak_is_one_block(self, desk_volume, copies, tmp_path):
+        # One block of rows is formatted at a time: the bound is per row
+        # of a block, not per row of the set.
+        ds = detect_batch(desk_volume, "xz")
+        rows = {name: np.concatenate([getattr(ds, name)] * copies) for name in segmenter._ROW_FIELDS}
+        rows["slice_index"] += np.repeat(np.arange(copies) * ds.n_slices, len(ds))
+        ds = replace(ds, n_slices=copies * ds.n_slices, **rows)
+        assert len(ds) > 5 * segmenter.WRITE_BLOCK
+        _, peak = traced_peak(write_detections, ds, tmp_path / "det.jsonl")
+        assert peak < 2048 * segmenter.WRITE_BLOCK
+
+    def test_pipeline_drops_the_label_grid_after_segment(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def segment(run):
+            vol = run.labels
+            seen["grid"] = weakref.ref(vol.data)
+            seen["extent"] = pipeline.grid_box(vol.origin, vol.dims, vol.voxel_size)
+            return pipeline._segment(run)
+
+        def degrade(run):
+            # The first stage after segment: the grid is no longer
+            # referenced, and its extent is still there for reconstruct.
+            seen["alive"], seen["box"] = seen["grid"]() is not None, run.box
+            return "skipped"
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCTIONS, "segment", segment)
+        monkeypatch.setitem(pipeline.STAGE_FUNCTIONS, "degrade", degrade)
+        for name in ("reconstruct", "validate"):
+            monkeypatch.setitem(pipeline.STAGE_FUNCTIONS, name, lambda run: "skipped")
+        run_pipeline(config_from_dict({"seed": 11, "degrade": {"enabled": True}}), tmp_path)
+        assert seen["alive"] is False
+        assert np.array_equal(seen["box"].lo, seen["extent"].lo)
+        assert np.array_equal(seen["box"].hi, seen["extent"].hi)
 
     def test_label_boxes_peak_far_below_the_labels(self):
         # One label id far above the others must not size the per-plane
