@@ -20,7 +20,6 @@ import json
 import logging
 import sys
 import time
-import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,6 +36,7 @@ from .reconstruct import (
     reconstruct_yarns,
 )
 from .meshfiles import write_obj, write_vtk
+from .schema import build
 from .segmenter import (
     DegradeConfig,
     degrade,
@@ -59,7 +59,6 @@ from .voxelizer import (
     DEFAULT_VOXEL_BUDGET,
     LabelVolume,
     RenderParams,
-    _is_finite_number,
     render_pseudo_ct,
     save_volume,
     slice_count,
@@ -118,12 +117,16 @@ class ReconstructConfig:
             raise ConfigError("d_gate must be null or positive")
         if not self.min_length >= 2:
             raise ConfigError("min_length must be at least 2")
+        if not self.max_gap >= 1:
+            raise ConfigError("max_gap must be at least 1")
         if not 0.0 <= self.min_span <= 1.0:
             raise ConfigError("min_span must be in [0, 1]")
         if not self.max_aspect > 1.0:
             raise ConfigError("max_aspect must exceed 1")
         if not self.composite_cell > 0:
             raise ConfigError("composite_cell must be positive")
+        if self.n_controls is not None and not self.n_controls >= 4:
+            raise ConfigError("n_controls must be null or at least 4")
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,8 @@ class ValidateConfig:
             raise ConfigError("n_samples must be at least 2")
         if not self.n_bins >= 1:
             raise ConfigError("n_bins must be positive")
+        if not 0 < self.voxel_size_um <= sys.float_info.max:
+            raise ConfigError("voxel_size_um must be a positive finite number")
 
 
 def _default_weave() -> WeaveSpec:
@@ -171,25 +176,19 @@ class PipelineConfig:
 
     def __post_init__(self):
         # The ranges that generate and voxelize enforce, checked at load.
-        if type(self.seed) is not int:
-            raise ConfigError("seed must be an integer")
         for name, low in (
             ("n_sections_warp", 4),
             ("n_sections_weft", 4),
             ("fibers_per_yarn", 1),
             ("voxel_budget", 1),
         ):
-            value = getattr(self, name)
-            if not (type(value) is int and value >= low):
+            if not getattr(self, name) >= low:
                 raise ConfigError(f"{name} must be an integer of at least {low}")
-        if self.fibers_per_yarn > sys.float_info.max:
-            raise ConfigError("fibers_per_yarn must not exceed the float range")
-        if not (_is_finite_number(self.z_margin) and self.z_margin >= 0):
+        if not 0 <= self.z_margin <= sys.float_info.max:
             raise ConfigError("z_margin must be a non-negative finite number")
-        vf = self.target_vf
-        if vf is not None and not (_is_finite_number(vf) and 0 < vf <= 1):
+        if self.target_vf is not None and not 0 < self.target_vf <= 1:
             raise ConfigError("target_vf must be null or lie in (0, 1]")
-        if not (_is_finite_number(self.voxel_size) and self.voxel_size > 0):
+        if not 0 < self.voxel_size <= sys.float_info.max:
             raise ConfigError("voxel_size must be a positive finite number")
 
     def gate(self) -> float:
@@ -202,33 +201,9 @@ class PipelineConfig:
         return json.loads(json.dumps(dataclasses.asdict(self)))
 
 
-def _from_dict(cls, data, where: str):
-    """``cls`` built from the JSON value ``data`` at config key
-    ``where`` ("" for the root); a field annotated with a dataclass, a
-    config section, is built from its own JSON object first."""
-    bad = f"bad value under {where}" if where else "bad value at the config root"
-    if not isinstance(data, dict):
-        raise ConfigError(f"{bad}: not a JSON object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown key {where + '.' if where else ''}{sorted(unknown)[0]}")
-    types = typing.get_type_hints(cls)
-    for k, v in data.items():
-        if types[k] is bool and type(v) is not bool:
-            raise ConfigError(f"{bad}: {k} must be true or false")
-    data = {
-        k: _from_dict(types[k], v, k) if dataclasses.is_dataclass(types[k]) else v
-        for k, v in data.items()
-    }
-    try:
-        return cls(**data)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"{bad}: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a config from a plain dict; unknown keys are errors."""
-    return _from_dict(PipelineConfig, data, "")
+    return build(PipelineConfig, data)
 
 
 def load_config(path) -> PipelineConfig:

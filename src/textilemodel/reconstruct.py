@@ -226,6 +226,8 @@ class ReconstructedYarn:
             raise ConfigError("completed_flags must align with sections")
         if np.any(np.diff(self.sections.stations) <= 0):
             raise DegenerateGeometryError("section stations must strictly increase")
+        if not all(0 <= first <= last for first, last in self.boundary_gaps):
+            raise ConfigError("boundary_gaps must be a list of [first, last] integers, 0 <= first <= last")
         object.__setattr__(self, "completed_flags", tuple(bool(f) for f in self.completed_flags))
 
     @property

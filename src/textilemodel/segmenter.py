@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import RING_POINTS, _freeze, _resample_loops
+from .schema import Array, Object, Stack, check
 from .voxelizer import SLICE_AXES, SLICE_DIM
 
 log = logging.getLogger(__name__)
@@ -47,10 +49,10 @@ _EDGE_MIDPOINTS = np.array([[0, 1], [1, 2], [2, 1], [1, 0]])
 
 TRACE_BLOCK = 2**18  # box voxels per traced slab of slices
 WRITE_BLOCK = 2**8  # detection rows formatted per % by write_detections
+READ_BLOCK = 2**8  # detection records checked as one stack by read_detections
 
 
 _CONTOUR_FAULT = f"detection contour must be a finite ({RING_POINTS}, 2) array"
-_CENTER_FAULT = "detection center must be a (2,) array"
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,25 +435,10 @@ def write_detections(dset: DetectionSet, path) -> Path:
     return path
 
 
-def _float_field(path, lines, records, key, shape, message) -> np.ndarray:
-    """``rec[key]`` of every record, 1.0 where it lacks the key, as one
-    float array (N, *shape).  The first value that is not a float array
-    of that shape raises ``message`` at its file line."""
-    values = [rec.get(key, 1.0) for rec in records]
-    try:
-        arr = np.array(values, dtype=float)
-        if arr.shape[1:] == shape:
-            return arr
-    except (TypeError, ValueError, OverflowError):
-        pass
-    for value, line_no in zip(values, lines):
-        try:
-            if np.array(value, dtype=float).shape == shape:
-                continue
-        except (TypeError, ValueError, OverflowError):
-            pass
-        raise ConfigError(f"{path}:{line_no}: {message}")
-    raise ConfigError(f"{path}: {message}")
+RECORD_SCHEMA = Object(
+    {"axis": str, "slice_index": int, "contour": Array((RING_POINTS, 2)), "center": Array((2,))},
+    {"confidence": float, "true_label": int | None},
+)
 
 
 def read_detections(
@@ -464,53 +451,61 @@ def read_detections(
 
     The records must share one slice axis.  The slice count is one past
     the largest slice index unless ``n_slices`` is given, so trailing
-    empty slices need it.  A malformed record raises ConfigError naming
-    the file and, where the record is known, its line.
+    empty slices need it.  ``READ_BLOCK`` records at a time are read and
+    checked against ``RECORD_SCHEMA`` as one stack (``confidence``
+    defaults to 1 and ``true_label`` to null); the first faulty record
+    in the file raises ConfigError naming the file and its line.
     """
-    parsed, labels = [], []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            parsed.append((line_no, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
-    for line_no, rec in parsed:
-        where = f"{path}:{line_no}"
-        for key in ("axis", "slice_index", "contour", "center"):
-            if not isinstance(rec, dict) or key not in rec:
-                raise ConfigError(f"{where}: detection record lacks {key!r}")
-        if type(rec["slice_index"]) is not int:
-            raise ConfigError(f"{where}: slice_index must be an integer")
-        label = rec.get("true_label")
-        if label is not None and (type(label) is not int or label < 0):
-            raise ConfigError(f"{where}: true_label must be a non-negative integer or null")
-        for key in ("slice_index", "true_label"):
-            if abs(rec.get(key) or 0) >= 2**63:
-                raise ConfigError(f"{where}: {key} must fit in 64 bits")
-        labels.append(-1 if label is None else label)
-    lines, records = zip(*parsed) if parsed else ((), ())
-    axes = {rec["axis"] for rec in records}
+    blocks = []
+    with open(path) as fh:
+        lines = ((line_no, text) for line_no, text in enumerate(fh, start=1) if text.strip())
+        while block := list(islice(lines, READ_BLOCK)):
+            blocks.append(_read_block(path, block))
+    cols = {k: [v for b in blocks for v in b[k]] for k in RECORD_SCHEMA.kinds}
+    axes = set(cols["axis"])
     if len(axes) != 1:
         raise ConfigError(f"{path}: cannot infer a unique slice axis ({axes or 'no records'})")
-    slice_index = np.array([rec["slice_index"] for rec in records])
-    order = np.argsort(slice_index, kind="stable")
-    fields = {
-        "contours": _float_field(path, lines, records, "contour", (RING_POINTS, 2), _CONTOUR_FAULT),
-        "centers": _float_field(path, lines, records, "center", (2,), _CENTER_FAULT),
-        "confidence": _float_field(
-            path, lines, records, "confidence", (), "confidence must lie in [0, 1]"
-        ),
-        "true_label": np.array(labels),
-    }
+    cols["confidence"] = [1.0 if c is None else c for c in cols["confidence"]]
+    cols["true_label"] = [-1 if label is None else label for label in cols["true_label"]]
+    keys = ("slice_index", "contour", "center", "confidence", "true_label")
+    fields = {name: np.array(cols[k]) for name, k in zip(_ROW_FIELDS, keys)}
+    order = np.argsort(fields["slice_index"], kind="stable")
     try:
         return DetectionSet(
             axis=axes.pop(),
-            n_slices=slice_index.max() + 1 if n_slices is None else n_slices,
+            n_slices=fields["slice_index"].max() + 1 if n_slices is None else n_slices,
             voxel_size=voxel_size,
             origin=origin,
-            slice_index=slice_index[order],
             **{name: arr[order] for name, arr in fields.items()},
         )
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_block(path, block) -> dict:
+    """The checked columns of the (line number, text) records ``block``;
+    a faulty block is read again a record at a time, so that the first
+    faulty line raises."""
+    try:
+        cols = check([json.loads(text) for _, text in block], Stack(RECORD_SCHEMA))
+        _check_ranges(cols["slice_index"], cols["true_label"])
+        return cols
+    except (json.JSONDecodeError, ConfigError):
+        for line_no, text in block:
+            try:
+                rec = check(json.loads(text), RECORD_SCHEMA)
+                _check_ranges([rec["slice_index"]], [rec.get("true_label")])
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+        raise
+
+
+def _check_ranges(slices, labels) -> None:
+    labels = [label for label in labels if label is not None]
+    if min(labels, default=0) < 0:
+        raise ConfigError("true_label must be a non-negative integer or null")
+    for key, values in (("slice_index", slices), ("true_label", labels)):
+        if max(map(abs, values), default=0) >= 2**63:
+            raise ConfigError(f"{key} must fit in 64 bits")

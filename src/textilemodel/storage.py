@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, TextileError
 from .geometry import RING_POINTS, Box, BSplineCurve, Sections
 from .reconstruct import ReconstructedYarn
+from .schema import Array, Object, Stack, check
 from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 
 SCHEMA = 1
@@ -117,23 +118,17 @@ def read_json(path) -> dict:
     return d
 
 
-def _load(path, kind: str, build):
-    """``build(d)`` of the JSON object ``d`` in ``path``, whose ``kind``
-    must be ``kind``.
-
-    A key that ``build`` misses, a value of the wrong type, a number
-    past the float range or a value that the built objects reject
-    raises ConfigError naming the file once.
-    """
+def _load(path, kind: str, schema, build):
+    """``build`` of the JSON object in ``path`` once it passed ``schema``;
+    any fault raises ConfigError naming the file once."""
     d = read_json(path)
     if d.get("kind") != kind:
         raise ConfigError(f"{path}: not a {kind.replace('_', ' ')} file")
+    if isinstance(d.get("spec"), dict):
+        # Model files written while the weave spec had a seed still carry it; nothing reads it.
+        d["spec"].pop("seed", None)
     try:
-        return build(d)
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: malformed value ({exc})") from exc
+        return build(check(d, schema))
     except TextileError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -144,16 +139,6 @@ def _curve_to_dict(curve: BSplineCurve) -> dict:
         "knots": curve.knots.tolist(),
         "control_points": curve.control_points.tolist(),
     }
-
-
-def _curve_from_dict(d: dict) -> BSplineCurve:
-    if type(d["degree"]) is not int:
-        raise ConfigError("curve degree must be an integer")
-    return BSplineCurve(
-        control_points=np.array(d["control_points"], dtype=float),
-        degree=d["degree"],
-        knots=np.array(d["knots"], dtype=float),
-    )
 
 
 def _sections_json(s: Sections) -> _JSONText:
@@ -170,18 +155,27 @@ def _sections_json(s: Sections) -> _JSONText:
     return _JSONText(f"[{text}]")
 
 
-def _sections_from_dicts(ds: list) -> Sections:
-    contours = [d["contour"] for d in ds]
-    centers = [d["center"] for d in ds]
-    stations = [d["station"] for d in ds]
-    if len({len(c) for c in contours}) > 1:
-        # Ragged point counts do not stack: check the rings before the
-        # first one of the wrong length, then that ring on its own,
-        # which raises.
-        k = next(k for k, c in enumerate(contours) if len(c) != RING_POINTS)
-        Sections(contours[:k], centers[:k], stations[:k])
-        Sections(contours[k : k + 1], centers[k : k + 1], stations[k : k + 1])
-    return Sections(contours, centers, stations)
+# The JSON kinds (see ``schema``) of the model and yarns files.
+_SECTIONS = Stack(Object({"center": Array((3,)), "contour": Array((RING_POINTS, 3)), "station": Array(())}))
+_CURVE = Object({"degree": int, "knots": Array((None,)), "control_points": Array((None, 3))})
+_YARN = {"family": str, "path": _CURVE, "sections": _SECTIONS}
+MODEL_SCHEMA = Object({
+    "schema": int, "kind": str, "spec": WeaveSpec, "thickness": float, "fibers": FiberSpec | None,
+    "bbox": Object({"lo": Array((3,)), "hi": Array((3,))}),
+    "yarns": tuple[Object({**_YARN, "id": int}), ...],
+})
+YARNS_SCHEMA = Object({
+    "schema": int, "kind": str, "voxel_size": float, "origin": Array((3,)),
+    "yarns": tuple[Object({
+        **_YARN, "axis": str, "completed": tuple[bool, ...], "boundary_gaps": tuple[tuple[int, int], ...]
+    }), ...],
+})
+
+
+def _axis_and_sections(yd: dict) -> dict:
+    """A checked yarn's fitted ``path`` and its ``sections``."""
+    s = yd["sections"]
+    return {"path": BSplineCurve(**yd["path"]), "sections": Sections(s["contour"], s["center"], s["station"])}
 
 
 def save_model(model: TextileModel, path) -> None:
@@ -206,41 +200,19 @@ def save_model(model: TextileModel, path) -> None:
 
 
 def load_model(path) -> TextileModel:
-    return _load(path, "textile_model", _model_from_dict)
+    return _load(path, "textile_model", MODEL_SCHEMA, _model_from_dict)
 
 
 def _model_from_dict(d: dict) -> TextileModel:
-    spec = WeaveSpec(
-        n_warp_columns=d["spec"]["n_warp_columns"],
-        n_weft_columns=d["spec"]["n_weft_columns"],
-        warp_sequence=tuple(d["spec"]["warp_sequence"]),
-        weft_sequence=tuple(d["spec"]["weft_sequence"]),
-        yarn_spacing=tuple(d["spec"]["yarn_spacing"]),
-        crimp_amplitude=d["spec"]["crimp_amplitude"],
-        ellipse_a=d["spec"]["ellipse_a"],
-        ellipse_b=d["spec"]["ellipse_b"],
-    )
-    fibers = None
-    if d.get("fibers"):
-        fibers = FiberSpec(
-            fiber_radius=d["fibers"]["fiber_radius"],
-            fibers_per_yarn=d["fibers"]["fibers_per_yarn"],
-        )
     yarns = tuple(
-        YarnModel(
-            yarn_id=yd["id"],
-            family=yd["family"],
-            path=_curve_from_dict(yd["path"]),
-            sections=_sections_from_dicts(yd["sections"]),
-        )
-        for yd in d["yarns"]
+        YarnModel(yarn_id=yd["id"], family=yd["family"], **_axis_and_sections(yd)) for yd in d["yarns"]
     )
     return TextileModel(
-        spec=spec,
+        spec=d["spec"],
         yarns=yarns,
-        bbox=Box(lo=np.array(d["bbox"]["lo"]), hi=np.array(d["bbox"]["hi"])),
+        bbox=Box(**d["bbox"]),
         thickness=float(d["thickness"]),
-        fibers=fibers,
+        fibers=d["fibers"],
     )
 
 
@@ -269,30 +241,19 @@ def save_yarns(yarns, path, voxel_size: float, origin) -> None:
 def load_yarns(path):
     """Returns (yarns, voxel_size, origin); each yarn carries its
     boundary gaps."""
-    return _load(path, "reconstructed_yarns", _yarns_from_dict)
+    return _load(path, "reconstructed_yarns", YARNS_SCHEMA, _yarns_from_dict)
 
 
 def _yarns_from_dict(d: dict):
     yarns = []
     for yd in d["yarns"]:
-        family, axis, completed, gaps = yd["family"], yd["axis"], yd["completed"], yd["boundary_gaps"]
-        if isinstance(completed, list) and not all(type(f) is bool for f in completed):
-            raise ConfigError("completed flags must be true or false")
-        if not (isinstance(gaps, list) and all(_is_gap(g) for g in gaps)):
-            raise ConfigError("boundary_gaps must be a list of [first, last] integers, 0 <= first <= last")
         yarn = ReconstructedYarn(
-            axis=axis,
-            path=_curve_from_dict(yd["path"]),
-            sections=_sections_from_dicts(yd["sections"]),
-            completed_flags=tuple(bool(f) for f in completed),
-            boundary_gaps=tuple(tuple(g) for g in gaps),
+            axis=yd["axis"],
+            completed_flags=yd["completed"],
+            boundary_gaps=yd["boundary_gaps"],
+            **_axis_and_sections(yd),
         )
-        if family != yarn.family:
-            raise ConfigError(f"family {family!r} does not match axis {axis!r} ({yarn.family!r})")
+        if yd["family"] != yarn.family:
+            raise ConfigError(f"family {yd['family']!r} does not match axis {yd['axis']!r} ({yarn.family!r})")
         yarns.append(yarn)
-    return yarns, float(d["voxel_size"]), np.array(d["origin"])
-
-
-def _is_gap(g) -> bool:
-    """Whether ``g`` is a JSON pair of slice indices ``[first, last]``."""
-    return isinstance(g, list) and len(g) == 2 and all(type(i) is int for i in g) and 0 <= g[0] <= g[1]
+    return yarns, float(d["voxel_size"]), d["origin"]

@@ -45,7 +45,7 @@ class FiberSpec:
         if not (self.fiber_radius > 0 and math.isfinite(self.fiber_radius)):
             raise ConfigError("fiber_radius must be positive and finite")
         n = self.fibers_per_yarn
-        if not (type(n) is int and 1 <= n <= sys.float_info.max):
+        if not 1 <= n <= sys.float_info.max:
             raise ConfigError("fibers_per_yarn must be an integer in [1, float max]")
 
 

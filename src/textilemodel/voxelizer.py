@@ -25,7 +25,6 @@ float64 work arrays follow that budget, not the grid size.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,7 +33,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, DegenerateGeometryError
 from .geometry import DEFAULT_VOXEL_SIZE_UM, Box
-from .synthgen import TextileModel
+from .schema import Array, Object, check
+from .synthgen import FAMILIES, TextileModel
 
 DEFAULT_VOXEL_BUDGET = 2**28
 RENDER_BLOCK = 2**16  # voxels per rendered slab of whole x-planes
@@ -572,48 +572,43 @@ def _volume_paths(base_path) -> tuple[Path, Path]:
     return base.with_suffix(".raw"), base.with_suffix(".json")
 
 
+SIDECAR_SCHEMA = Object(
+    {
+        "schema": int, "kind": tuple(VOLUME_DTYPES), "dims": tuple[int, int, int], "dtype": str, "order": str,
+        "axis_convention": str, "voxel_size": float, "voxel_size_um": float, "origin": Array((3,)),
+    },
+    {"label_map": dict[str, FAMILIES]},
+)
+
+
 def read_sidecar(base_path) -> dict:
     """The JSON sidecar of a volume written by save_volume or
-    render_pseudo_ct.
+    render_pseudo_ct, as ``SIDECAR_SCHEMA`` checks it.
 
     Raises ConfigError naming the file if it is not valid JSON, has
-    another schema, lacks a key that readers need or holds a value of
-    the wrong type or shape: ``dims`` must be 3 positive integers,
-    ``dtype`` the one of its ``kind``, ``voxel_size`` a positive finite
-    number, ``origin`` 3 finite numbers and ``label_map`` an object
-    whose keys are decimal labels.
+    another schema, does not pass the schema or holds a value out of
+    range: ``dims`` must be positive, ``dtype`` the one of its ``kind``,
+    ``voxel_size`` positive and the ``label_map`` keys decimal labels.
     """
     from .storage import read_json  # deferred: storage imports this module
 
     path = Path(base_path).with_suffix(".json")
     meta = read_json(path)
     if meta.get("schema") != 1:
-        raise ConfigError(f"unsupported volume schema in {path}")
-    for key in ("kind", "dims", "dtype", "voxel_size", "origin"):
-        if key not in meta:
-            raise ConfigError(f"{path}: missing key '{key}'")
-    dims, kind, voxel_size, origin = (meta[key] for key in ("dims", "kind", "voxel_size", "origin"))
-    if not (_is_triple(dims) and all(type(d) is int and d > 0 for d in dims)):
-        raise ConfigError(f"{path}: dims must be 3 positive integers")
-    if not (isinstance(kind, str) and VOLUME_DTYPES.get(kind) == meta["dtype"]):
-        raise ConfigError(f"{path}: dtype must be that of its kind, one of {VOLUME_DTYPES}")
-    if not (_is_finite_number(voxel_size) and voxel_size > 0):
-        raise ConfigError(f"{path}: voxel_size must be a positive finite number")
-    if not (_is_triple(origin) and all(_is_finite_number(v) for v in origin)):
-        raise ConfigError(f"{path}: origin must be 3 finite numbers")
-    label_map = meta.get("label_map", {})
-    if not (isinstance(label_map, dict) and all(key.isdecimal() for key in label_map)):
-        raise ConfigError(f"{path}: label_map must be an object keyed by decimal labels")
+        raise ConfigError(f"{path}: unsupported volume schema")
+    try:
+        meta = check(meta, SIDECAR_SCHEMA)
+        if min(meta["dims"]) < 1:
+            raise ConfigError("dims must be 3 positive integers")
+        if VOLUME_DTYPES[meta["kind"]] != meta["dtype"]:
+            raise ConfigError(f"dtype must be that of its kind, one of {VOLUME_DTYPES}")
+        if not meta["voxel_size"] > 0:
+            raise ConfigError("voxel_size must be a positive finite number")
+        if not all(key.isdecimal() for key in meta.get("label_map", {})):
+            raise ConfigError("label_map must be an object keyed by decimal labels")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return meta
-
-
-def _is_triple(value) -> bool:
-    return isinstance(value, list) and len(value) == 3
-
-
-def _is_finite_number(value) -> bool:
-    # Compared: math.isfinite raises on an int past the float range.
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def load_volume(base_path) -> LabelVolume:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from textilemodel import geometry as geo
 from textilemodel.errors import (
+    ConfigError,
     DegenerateGeometryError,
     InsufficientDataError,
     InvalidContourError,
 )
-from textilemodel.storage import _sections_from_dicts
+from textilemodel.schema import check
+from textilemodel.storage import _SECTIONS
 
 
 def rigid_motion(points, seed=7):
@@ -1018,23 +1020,25 @@ class TestRingKernelMatchesScalarReference:
         assert np.array_equal(geo.canonical_indices(uv), want)
         assert all(np.array_equal(geo.canonical_indices(r), w) for r, w in zip(uv, want))
 
-    def test_ragged_stack_raises_the_first_fault_in_order(self):
-        # Ragged contour lists come from files: the section reader checks
-        # them ring by ring in file order.
+    def test_ragged_stack_names_its_short_ring(self):
+        # Ragged contour lists come from files: the sections schema names
+        # the short ring before any ring is built, whatever the rings
+        # before it hold; a stack of full rings raises its first fault.
         rings, centers, stations = build_stack([(1, set()), (2, {"fold"}), (3, set())])
 
         def read(contours):
-            return _sections_from_dicts(
-                [
-                    {"contour": np.asarray(r).tolist(), "center": c.tolist(), "station": float(t)}
-                    for r, c, t in zip(contours, centers, stations)
-                ]
-            )
+            rows = [
+                {"contour": np.asarray(r).tolist(), "center": c.tolist(), "station": float(t)}
+                for r, c, t in zip(contours, centers, stations)
+            ]
+            s = check(rows, _SECTIONS, "sections")
+            return geo.Sections(s["contour"], s["center"], s["station"])
 
+        for k, contours in ((2, [rings[0], rings[1], rings[2][:9]]), (1, [rings[0], rings[2][:9], rings[1]])):
+            with pytest.raises(ConfigError, match=rf"^sections\[{k}\]\.contour must be 10 × 3 finite numbers$"):
+                read(contours)
         with pytest.raises(InvalidContourError, match="self-intersecting"):
-            read([rings[0], rings[1], rings[2][:9]])
-        with pytest.raises(InvalidContourError, match="must have 10 points"):
-            read([rings[0], rings[2][:9], rings[1]])
+            read(rings)
         assert len(geo.Sections([], [], [])) == 0
 
 

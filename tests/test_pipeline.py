@@ -190,7 +190,7 @@ def config_dicts(draw):
         "reconstruct": _section(
             d_gate=st.none() | _POS, min_length=st.integers(2, 10**6), max_gap=_COUNT,
             min_span=_FRAC, max_aspect=st.floats(1.0, 1e3, exclude_min=True), min_area=_COUNT,
-            n_controls=st.none() | _COUNT, composite_cell=_POS, write_meshes=st.booleans(),
+            n_controls=st.none() | st.integers(4, 10**6), composite_cell=_POS, write_meshes=st.booleans(),
         ),
         "validate": _section(n_samples=st.integers(2, 10**6), n_bins=_COUNT, voxel_size_um=_POS),
     }
@@ -545,12 +545,18 @@ class TestYarnStorage:
         assert [y.boundary_gaps for y in load_yarns(p)[0]] == [y.boundary_gaps for y in ys]
 
     @pytest.mark.parametrize(
-        "short, message",
-        [(None, "contour is self-intersecting"), (3, "contour must have 10 points"), (7, "contour is self-intersecting")],
+        "short, message, cause",
+        [
+            (None, "contour is self-intersecting", InvalidContourError),
+            (3, "yarns[0].sections[3].contour must be 10 × 3 finite numbers", ConfigError),
+            (7, "yarns[0].sections[7].contour must be 10 × 3 finite numbers", ConfigError),
+        ],
     )
-    def test_corrupted_contour_raises_the_first_error_in_file_order(
-        self, straight_yarns, tmp_path, short, message
+    def test_short_contour_raises_before_the_first_ring_fault(
+        self, straight_yarns, tmp_path, short, message, cause
     ):
+        # The schema checks every ring's shape before any ring is built;
+        # then the first faulty ring in file order raises.
         ys, _ = straight_yarns
         yarns_path, model_path = tmp_path / "yarns.json", tmp_path / "model.json"
         save_yarns(ys, yarns_path, voxel_size=1.0, origin=(0.0, 0.0, 0.0))
@@ -567,7 +573,7 @@ class TestYarnStorage:
             with pytest.raises(ConfigError) as err:
                 load(p)
             assert str(err.value) == f"{p}: {message}", load.__name__
-            assert isinstance(err.value.__cause__, InvalidContourError)
+            assert type(err.value.__cause__) is cause
 
     def test_wrong_kind_is_rejected(self, tmp_path):
         p = tmp_path / "odd.json"
@@ -607,40 +613,57 @@ def _with(d, keys, value):
     return d
 
 
-# Boundary gap lists that are not lists of [first, last] slice pairs.
+# Boundary gap lists that are not lists of [first, last] slice pairs,
+# each with the fault it reports.
+_GAP_RANGE = "boundary_gaps must be a list of [first, last] integers, 0 <= first <= last"
 _BAD_GAPS = (
-    "ab",
-    5,
-    [[1, 2, 3]],
-    [[1]],
-    [["x", "y"]],
-    [[True, 2]],
-    [[0, False]],
-    [[1.0, 2]],
-    [[-1, 2]],
-    [[3, 2]],
-    [[1, 2], 7],
+    ("ab", "yarns[0].boundary_gaps must be a list"),
+    (5, "yarns[0].boundary_gaps must be a list"),
+    ([[1, 2, 3]], "yarns[0].boundary_gaps[0] must be a list of 2 items"),
+    ([[1]], "yarns[0].boundary_gaps[0] must be a list of 2 items"),
+    ([["x", "y"]], "yarns[0].boundary_gaps[0][0] must be an integer within the float range"),
+    ([[True, 2]], "yarns[0].boundary_gaps[0][0] must be an integer within the float range"),
+    ([[0, False]], "yarns[0].boundary_gaps[0][1] must be an integer within the float range"),
+    ([[1.0, 2]], "yarns[0].boundary_gaps[0][0] must be an integer within the float range"),
+    ([[-1, 2]], _GAP_RANGE),
+    ([[3, 2]], _GAP_RANGE),
+    ([[1, 2], 7], "yarns[0].boundary_gaps[1] must be a list of 2 items"),
 )
 
 
-# Float fields set to an integer past the float range, one at a time.
+# Float fields set to an integer past the float range, one at a time,
+# each with the key path its fault names.
 _YARN_FLOATS = (
-    ["yarns", 0, "path", "knots", 0],
-    ["yarns", 0, "path", "control_points", 0, 0],
-    ["yarns", 0, "sections", 0, "contour", 0, 0],
-    ["yarns", 0, "sections", 0, "center", 0],
-    ["yarns", 0, "sections", 0, "station"],
+    (["yarns", 0, "path", "knots", 0], "yarns[0].path.knots must be n finite numbers"),
+    (["yarns", 0, "path", "control_points", 0, 0], "yarns[0].path.control_points must be n × 3 finite numbers"),
+    (["yarns", 0, "sections", 0, "contour", 0, 0], "yarns[0].sections[0].contour must be 10 × 3 finite numbers"),
+    (["yarns", 0, "sections", 0, "center", 0], "yarns[0].sections[0].center must be 3 finite numbers"),
+    (["yarns", 0, "sections", 0, "station"], "yarns[0].sections[0].station must be a finite number"),
 )
 _OVERFLOW_CASES = [
     *(
-        ("model.json", "voxelize", keys)
-        for keys in (
-            ["bbox", "lo", 0], ["thickness"], ["fibers", "fiber_radius"], ["spec", "yarn_spacing", 0],
+        ("model.json", "voxelize", keys, message)
+        for keys, message in (
+            (["bbox", "lo", 0], "bbox.lo must be 3 finite numbers"),
+            (["thickness"], "thickness must be a finite number"),
+            (["fibers", "fiber_radius"], "fibers.fiber_radius must be a finite number"),
+            (["spec", "yarn_spacing", 0], "spec.yarn_spacing[0] must be a finite number"),
             *_YARN_FLOATS,
         )
     ),
-    *(("yarns.json", "validate", keys) for keys in (["voxel_size"], *_YARN_FLOATS)),
+    *(
+        ("yarns.json", "validate", keys, message)
+        for keys, message in ((["voxel_size"], "voxel_size must be a finite number"), *_YARN_FLOATS)
+    ),
 ]
+
+
+def _strings(d, keys):
+    """A copy of ``d`` with the list at the path ``keys`` as strings."""
+    node = d
+    for key in keys:
+        node = node[key]
+    return _with(d, keys, [str(v) for v in node])
 
 
 def _short_contour(d):
@@ -1187,38 +1210,42 @@ class TestCli:
             ({"weave": {**readme_config()["weave"], "ellipse_b": 99.0}},
              "bad value under weave: ellipse axes need a >= b > 0"),
             ({"weave": {**readme_config()["weave"], "warp_sequence": ["x"]}},
-             "bad value under weave: invalid literal for int()"),
+             "weave.warp_sequence[0] must be an integer within the float range"),
             ({"render": {"noise_sigma": -1.0}}, "bad value under render: noise_sigma must be non-negative"),
-            ({"degrade": 5}, "bad value under degrade: not a JSON object"),
-            ({"seed": "x"}, "bad value at the config root: seed must be an integer"),
-            ({"seed": True}, "bad value at the config root: seed must be an integer"),
-            ({"voxel_size": "x"}, "bad value at the config root: voxel_size must be a positive finite number"),
+            ({"degrade": 5}, "degrade must be a JSON object"),
+            ({"seed": "x"}, "seed must be an integer within the float range"),
+            ({"seed": True}, "seed must be an integer within the float range"),
+            ({"voxel_size": "x"}, "voxel_size must be a finite number"),
             ({"voxel_size": 0}, "bad value at the config root: voxel_size must be a positive finite number"),
             ({"target_vf": 3}, "bad value at the config root: target_vf must be null or lie in (0, 1]"),
             ({"target_vf": 0.0}, "bad value at the config root: target_vf must be null or lie in (0, 1]"),
             ({"n_sections_warp": 2},
              "bad value at the config root: n_sections_warp must be an integer of at least 4"),
-            ({"n_sections_weft": 12.0},
-             "bad value at the config root: n_sections_weft must be an integer of at least 4"),
+            ({"n_sections_weft": 12.0}, "n_sections_weft must be an integer within the float range"),
             ({"fibers_per_yarn": 0},
              "bad value at the config root: fibers_per_yarn must be an integer of at least 1"),
             ({"z_margin": -1.0}, "bad value at the config root: z_margin must be a non-negative finite number"),
-            ({"z_margin": 10**400},
-             "bad value at the config root: z_margin must be a non-negative finite number"),
+            ({"z_margin": 10**400}, "z_margin must be a finite number"),
             ({"voxel_budget": 0}, "bad value at the config root: voxel_budget must be an integer of at least 1"),
-            ({"fibers_per_yarn": 10**400},
-             "bad value at the config root: fibers_per_yarn must not exceed the float range"),
+            ({"fibers_per_yarn": 10**400}, "fibers_per_yarn must be an integer within the float range"),
             ({"reconstruct": {"min_length": 1}}, "bad value under reconstruct: min_length must be at least 2"),
             ({"validate": {"n_bins": 0}}, "bad value under validate: n_bins must be positive"),
             ({"compaction": {"enabled": True, "thickness_final": 20, "n_steps": 0}},
              "bad value under compaction: n_steps must be at least 1"),
-            ({"degrade": {"enabled": "no"}}, "bad value under degrade: enabled must be true or false"),
-            ({"reconstruct": {"write_meshes": "no"}},
-             "bad value under reconstruct: write_meshes must be true or false"),
+            ({"degrade": {"enabled": "no"}}, "degrade.enabled must be true or false"),
+            ({"reconstruct": {"write_meshes": "no"}}, "reconstruct.write_meshes must be true or false"),
             ({"compaction": {"enabled": "false", "thickness_final": 20}},
-             "bad value under compaction: enabled must be true or false"),
+             "compaction.enabled must be true or false"),
             ({"compaction": {"enabled": True}},
              "bad value under compaction: thickness_final is required when compaction is enabled"),
+            ({"weave": {**readme_config()["weave"], "yarn_spacing": ["40", "40"]}},
+             "weave.yarn_spacing[0] must be a finite number"),
+            ({"render": {"noise_sigma": True}}, "render.noise_sigma must be a finite number"),
+            ({"reconstruct": {"max_gap": "x"}}, "reconstruct.max_gap must be an integer within the float range"),
+            ({"reconstruct": {"max_gap": 0}}, "bad value under reconstruct: max_gap must be at least 1"),
+            ({"reconstruct": {"n_controls": 3}}, "bad value under reconstruct: n_controls must be null or at least 4"),
+            ({"validate": {"voxel_size_um": -3}},
+             "bad value under validate: voxel_size_um must be a positive finite number"),
         ],
         ids=["weave-seed", "render-seed", "dropout-enabled", "dropout-disabled", "confidence-floor",
              "ellipse-axes", "sequence-item", "render-range", "section-not-object", "seed-str",
@@ -1226,7 +1253,9 @@ class TestCli:
              "sections-warp-few", "sections-weft-float", "fibers-zero", "z-margin-negative",
              "z-margin-past-float-range", "voxel-budget-zero", "fibers-past-float-range",
              "reconstruct-min-length", "validate-n-bins", "compaction-n-steps", "degrade-enabled-str",
-             "write-meshes-str", "compaction-enabled-str", "compaction-without-thickness"],
+             "write-meshes-str", "compaction-enabled-str", "compaction-without-thickness",
+             "yarn-spacing-str", "noise-sigma-bool", "max-gap-str", "max-gap-zero", "n-controls-3",
+             "voxel-size-um-negative"],
     )
     def test_bad_config_exits_2_before_stage_1(self, config, message, tmp_path, capsys):
         """A bad value exits 2 naming the config file and its section."""
@@ -1288,41 +1317,38 @@ class TestCli:
             ("model.json", lambda d: [], "validate", "top level is not a JSON object"),
             ("yarns.json", lambda d: _without(d, "yarns"), "validate", "missing key 'yarns'"),
             ("model.json", lambda d: {**d, "spec": _without(d["spec"], "n_warp_columns")},
-             "voxelize", "missing key 'n_warp_columns'"),
+             "voxelize", "missing key 'spec.n_warp_columns'"),
             ("labels.json", lambda d: _without(d, "dims"), "render", "missing key 'dims'"),
             ("labels.json", None, "render", "invalid JSON"),
-            ("model.json", lambda d: {**d, "spec": []}, "voxelize", "malformed value (list"),
-            ("yarns.json", lambda d: {**d, "yarns": 5}, "validate", "malformed value ('int'"),
-            ("yarns.json", lambda d: {**d, "voxel_size": "big"}, "validate",
-             "malformed value (could not convert"),
-            ("labels.json", lambda d: {**d, "dims": "abc"}, "segment", "dims must be 3 positive integers"),
-            ("labels.json", lambda d: {**d, "dims": "abc"}, "reconstruct",
-             "dims must be 3 positive integers"),
+            ("model.json", lambda d: {**d, "spec": []}, "voxelize", "spec must be a JSON object"),
+            ("yarns.json", lambda d: {**d, "yarns": 5}, "validate", "yarns must be a list"),
+            ("yarns.json", lambda d: {**d, "voxel_size": "big"}, "validate", "voxel_size must be a finite number"),
+            ("labels.json", lambda d: {**d, "dims": "abc"}, "segment", "dims must be a list of 3 items"),
+            ("labels.json", lambda d: {**d, "dims": "abc"}, "reconstruct", "dims must be a list of 3 items"),
             ("labels.json", lambda d: {**d, "origin": [1, 2]}, "segment", "origin must be 3 finite numbers"),
             ("labels.json", lambda d: {**d, "origin": [1, 2]}, "reconstruct",
              "origin must be 3 finite numbers"),
             ("labels.json", lambda d: {**d, "dtype": "zz"}, "segment", "dtype must be that of its kind"),
-            ("labels.json", lambda d: {**d, "label_map": 5}, "segment", "label_map must be an object"),
+            ("labels.json", lambda d: {**d, "label_map": 5}, "segment", "label_map must be a JSON object"),
             ("labels.json", lambda d: {**d, "label_map": {"x": "warp"}}, "segment",
              "label_map must be an object keyed by decimal labels"),
-            ("labels.json", lambda d: {**d, "voxel_size": "x"}, "reconstruct",
-             "voxel_size must be a positive finite number"),
+            ("labels.json", lambda d: {**d, "voxel_size": "x"}, "reconstruct", "voxel_size must be a finite number"),
             ("labels.json", lambda d: {**d, "voxel_size": 10**400}, "reconstruct",
-             "voxel_size must be a positive finite number"),
+             "voxel_size must be a finite number"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "path", "degree"], 0), "validate",
              "curve degree must be >= 1"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed"], "abc"), "validate",
-             "completed_flags must align with sections"),
+             "yarns[0].completed must be a list"),
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "completed", 0], "no"), "validate",
-             "completed flags must be true or false"),
+             "yarns[0].completed[0] must be true or false"),
             *(
                 ("yarns.json", lambda d, gaps=gaps: _with(d, ["yarns", 0, "boundary_gaps"], gaps), "validate",
-                 "boundary_gaps must be a list of [first, last] integers, 0 <= first <= last")
-                for gaps in _BAD_GAPS
+                 message)
+                for gaps, message in _BAD_GAPS
             ),
             *(
                 (name, lambda d, degree=degree: _with(d, ["yarns", 0, "path", "degree"], degree), command,
-                 "curve degree must be an integer")
+                 "yarns[0].path.degree must be an integer within the float range")
                 for name, command in (("yarns.json", "validate"), ("model.json", "voxelize"))
                 for degree in (3.9, "3")
             ),
@@ -1331,14 +1357,32 @@ class TestCli:
             ("yarns.json", lambda d: _with(d, ["yarns", 0, "axis"], "xy"), "validate",
              "axis must be one of ['xz', 'yz'], got 'xy'"),
             ("model.json", lambda d: _with(d, ["fibers", "fibers_per_yarn"], 10**400), "validate",
-             "fibers_per_yarn must be an integer in [1, float max]"),
-            ("model.json", _short_contour, "voxelize", "contour must have 10 points"),
-            ("yarns.json", _short_contour, "validate", "contour must have 10 points"),
+             "fibers.fibers_per_yarn must be an integer within the float range"),
+            ("model.json", _short_contour, "voxelize", "yarns[0].sections[2].contour must be 10 × 3 finite numbers"),
+            ("yarns.json", _short_contour, "validate", "yarns[0].sections[2].contour must be 10 × 3 finite numbers"),
             *(
-                (name, lambda d, keys=keys: _with(d, keys, 10**400), command,
-                 "malformed value (int too large to convert to float)")
-                for name, command, keys in _OVERFLOW_CASES
+                (name, lambda d, keys=keys: _with(d, keys, 10**400), command, message)
+                for name, command, keys, message in _OVERFLOW_CASES
             ),
+            # Values that loaded as something else before the schema.
+            ("model.json", lambda d: {**d, "thickness": "80.0"}, "voxelize", "thickness must be a finite number"),
+            ("model.json", lambda d: _with(d, ["spec", "warp_sequence"], [2.7]), "voxelize",
+             "spec.warp_sequence[0] must be an integer within the float range"),
+            ("model.json", lambda d: _with(d, ["spec", "n_warp_columns"], 4.0), "voxelize",
+             "spec.n_warp_columns must be an integer within the float range"),
+            ("model.json", lambda d: _strings(d, ["yarns", 0, "path", "knots"]), "voxelize",
+             "yarns[0].path.knots must be n finite numbers"),
+            ("model.json", lambda d: _strings(d, ["bbox", "lo"]), "voxelize", "bbox.lo must be 3 finite numbers"),
+            ("model.json", lambda d: _with(d, ["yarns", 0, "sections", 1, "station"], "1.0"), "voxelize",
+             "yarns[0].sections[1].station must be a finite number"),
+            *(
+                ("model.json", lambda d, v=v: _with(d, ["yarns", 0, "id"], v), "voxelize",
+                 "yarns[0].id must be an integer within the float range")
+                for v in (True, 1.0)
+            ),
+            ("yarns.json", lambda d: {**d, "voxel_size": "1.0"}, "validate", "voxel_size must be a finite number"),
+            ("yarns.json", lambda d: _strings(d, ["origin"]), "validate", "origin must be 3 finite numbers"),
+            ("labels.json", lambda d: {**d, "label_map": {"1": 5}}, "render", "label_map.1 must be one of 'warp', 'weft'"),
         ],
     )
     def test_malformed_json_input_exits_2_naming_the_file(
@@ -1390,12 +1434,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda r: r.pop("contour"), "detection record lacks 'contour'"),
-            (lambda r: r.update(true_label="x"), "true_label must be a non-negative integer"),
-            (lambda r: r.update(center=[10**400, 1.0]), r"detection center must be a (2,) array"),
-            (lambda r: r.update(confidence=10**400), "confidence must lie in [0, 1]"),
-            (lambda r: r.update(slice_index=10**400), "slice_index must fit in 64 bits"),
-            (lambda r: r.update(true_label=10**400), "true_label must fit in 64 bits"),
+            (lambda r: r.pop("contour"), "missing key 'contour'"),
+            (lambda r: r.update(true_label="x"), "true_label must be an integer within the float range"),
+            (lambda r: r.update(true_label=-2), "true_label must be a non-negative integer or null"),
+            (lambda r: r.update(center=[10**400, 1.0]), "center must be 2 finite numbers"),
+            (lambda r: r.update(confidence=10**400), "confidence must be a finite number"),
+            (lambda r: r.update(slice_index=10**400), "slice_index must be an integer within the float range"),
+            (lambda r: r.update(true_label=10**400), "true_label must be an integer within the float range"),
+            (lambda r: r.update(slice_index=2**63), "slice_index must fit in 64 bits"),
+            (lambda r: r.update(true_label=2**63), "true_label must fit in 64 bits"),
+            (lambda r: r.update(confidence="0.5"), "confidence must be a finite number"),
+            (lambda r: r.update(center=["1", "2"]), "center must be 2 finite numbers"),
         ],
     )
     def test_malformed_detection_record_exits_2(self, corrupt, message, tmp_path, capsys):

@@ -1047,23 +1047,25 @@ class TestDetectionIO:
             read_detections(path, n_slices=2)
 
     def test_bad_json_names_file_and_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"axis": "xz"}\nnot json\n')
-        with pytest.raises(ConfigError, match=r"bad\.jsonl:2"):
+        path = write_detections(TestDegrade.toy_set(n_slices=2), tmp_path / "bad.jsonl")
+        first = path.read_text().splitlines()[0]
+        path.write_text(f"{first}\nnot json\n")
+        with pytest.raises(ConfigError, match=r"bad\.jsonl:2: invalid JSON record"):
             read_detections(path)
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda r: r.pop("contour"), "detection record lacks 'contour'"),
-            (lambda r: r.pop("axis"), "detection record lacks 'axis'"),
-            (lambda r: r.update(true_label="x"), "true_label must be a non-negative integer"),
-            (lambda r: r.update(true_label=2.0), "true_label must be a non-negative integer"),
+            (lambda r: r.pop("contour"), "missing key 'contour'"),
+            (lambda r: r.pop("axis"), "missing key 'axis'"),
+            (lambda r: r.update(extra=1), "unknown key extra"),
+            (lambda r: r.update(true_label="x"), "true_label must be an integer within the float range"),
+            (lambda r: r.update(true_label=2.0), "true_label must be an integer within the float range"),
             (lambda r: r.update(true_label=-1), "true_label must be a non-negative integer"),
             (lambda r: r.update(slice_index="1"), "slice_index must be an integer"),
-            (lambda r: r["contour"].pop(), "detection contour must be a finite"),
-            (lambda r: r["contour"][3].append(0.0), "detection contour must be a finite"),
-            (lambda r: r.update(center=[1.0]), r"detection center must be a \(2,\) array"),
+            (lambda r: r["contour"].pop(), "contour must be 10 × 2 finite numbers"),
+            (lambda r: r["contour"][3].append(0.0), "contour must be 10 × 2 finite numbers"),
+            (lambda r: r.update(center=[1.0]), "center must be 2 finite numbers"),
         ],
     )
     def test_malformed_record_names_file_and_line(self, tmp_path, corrupt, message):
@@ -1074,10 +1076,22 @@ class TestDetectionIO:
         with pytest.raises(ConfigError, match=rf"det\.jsonl:6: {message}"):
             read_detections(path)
 
+    def test_first_faulty_line_raises(self, tmp_path):
+        path = write_detections(TestDegrade.toy_set(n_slices=2), tmp_path / "det.jsonl")
+        lines = path.read_text().splitlines()
+        faults = {2: '{"axis": "xz"', 4: json.dumps({**json.loads(lines[4]), "confidence": "1"}),
+                  6: json.dumps({**json.loads(lines[6]), "true_label": -1})}
+        for k in sorted(faults, reverse=True):
+            # Each fault lies before those written so far: it is the one that raises.
+            lines[k] = faults[k]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError, match=rf"det\.jsonl:{k + 1}: "):
+                read_detections(path)
+
     def test_record_must_be_an_object(self, tmp_path):
         path = tmp_path / "det.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(ConfigError, match=r"det\.jsonl:1: detection record lacks 'axis'"):
+        with pytest.raises(ConfigError, match=r"det\.jsonl:1: the root must be a JSON object"):
             read_detections(path)
 
     def test_mixed_axes_rejected(self, tmp_path):
