@@ -5,6 +5,8 @@ which the volume, detection and report writers elsewhere use too) so a
 crash never leaves a half-written artifact, and every file carries a
 ``schema`` field for forward compatibility.  ``dump_json`` writes every
 JSON artifact in one layout: one line, sorted keys, no whitespace.
+``load_model`` and ``load_yarns`` accept any whitespace and key order
+and decode a file one yarn at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import typing
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .synthgen import FiberSpec, TextileModel, WeaveSpec, YarnModel
 SCHEMA = 1
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The stdlib's C scanner: decodes one JSON value at an index of a text.
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+_WS = json.decoder.WHITESPACE.match
 # Containers this many levels down (file, yarns list, yarn) are written
 # a member at a time, so a yarn's sections, already JSON text, are
 # written as they are and the C encoder gets one small member at a time.
@@ -118,19 +125,119 @@ def read_json(path) -> dict:
     return d
 
 
-def _load(path, kind: str, schema, build):
-    """``build`` of the JSON object in ``path`` once it passed ``schema``;
-    any fault raises ConfigError naming the file once."""
-    d = read_json(path)
-    if d.get("kind") != kind:
-        raise ConfigError(f"{path}: not a {kind.replace('_', ' ')} file")
-    if isinstance(d.get("spec"), dict):
-        # Model files written while the weave spec had a seed still carry it; nothing reads it.
-        d["spec"].pop("seed", None)
+def _value(text: str, i: int):
+    """The JSON value that starts at ``text[i]`` and the index past it."""
     try:
-        return build(check(d, schema))
+        return _SCAN(text, i)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+
+
+def _members(text: str, i: int, member) -> int:
+    """Scan the JSON object or array whose bracket is at ``text[i]``.
+
+    ``member(key, j)`` gets each member's key (in an array, its index)
+    and the index ``j`` of its value; it decodes the value and returns
+    the index past it.  Returns the index past the closing bracket.
+    Faults raise JSONDecodeError with the stdlib decoder's message and
+    position.
+    """
+    is_object = text[i] == "{"
+    close = "}" if is_object else "]"
+    i = _WS(text, i + 1).end()
+    if text[i:i + 1] == close:
+        return i + 1
+    for key in itertools.count():
+        if is_object:
+            if text[i:i + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _WS(text, i).end()
+            if text[i:i + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            i += 1
+        i = _WS(text, member(key, _WS(text, i).end())).end()
+        if text[i:i + 1] == close:
+            return i + 1
+        if text[i:i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _WS(text, i + 1).end()
+
+
+def _load(path, kind: str, schema: Object, yarn, build):
+    """``build`` of the JSON object in ``path`` once it passed ``schema``;
+    any fault raises ConfigError naming the file once.
+
+    The object is decoded a top-level key at a time and its ``yarns``
+    list an item at a time: each item is checked and built by ``yarn``
+    before the next is decoded, so the JSON tree of one yarn is alive at
+    a time.  When ``kind`` comes before ``yarns``, it and the keys before
+    ``yarns`` are checked before the first yarn is built.  The first
+    fault in file order is raised once the whole text is scanned, so
+    that invalid JSON anywhere is reported first.
+    """
+    item = typing.get_args(schema.kinds["yarns"])[0]
+    top, yarns, faults = {}, [], []
+
+    def guard(step) -> None:
+        if not faults:
+            try:
+                step()
+            except TextileError as exc:
+                faults.append(exc)
+
+    def head() -> None:
+        _check_kind(top, kind)
+        check(top, Object({}, schema.kinds))
+
+    def add_yarn(n: int, i: int) -> int:
+        value, end = _value(text, i)
+        guard(lambda: yarns.append(yarn(check(value, item, ("yarns", n)))))
+        return end
+
+    def member(key: str, i: int) -> int:
+        if key != "yarns" or text[i:i + 1] != "[":
+            top[key], end = _value(text, i)
+            if key == "spec" and type(top[key]) is dict:
+                # Model files written while the weave spec had a seed still carry it; nothing reads it.
+                top[key].pop("seed", None)
+            return end
+        if "kind" in top:
+            guard(head)
+        yarns.clear()  # a repeated key keeps its last value, as in json.load
+        top[key] = []  # checks as an empty list; the built yarns replace it
+        return _members(text, i, add_yarn)
+
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        i = _WS(text).end()
+        if text[i:i + 1] == "{":
+            end = _members(text, i, member)
+        else:
+            top, end = _value(text, i)
+        end = _WS(text, end).end()
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+        if faults:
+            raise faults[0]
+        if type(top) is not dict:
+            raise ConfigError("top level is not a JSON object")
+        _check_kind(top, kind)
+        d = check(top, schema)
+        d["yarns"] = yarns
+        return build(d)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except TextileError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_kind(top: dict, kind: str) -> None:
+    if top.get("kind") != kind:
+        raise ConfigError(f"not a {kind.replace('_', ' ')} file")
 
 
 def _curve_to_dict(curve: BSplineCurve) -> dict:
@@ -200,16 +307,17 @@ def save_model(model: TextileModel, path) -> None:
 
 
 def load_model(path) -> TextileModel:
-    return _load(path, "textile_model", MODEL_SCHEMA, _model_from_dict)
+    return _load(path, "textile_model", MODEL_SCHEMA, _model_yarn, _model_from_dict)
+
+
+def _model_yarn(yd: dict) -> YarnModel:
+    return YarnModel(yarn_id=yd["id"], family=yd["family"], **_axis_and_sections(yd))
 
 
 def _model_from_dict(d: dict) -> TextileModel:
-    yarns = tuple(
-        YarnModel(yarn_id=yd["id"], family=yd["family"], **_axis_and_sections(yd)) for yd in d["yarns"]
-    )
     return TextileModel(
         spec=d["spec"],
-        yarns=yarns,
+        yarns=tuple(d["yarns"]),
         bbox=Box(**d["bbox"]),
         thickness=float(d["thickness"]),
         fibers=d["fibers"],
@@ -241,19 +349,20 @@ def save_yarns(yarns, path, voxel_size: float, origin) -> None:
 def load_yarns(path):
     """Returns (yarns, voxel_size, origin); each yarn carries its
     boundary gaps."""
-    return _load(path, "reconstructed_yarns", YARNS_SCHEMA, _yarns_from_dict)
+    return _load(path, "reconstructed_yarns", YARNS_SCHEMA, _reconstructed_yarn, _yarns_from_dict)
 
 
 def _yarns_from_dict(d: dict):
-    yarns = []
-    for yd in d["yarns"]:
-        yarn = ReconstructedYarn(
-            axis=yd["axis"],
-            completed_flags=yd["completed"],
-            boundary_gaps=yd["boundary_gaps"],
-            **_axis_and_sections(yd),
-        )
-        if yd["family"] != yarn.family:
-            raise ConfigError(f"family {yd['family']!r} does not match axis {yd['axis']!r} ({yarn.family!r})")
-        yarns.append(yarn)
-    return yarns, float(d["voxel_size"]), d["origin"]
+    return d["yarns"], float(d["voxel_size"]), d["origin"]
+
+
+def _reconstructed_yarn(yd: dict) -> ReconstructedYarn:
+    yarn = ReconstructedYarn(
+        axis=yd["axis"],
+        completed_flags=yd["completed"],
+        boundary_gaps=yd["boundary_gaps"],
+        **_axis_and_sections(yd),
+    )
+    if yd["family"] != yarn.family:
+        raise ConfigError(f"family {yd['family']!r} does not match axis {yd['axis']!r} ({yarn.family!r})")
+    return yarn

@@ -9,6 +9,7 @@ All lengths are voxel units.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -32,6 +33,19 @@ from .geometry import (
 PATH_TOL = 1.0
 
 FAMILIES = ("warp", "weft")
+
+# Yarn ids are painted into a uint16 label grid, 0 being the background.
+MAX_YARN_ID = int(np.iinfo(np.uint16).max)
+
+
+def _is_number(v) -> bool:
+    """``v`` is a real number, not a bool or a string."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    """``v`` is a whole number of at least 1: an integer or an integral float."""
+    return _is_number(v) and (isinstance(v, numbers.Integral) or float(v).is_integer()) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -74,10 +88,12 @@ class WeaveSpec:
         if self.n_warp_columns < 1 or self.n_weft_columns < 1:
             raise ConfigError("need at least one column per family")
         for name, seq in (("warp_sequence", self.warp_sequence), ("weft_sequence", self.weft_sequence)):
-            seq = tuple(int(v) for v in seq)
-            if len(seq) == 0 or any(v < 1 for v in seq):
+            seq = tuple(seq)
+            if len(seq) == 0 or not all(map(_is_count, seq)):
                 raise ConfigError(f"{name} must be a non-empty tuple of positive counts")
-            object.__setattr__(self, name, seq)
+            object.__setattr__(self, name, tuple(map(int, seq)))
+        if not all(map(_is_number, self.yarn_spacing)):
+            raise ConfigError("yarn_spacing must hold numbers")
         sx, sy = (float(v) for v in self.yarn_spacing)
         if not (sx > 0 and sy > 0):
             raise ConfigError("yarn_spacing must be positive")
@@ -113,6 +129,8 @@ class YarnModel:
     def __post_init__(self):
         if self.yarn_id < 1:
             raise ConfigError("yarn ids start at 1; 0 is the background label")
+        if self.yarn_id > MAX_YARN_ID:
+            raise ConfigError(f"yarn id {self.yarn_id} is past {MAX_YARN_ID}, the largest uint16 label")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
         if len(self.sections) < 2:

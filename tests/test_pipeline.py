@@ -1320,6 +1320,8 @@ class TestCli:
              "voxelize", "missing key 'spec.n_warp_columns'"),
             ("labels.json", lambda d: _without(d, "dims"), "render", "missing key 'dims'"),
             ("labels.json", None, "render", "invalid JSON"),
+            ("model.json", None, "voxelize", "invalid JSON ("),
+            ("yarns.json", None, "validate", "invalid JSON ("),
             ("model.json", lambda d: {**d, "spec": []}, "voxelize", "spec must be a JSON object"),
             ("yarns.json", lambda d: {**d, "yarns": 5}, "validate", "yarns must be a list"),
             ("yarns.json", lambda d: {**d, "voxel_size": "big"}, "validate", "voxel_size must be a finite number"),
@@ -1380,6 +1382,8 @@ class TestCli:
                  "yarns[0].id must be an integer within the float range")
                 for v in (True, 1.0)
             ),
+            ("model.json", lambda d: _with(d, ["yarns", 0, "id"], 70000), "voxelize",
+             "yarn id 70000 is past 65535, the largest uint16 label"),
             ("yarns.json", lambda d: {**d, "voxel_size": "1.0"}, "validate", "voxel_size must be a finite number"),
             ("yarns.json", lambda d: _strings(d, ["origin"]), "validate", "origin must be 3 finite numbers"),
             ("labels.json", lambda d: {**d, "label_map": {"1": 5}}, "render", "label_map.1 must be one of 'warp', 'weft'"),

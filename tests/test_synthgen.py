@@ -1,5 +1,7 @@
 """Weave generation, compaction and perturbation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,36 @@ class TestWeaveSpec:
             desk_spec(ellipse_a=2.0, ellipse_b=3.0)
         with pytest.raises(ConfigError):
             desk_spec(crimp_amplitude=-1.0)
+
+    @pytest.mark.parametrize("seq", [(2.7,), ("1",), (True,), (2, False), (np.nan,), (np.inf,), "12"])
+    def test_sequences_hold_whole_numbers_only(self, seq):
+        for name in ("warp_sequence", "weft_sequence"):
+            with pytest.raises(ConfigError, match=f"{name} must be a non-empty tuple of positive counts"):
+                desk_spec(**{name: seq})
+
+    def test_integral_sequences_become_ints(self):
+        spec = desk_spec(warp_sequence=(2.0, np.int64(3)), weft_sequence=[1])
+        assert spec.warp_sequence == (2, 3) and spec.weft_sequence == (1,)
+        assert all(type(v) is int for v in spec.warp_sequence + spec.weft_sequence)
+
+    @pytest.mark.parametrize("spacing", [("30", 30), (30, "30"), (True, 30.0), (30.0, False)])
+    def test_spacing_holds_numbers_only(self, spacing):
+        with pytest.raises(ConfigError, match="yarn_spacing must hold numbers"):
+            desk_spec(yarn_spacing=spacing)
+
+    def test_spacings_become_floats(self):
+        spec = desk_spec(yarn_spacing=(40, np.float32(30.5)))
+        assert spec.yarn_spacing == (40.0, 30.5)
+        assert all(type(v) is float for v in spec.yarn_spacing)
+
+
+class TestYarnModel:
+    @pytest.mark.parametrize("yarn_id, message", [(0, "yarn ids start at 1"), (sg.MAX_YARN_ID + 1, "past 65535")])
+    def test_ids_fit_the_uint16_labels(self, desk_model, yarn_id, message):
+        yarn = desk_model.yarns[0]
+        assert replace(yarn, yarn_id=sg.MAX_YARN_ID).yarn_id == 65535
+        with pytest.raises(ConfigError, match=message):
+            replace(yarn, yarn_id=yarn_id)
 
 
 class TestGenerateInterlock:
